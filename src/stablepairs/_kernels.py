@@ -1,121 +1,52 @@
-"""Hot numeric kernels: batched sparse-polynomial evaluation.
+"""Hot numeric kernel: batched sparse-polynomial evaluation.
 
 Monte-Carlo Mahler estimates and the curve quadrature oracle spend nearly
 all their time evaluating one sparse polynomial on 1e4..1e6 complex sample
-points, so this is the one place worth a compiled path.
+points, and descent evaluates it at single points many times.
 
-Two implementations, same contract:
-
-- a numba @njit kernel (default when numba imports), explicit loops;
-- a pure-numpy fallback, chunked exp(log z @ E^T) @ coeffs.
-
-Select with the environment variable STABLEPAIRS_KERNEL=numba|numpy; the
-default is numba when available.  ``python -m stablepairs.benchmark``
-compares the two on a representative workload.
+One algorithm, a power table.  For a chunk of sample rows, every variable
+that some term uses is raised to the powers 0..M (M the largest exponent)
+by repeated multiplication; each term's monomial is the product over those
+variables of the power table gathered at the term's exponents, and the
+values are the monomials times the coefficients.  Products of powers are
+exact at zero (0^0 = 1, 0^e = 0), so no logarithm and no floor enters the
+values; only ``poly_log_abs`` floors log |P| where P vanishes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-_ENV_FLAG = "STABLEPAIRS_KERNEL"
-_CHUNK = 4096
+# rows per chunk: keeps the gathered (terms x variables x rows) table in cache
+_CHUNK = 1024
 _LOG_FLOOR = -745.0  # log of the smallest positive double
 
 
 def backend_name() -> str:
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("STABLEPAIRS_KERNEL=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-@njit(cache=True)
-def _poly_values_sparse_numba(offsets, vidx, eidx, coeffs, Z, maxe):  # pragma: no cover
-    S = Z.shape[0]
-    V = Z.shape[1]
-    T = offsets.shape[0] - 1
-    out = np.empty(S, np.complex128)
-    pows = np.empty((V, maxe + 1), np.complex128)
-    for s in range(S):
-        for v in range(V):
-            pows[v, 0] = 1.0 + 0.0j
-            zv = Z[s, v]
-            for e in range(1, maxe + 1):
-                pows[v, e] = pows[v, e - 1] * zv
-        acc = 0.0 + 0.0j
-        for t in range(T):
-            term = coeffs[t]
-            for k in range(offsets[t], offsets[t + 1]):
-                term = term * pows[vidx[k], eidx[k]]
-            acc = acc + term
-        out[s] = acc
-    return out
-
-
-def _sparse_layout(expo: np.ndarray):
-    offsets = [0]
-    vidx: list = []
-    eidx: list = []
-    for row in expo:
-        for v, e in enumerate(row):
-            if e:
-                vidx.append(v)
-                eidx.append(e)
-        offsets.append(len(vidx))
-    return (
-        np.asarray(offsets, dtype=np.int64),
-        np.asarray(vidx, dtype=np.int64),
-        np.asarray(eidx, dtype=np.int64),
-    )
-
-
-def _poly_values_numba(expo, coeffs, Z):
-    offsets, vidx, eidx = _sparse_layout(expo)
-    maxe = int(expo.max()) if expo.size else 0
-    return _poly_values_sparse_numba(offsets, vidx, eidx, coeffs, Z, maxe)
-
-
-def _poly_values_numpy(expo, coeffs, Z):
-    S = Z.shape[0]
-    out = np.empty(S, np.complex128)
-    logz = np.log(np.where(Z == 0, 1.0, Z)).astype(np.complex128)
-    logz[Z == 0] = _LOG_FLOOR  # z^e with e >= 1 then underflows to 0 as it should
-    Et = expo.T.astype(np.float64)
-    for lo in range(0, S, _CHUNK):
-        hi = min(lo + _CHUNK, S)
-        out[lo:hi] = np.exp(logz[lo:hi] @ Et) @ coeffs
-    return out
+    """Name of the evaluation algorithm, recorded in run provenance."""
+    return "numpy-power-table"
 
 
 def poly_values(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """P(z) for every sample row z, with P = sum coeffs * z^expo."""
-    expo = np.ascontiguousarray(expo, dtype=np.int64)
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    Z = np.ascontiguousarray(Z, dtype=np.complex128)
-    if backend_name() == "numba":
-        return _poly_values_numba(expo, coeffs, Z)
-    return _poly_values_numpy(expo, coeffs, Z)
+    expo = np.asarray(expo, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    Z = np.asarray(Z, dtype=np.complex128)
+    used = np.flatnonzero(expo.max(axis=0, initial=0))
+    E = expo[:, used]
+    top = int(E.max(initial=0))
+    var = np.arange(used.size)
+    Zt = Z.T[used]  # (used variables, rows), one contiguous copy
+    S = Z.shape[0]
+    out = np.empty(S, np.complex128)
+    for lo in range(0, S, _CHUNK):
+        hi = min(lo + _CHUNK, S)
+        pows = np.empty((top + 1, used.size, hi - lo), np.complex128)
+        pows[0] = 1.0
+        for e in range(1, top + 1):
+            np.multiply(pows[e - 1], Zt[:, lo:hi], out=pows[e])
+        out[lo:hi] = coeffs @ pows[E, var].prod(axis=1)
+    return out
 
 
 def poly_log_abs(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:

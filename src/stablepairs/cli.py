@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 schema error,
 3 precondition violation, 4 numerical non-convergence.
 
-Every output embeds the run configuration (seed, samples, mode, threads,
-kernel backend), so identical configurations and inputs produce
-byte-identical JSON.  Human-readable rendering sits behind --pretty;
-the default stream is compact JSON only.
+Every output embeds the run configuration (seed, samples, mode, threads),
+so identical configurations and inputs produce byte-identical JSON.
+Human-readable rendering sits behind --pretty; the default stream is
+compact JSON only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import backend_name
 from .energy import (
     asymptotic_report,
     aubin_f0_algebraic,
@@ -120,7 +119,6 @@ class RunConfig:
             "samples": self.samples,
             "mode": self.mode,
             "threads": self.threads,
-            "kernel": backend_name(),
         }
 
 

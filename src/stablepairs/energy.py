@@ -251,15 +251,21 @@ def asymptotic_report(entries: Sequence[Tuple[int, XPair]], p: float = 0.0,
     rows: List[dict] = []
     for k, xp in entries:
         cert = orbit_distance(xp, p, opts=opts, samples=samples)
-        neg = -cert.inf_estimate if cert.inf_estimate is not None else math.nan
+        est = cert.inf_estimate
+        # null, not NaN, when descent gave no finite infimum estimate
+        neg = -est if est is not None and math.isfinite(est) else None
+
+        def per(scale):
+            return None if neg is None else neg / scale
+
         rows.append(
             {
                 "k": k,
                 "d": xp.d,
                 "neg_log_tan_sq_dist": neg,
-                "per_k2n": neg / k ** (2 * xp.n),
-                "per_k2n_plus_1": neg / k ** (2 * xp.n + 1),
-                "per_d2": neg / xp.d**2,
+                "per_k2n": per(k ** (2 * xp.n)),
+                "per_k2n_plus_1": per(k ** (2 * xp.n + 1)),
+                "per_d2": per(xp.d**2),
                 "verdict": cert.verdict,
             }
         )

@@ -139,7 +139,9 @@ def torus_semistable(pair: Pair) -> Tuple[bool, Optional[OnePSG]]:
     ok, lam = contains(weight_polytope(pair.v), weight_polytope(pair.w))
     if ok:
         return True, None
-    assert psg_weight(lam, pair.w) > psg_weight(lam, pair.v)
+    if not psg_weight(lam, pair.w) > psg_weight(lam, pair.v):
+        raise RuntimeError(f"weight-polytope witness {list(lam.exponents)} does not "
+                           "satisfy w_lambda(w) > w_lambda(v)")
     return False, lam
 
 
@@ -189,6 +191,10 @@ def _rational_roots_binary(f: HomogeneousPolynomial) -> List[Tuple[int, int]]:
         poly.pop()
         if (0, 1) not in roots:
             roots.append((0, 1))
+    # leading zeros are the roots at [1:0]; without them lead is nonzero and
+    # every denominator of a rational root divides it
+    while poly and poly[0] == 0:
+        poly.pop(0)
     if len(poly) <= 1:
         return roots
     lead, const = poly[0], poly[-1]
@@ -762,7 +768,7 @@ def descend(pair_or_functional, opts: Optional[DescentOptions] = None,
         eta = opts.eta0
         decreasing_run = 0
         iters = 0
-        final_grad = math.nan
+        final_grad = None  # stays null in the output when no gradient was computed
         lognorm2 = 2.0 * log_scale + math.log(float(np.vdot(sig_hat, sig_hat).real))
         stalled_extreme = False
         for iters in range(1, opts.max_iters + 1):

@@ -23,7 +23,8 @@ SCHEMA = "v1"
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Strict JSON: NaN and infinities raise ValueError instead of being written."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _need(d: dict, key: str, kind=None):

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from .energy import aubin_f0_algebraic, k_energy_algebraic
+from .errors import SchemaError
 from .forms import HypersurfaceVariety, RationalCurve, build_x_pair, chow_form_hypersurface
 from .norms import arestov_check, harmonic, jensen_check, lp_norm, sup_norm
 from .oracle import curve_geometry_oracle
@@ -325,11 +326,12 @@ SUITES: Dict[str, Callable[..., List[dict]]] = {
 
 def run_suites(names=None, seed: int = 0) -> dict:
     names = list(names) if names else list(SUITES)
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise SchemaError(f"unknown suite {unknown[0]!r}; choose from {sorted(SUITES)}")
     results = {}
     all_passed = True
     for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         checks = SUITES[name](seed=seed)
         results[name] = checks
         all_passed = all_passed and all(c["passed"] for c in checks)

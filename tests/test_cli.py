@@ -54,6 +54,32 @@ HYP = {
     },
 }
 PAIR = {"schema": "v1", "v": POLY_V2, "w": POLY_X2}
+# v = 5xy + 3y^2, w = 24x^2y + 18xy^2 - 27y^3: e = d - 1, so never semistable,
+# but w vanishes at [1:0] and its other roots 3/4, -3/2 are not integers
+ROOTS_PAIR = {
+    "schema": "v1",
+    "v": {
+        "schema": "v1",
+        "shape": {"kind": "vector", "rows": 1, "cols": 2},
+        "degree": 2,
+        "mode": "exact",
+        "terms": [
+            {"exp": [1, 1], "re": "5", "im": "0"},
+            {"exp": [0, 2], "re": "3", "im": "0"},
+        ],
+    },
+    "w": {
+        "schema": "v1",
+        "shape": {"kind": "vector", "rows": 1, "cols": 2},
+        "degree": 3,
+        "mode": "exact",
+        "terms": [
+            {"exp": [2, 1], "re": "24", "im": "0"},
+            {"exp": [1, 2], "re": "18", "im": "0"},
+            {"exp": [0, 3], "re": "-27", "im": "0"},
+        ],
+    },
+}
 SIGMA_ID3 = {
     "schema": "v1",
     "size": 3,
@@ -71,6 +97,7 @@ def files(tmp_path):
     paths = {}
     for name, payload in (
         ("pair", PAIR),
+        ("roots_pair", ROOTS_PAIR),
         ("mono", MONO_Z02),
         ("conic", CONIC),
         ("hyp", HYP),
@@ -120,6 +147,10 @@ class TestSubcommands:
         )
         res = json.loads(out2.stdout)["result"]
         assert res["k_energy"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_pair_check_torus_fail_non_integer_roots(self, files):
+        out = run_cli(["pair-check", "--pair", files["roots_pair"], "--trials", "10"])
+        assert json.loads(out.stdout)["result"]["verdict"] == "torus-fail"
 
     def test_verify_suite(self, files):
         out = run_cli(["verify", "forms"])
@@ -186,6 +217,13 @@ class TestExitCodes:
         p.write_text(json.dumps(line))
         out = run_cli(["hurwitz", "--curve", str(p)], check=False)
         assert out.returncode == 3
+
+    def test_unknown_verify_suite_exit_2(self):
+        out = run_cli(["verify", "bogus"], check=False)
+        assert out.returncode == 2
+        # one line naming the suite, no traceback
+        assert out.stderr.startswith("schema error: unknown suite 'bogus'")
+        assert len(out.stderr.strip().splitlines()) == 1
 
     def test_bad_samples_exit_3(self, tmp_path):
         p = tmp_path / "m.json"

@@ -1,10 +1,12 @@
 """Energy formulas against the oracle and exact weights."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from stablepairs import energy
 from stablepairs.energy import (
     MahlerSampleFunctional,
     asymptotic_report,
@@ -17,8 +19,9 @@ from stablepairs.energy import (
 )
 from stablepairs.norms import harmonic
 from stablepairs.oracle import curve_geometry_oracle
-from stablepairs.pairs import DescentOptions, _expm_hermitian
+from stablepairs.pairs import DescentOptions, StabilityCertificate, _expm_hermitian
 from stablepairs.poly import OnePSG
+from stablepairs.serialize import dump_json
 from stablepairs.verify import random_sl, rational_normal_curve
 from stablepairs.weights import psg_weight
 
@@ -213,6 +216,16 @@ class TestAsymptoticReport:
         assert len(rep["rows"]) == 1
         row = rep["rows"][0]
         assert row["per_k2n"] == pytest.approx(row["neg_log_tan_sq_dist"])
+
+    def test_row_without_infimum_is_null(self, conic_xpair, monkeypatch):
+        monkeypatch.setattr(
+            energy, "orbit_distance",
+            lambda *a, **k: StabilityCertificate(verdict="no-divergence-observed"),
+        )
+        rep = asymptotic_report([(1, conic_xpair)])
+        row = json.loads(dump_json(rep))["rows"][0]
+        for key in ("neg_log_tan_sq_dist", "per_k2n", "per_k2n_plus_1", "per_d2"):
+            assert row[key] is None
 
     def test_two_degrees_trend(self, conic_xpair, cubic_xpair):
         rep = asymptotic_report(

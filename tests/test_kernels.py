@@ -1,37 +1,70 @@
-"""Kernel backends: numba and numpy must agree; env flag selects."""
-
-import os
-import subprocess
-import sys
+"""The power-table kernel against the reference evaluator ``poly.evaluate``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stablepairs._kernels import (
-    HAS_NUMBA,
-    _poly_values_numba,
-    _poly_values_numpy,
-    backend_name,
-    poly_log_abs,
-    poly_values,
-)
+from stablepairs._kernels import _CHUNK, poly_log_abs, poly_values
+from stablepairs.forms import chow_form_curve
+from stablepairs.norms import _terms_arrays, sample_points
+from stablepairs.poly import HomogeneousPolynomial, VariableShape, evaluate
+from stablepairs.scalars import FLOAT
+from stablepairs.verify import rational_normal_curve
+
+RTOL, ATOL = 1e-10, 1e-12
 
 
-def workload(seed=0, S=3000, T=15, V=5):
-    rng = np.random.default_rng(seed)
-    expo = rng.integers(0, 4, size=(T, V)).astype(np.int64)
-    coeffs = rng.standard_normal(T) + 1j * rng.standard_normal(T)
-    Z = rng.standard_normal((S, V)) + 1j * rng.standard_normal((S, V))
-    return expo, coeffs, Z
+def reference(P: HomogeneousPolynomial, Z: np.ndarray) -> np.ndarray:
+    return np.array([complex(evaluate(P, z)) for z in Z])
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """A homogeneous polynomial with mostly-zero exponents, and sample rows.
+
+    Degree 0 gives constants; rows lie in the closed unit polydisk (the torus
+    the Mahler measure integrates over) with some coordinates exactly 0.
+    """
+    nvars = draw(st.integers(2, 5))
+    degree = draw(st.integers(0, 6))
+    part = st.one_of(st.just(0), st.integers(0, degree))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        exp, left = [], degree
+        for x in draw(st.lists(part, min_size=nvars - 1, max_size=nvars - 1)):
+            exp.append(min(x, left))
+            left -= exp[-1]
+        exp.append(left)
+        perm = draw(st.permutations(range(nvars)))
+        terms.setdefault(tuple(exp[i] for i in perm), complex(
+            draw(st.floats(-2, 2)), draw(st.floats(-2, 2))))
+    P = HomogeneousPolynomial(VariableShape.vector(nvars), degree, terms, FLOAT)
+    rows = draw(st.sampled_from([1, 5, _CHUNK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = rng.uniform(0, 1, (rows, nvars)) * np.exp(2j * np.pi * rng.uniform(0, 1, (rows, nvars)))
+    Z[rng.uniform(0, 1, (rows, nvars)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0
+    return P, Z
 
 
 class TestBackendAgreement:
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_values_agree(self):
-        expo, coeffs, Z = workload()
-        a = _poly_values_numba(expo, coeffs, Z)
-        b = _poly_values_numpy(expo, coeffs, Z)
-        assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+    """The kernel agrees with the reference evaluator at fixed tolerances."""
+
+    def test_chow_form_matches_evaluate(self):
+        # the twisted-cubic Chow form (34 terms in 8 variables) on Gaussian rows,
+        # more rows than one chunk
+        P = chow_form_curve(rational_normal_curve(3)).to_float()
+        Z = sample_points(P.shape.nvars, _CHUNK + 500, seed=1)
+        expo, coeffs = _terms_arrays(P)
+        assert np.allclose(poly_values(expo, coeffs, Z), reference(P, Z), rtol=RTOL, atol=ATOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_polynomials())
+    def test_values_match_evaluate(self, case):
+        P, Z = case
+        expo = np.array(list(P.terms), dtype=np.int64).reshape(len(P.terms), P.shape.nvars)
+        coeffs = np.array([complex(c) for c in P.terms.values()], dtype=np.complex128)
+        assert np.allclose(poly_values(expo, coeffs, Z), reference(P, Z), rtol=RTOL, atol=ATOL)
 
     def test_log_abs_floor(self):
         expo = np.array([[1, 0]], dtype=np.int64)
@@ -46,57 +79,3 @@ class TestBackendAgreement:
         coeffs = np.array([1.0 + 0j])
         Z = np.array([[0.0 + 0j, 2.0 + 0j]])
         assert poly_values(expo, coeffs, Z)[0] == pytest.approx(4.0)
-
-
-class TestEnvFlag:
-    def test_flag_selects_numpy(self):
-        code = (
-            "from stablepairs._kernels import backend_name; print(backend_name())"
-        )
-        env = dict(os.environ, STABLEPAIRS_KERNEL="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "numpy"
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_default_is_numba(self):
-        env = {k: v for k, v in os.environ.items() if k != "STABLEPAIRS_KERNEL"}
-        code = (
-            "from stablepairs._kernels import backend_name; print(backend_name())"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "numba"
-
-    def test_numpy_path_runs_lp_norm(self):
-        # an estimate computed on the numpy fallback matches the numba one
-        code = """
-import os
-from stablepairs.norms import lp_norm
-from stablepairs.poly import HomogeneousPolynomial, VariableShape
-P = HomogeneousPolynomial.monomial(VariableShape.vector(3), (2, 0, 0), 1, "exact")
-print(repr(lp_norm(P, 0, samples=5000, seed=3).log_value))
-"""
-        vals = set()
-        for flag in ("numpy", "numba") if HAS_NUMBA else ("numpy",):
-            env = dict(os.environ, STABLEPAIRS_KERNEL=flag)
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True
-            )
-            assert out.returncode == 0, out.stderr
-            vals.add(float(out.stdout.strip()))
-        assert max(vals) - min(vals) < 1e-9
-
-
-class TestBenchmarkModule:
-    def test_runs(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "stablepairs.benchmark", "--samples", "2000",
-             "--repeats", "1"],
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0
-        assert "numpy" in out.stdout and "case" in out.stdout

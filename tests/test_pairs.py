@@ -18,6 +18,7 @@ from stablepairs.pairs import (
     stable_probe,
     torus_semistable,
     _expm_hermitian,
+    _rational_roots_binary,
 )
 from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape
 from stablepairs.weights import TensorVector, psg_weight
@@ -63,6 +64,14 @@ class TestTorusSemistable:
             ok, lam = torus_semistable(pair)
             if not ok:
                 assert psg_weight(lam, pair.w) > psg_weight(lam, pair.v)
+
+
+class TestRationalRoots:
+    def test_form_vanishing_at_infinity(self):
+        # w = 24x^2y + 18xy^2 - 27y^3 = 3y(4x - 3y)(2x + 3y): the non-integer
+        # roots survive the zero coefficient of x^3
+        w = binary_form(3, [0, 24, 18, -27])
+        assert sorted(_rational_roots_binary(w)) == [(-3, 2), (1, 0), (3, 4)]
 
 
 class TestRandomizedProbe:
