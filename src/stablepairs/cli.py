@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 schema error,
 3 precondition violation, 4 numerical non-convergence.
 
-Every output embeds the run configuration (seed, samples, mode, threads),
-so identical configurations and inputs produce byte-identical JSON.
+Every output embeds the run configuration (seed and samples), so
+identical configurations and inputs produce byte-identical JSON.
 Human-readable rendering sits behind --pretty; the default stream is
 compact JSON only.
 """
@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,12 +26,11 @@ from .energy import (
     orbit_distance,
 )
 from .errors import NonConvergenceError, PreconditionError, SchemaError
-from .forms import build_x_pair
+from .forms import build_x_pair, chow_form_curve, chow_form_hypersurface, hurwitz_form_curve
 from .norms import arestov_check, conformal_theta, fs_pointwise, jensen_check, lp_norm, sup_norm
 from .oracle import curve_geometry_oracle
 from .pairs import (
     DescentOptions,
-    Pair,
     build_stable_test_pair,
     descend,
     kempf_ness_gradient,
@@ -42,7 +39,7 @@ from .pairs import (
     stable_probe,
     torus_semistable,
 )
-from .poly import act, evaluate
+from .poly import evaluate
 from .serialize import (
     curve_from_json,
     dump_json,
@@ -53,9 +50,9 @@ from .serialize import (
     poly_to_json,
     polytope_to_json,
     psg_from_json,
+    scalar_to_json,
     sigma_from_json,
     vector_from_json,
-    vector_to_json,
     xpair_from_json,
     xpair_to_json,
 )
@@ -104,24 +101,6 @@ OPERATION_COMMANDS = {
 }
 
 
-@dataclass
-class RunConfig:
-    seed: int
-    samples: int
-    mode: str
-    output: Optional[str]
-    verbosity: int
-    threads: int
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "mode": self.mode,
-            "threads": self.threads,
-        }
-
-
 def _load(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -130,15 +109,6 @@ def _load(path: str) -> dict:
         raise SchemaError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}")
-
-
-def _scalar_json(x) -> dict:
-    from .scalars import QQi, format_fraction
-
-    if isinstance(x, QQi):
-        return {"re": format_fraction(x.re), "im": format_fraction(x.im)}
-    z = complex(x)
-    return {"re": z.real, "im": z.imag}
 
 
 def _sigma_arg(args, size: int):
@@ -161,19 +131,19 @@ def _descent_opts(args) -> DescentOptions:
 # ---------------------------------------------------------------------------
 
 
-def cmd_polytope(args, cfg):
+def cmd_polytope(args):
     e = vector_from_json(_load(args.poly if args.poly else args.tensor))
     supp = sorted(c.raw for c in support(e))
     return dict(polytope_to_json(weight_polytope(e)), support=[list(s) for s in supp])
 
 
-def cmd_weight(args, cfg):
+def cmd_weight(args):
     e = vector_from_json(_load(args.poly if args.poly else args.tensor))
     lam = psg_from_json(json.loads(args.lam))
     return {"weight": psg_weight(lam, e), "lambda": list(lam.exponents)}
 
 
-def cmd_pair_check(args, cfg):
+def cmd_pair_check(args):
     pair = pair_from_json(_load(args.pair))
     if args.sigma is not None:
         sig = sigma_from_json(_load(args.sigma))
@@ -189,7 +159,7 @@ def cmd_pair_check(args, cfg):
     return {"verdict": "torus-fail", "witness": {"lambda": list(lam.exponents)}}
 
 
-def cmd_stable_check(args, cfg):
+def cmd_stable_check(args):
     pair = pair_from_json(_load(args.pair))
     tp = build_stable_test_pair(pair, args.m)
     if args.descend or args.trials > 1:
@@ -208,7 +178,7 @@ def cmd_stable_check(args, cfg):
     }
 
 
-def cmd_mahler(args, cfg):
+def cmd_mahler(args):
     P = poly_from_json(_load(args.poly))
     if args.theta:
         return conformal_theta(P, samples=args.samples, seed=args.seed)
@@ -216,7 +186,7 @@ def cmd_mahler(args, cfg):
     return estimate_to_json(est)
 
 
-def cmd_supnorm(args, cfg):
+def cmd_supnorm(args):
     P = poly_from_json(_load(args.poly))
     if args.at:
         z = [complex(v[0], v[1]) for v in json.loads(args.at)]
@@ -224,55 +194,42 @@ def cmd_supnorm(args, cfg):
     return {"sup_norm": sup_norm(P, samples=args.samples, seed=args.seed)}
 
 
-def cmd_arestov(args, cfg):
+def cmd_arestov(args):
     P = poly_from_json(_load(args.poly))
     if args.jensen:
         return jensen_check(P, args.p if args.p > 0 else 2.0, samples=args.samples, seed=args.seed)
     return arestov_check(P, samples=args.samples, seed=args.seed)
 
 
-def cmd_chow(args, cfg):
+def cmd_chow(args):
     curve = curve_from_json(_load(args.curve))
+    R = chow_form_curve(curve)
     if args.at:
-        A = json.loads(args.at)
-        from .forms import chow_form_curve
-
-        R = chow_form_curve(curve)
-        val = evaluate(R, A)
-        return {"value": _scalar_json(val)}
-    from .forms import chow_form_curve
-
-    return poly_to_json(chow_form_curve(curve))
-
-
-def cmd_hurwitz(args, cfg):
-    curve = curve_from_json(_load(args.curve))
-    from .forms import hurwitz_form_curve
-
-    D = hurwitz_form_curve(curve)
-    if args.at:
-        return {"value": _scalar_json(evaluate(D, json.loads(args.at)))}
-    return poly_to_json(D)
-
-
-def cmd_chow_hyp(args, cfg):
-    h = hypersurface_from_json(_load(args.hyp))
-    from .forms import chow_form_hypersurface
-
-    R = chow_form_hypersurface(h)
-    if args.at:
-        return {"value": _scalar_json(evaluate(R, json.loads(args.at)))}
+        return {"value": scalar_to_json(evaluate(R, json.loads(args.at)))}
     return poly_to_json(R)
 
 
-def cmd_xpair(args, cfg):
+def cmd_hurwitz(args):
+    D = hurwitz_form_curve(curve_from_json(_load(args.curve)))
+    if args.at:
+        return {"value": scalar_to_json(evaluate(D, json.loads(args.at)))}
+    return poly_to_json(D)
+
+
+def cmd_chow_hyp(args):
+    R = chow_form_hypersurface(hypersurface_from_json(_load(args.hyp)))
+    if args.at:
+        return {"value": scalar_to_json(evaluate(R, json.loads(args.at)))}
+    return poly_to_json(R)
+
+
+def cmd_xpair(args):
     src = _load(args.curve if args.curve else args.hyp)
     obj = curve_from_json(src) if args.curve else hypersurface_from_json(src)
-    xp = build_x_pair(obj, samples=args.samples, seed=args.seed)
-    return xpair_to_json(xp)
+    return xpair_to_json(build_x_pair(obj))
 
 
-def cmd_distance(args, cfg):
+def cmd_distance(args):
     if args.pair:
         pair = pair_from_json(_load(args.pair))
         sig = _sigma_arg(args, pair.group_size)
@@ -289,40 +246,39 @@ def cmd_distance(args, cfg):
     return log_tan_dist_p(sig, xp, args.p, samples=args.samples, seed=args.seed)
 
 
-def cmd_kenergy(args, cfg):
+def cmd_kenergy(args):
     xp = xpair_from_json(_load(args.xpair))
     sig = _sigma_arg(args, xp.N + 1)
     return k_energy_algebraic(sig, xp, samples=args.samples, seed=args.seed)
 
 
-def cmd_aubin(args, cfg):
+def cmd_aubin(args):
     xp = xpair_from_json(_load(args.xpair))
     sig = _sigma_arg(args, xp.N + 1)
     return aubin_f0_algebraic(sig, xp, samples=args.samples, seed=args.seed)
 
 
-def cmd_coercivity(args, cfg):
+def cmd_coercivity(args):
     xp = xpair_from_json(_load(args.xpair))
     sig = _sigma_arg(args, xp.N + 1)
     return coercivity_value(sig, xp, args.m, args.k, samples=args.samples, seed=args.seed)
 
 
-def cmd_oracle(args, cfg):
+def cmd_oracle(args):
     curve = curve_from_json(_load(args.curve))
     sig = _sigma_arg(args, curve.N + 1)
     return curve_geometry_oracle(sig, curve).to_json()
 
 
-def cmd_asymptotic(args, cfg):
+def cmd_asymptotic(args):
     spec = _load(args.entries)
     entries = []
     for row in spec.get("entries", []):
-        xp = build_x_pair(curve_from_json(row["curve"]), samples=args.samples, seed=args.seed)
-        entries.append((int(row["k"]), xp))
+        entries.append((int(row["k"]), build_x_pair(curve_from_json(row["curve"]))))
     return asymptotic_report(entries, p=args.p, opts=_descent_opts(args), samples=args.samples)
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     result = run_suites(args.suites or None, seed=args.seed)
     return result
 
@@ -359,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=200_000)
-        p.add_argument("--mode", choices=["exact", "float"], default="exact")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--output", default=None)
         p.add_argument("--pretty", action="store_true")
         p.add_argument("--restarts", type=int, default=3)
@@ -490,16 +444,8 @@ def _render_pretty(payload: dict, indent: int = 0) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        seed=args.seed,
-        samples=args.samples,
-        mode=args.mode,
-        output=args.output,
-        verbosity=args.verbose,
-        threads=args.threads,
-    )
     try:
-        payload = HANDLERS[args.command](args, cfg)
+        payload = HANDLERS[args.command](args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -509,10 +455,11 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 4
-    payload = {"schema": "v1", "command": args.command, "config": cfg.to_json(), "result": payload}
+    config = {"seed": args.seed, "samples": args.samples}
+    payload = {"schema": "v1", "command": args.command, "config": config, "result": payload}
     text = _render_pretty(payload) if args.pretty else dump_json(payload)
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -41,22 +41,9 @@ import numpy as np
 from ._kernels import poly_values
 from .errors import PreconditionError
 from .forms import XPair
-from .norms import MahlerEstimate, log_ratio_sq, sample_points, transform_points
-from .pairs import (
-    DescentOptions,
-    HilbertSchmidtFunctional,
-    PairFunctional,
-    StabilityCertificate,
-    descend,
-)
+from .norms import log_ratio_sq, sample_points, transform_points
+from .pairs import DescentOptions, PairFunctional, StabilityCertificate, _sigma_np, descend
 from .poly import HomogeneousPolynomial
-
-
-def _sigma_np(sigma, n: int) -> np.ndarray:
-    arr = sigma.to_numpy() if hasattr(sigma, "to_numpy") else np.asarray(sigma, dtype=np.complex128)
-    if arr.shape != (n, n):
-        raise PreconditionError(f"sigma must be {n} x {n}")
-    return arr
 
 
 def log_tan_dist_p(sigma, xp: XPair, p: float = 0.0, samples: int = 200_000,
@@ -166,7 +153,9 @@ class MahlerSampleFunctional:
         self.dcoeffs = []
         for dP in derivs:
             it = dP.sorted_terms()
-            self.dexpo.append(np.array([e for e, _ in it], dtype=np.int64).reshape(len(it), -1))
+            self.dexpo.append(
+                np.array([e for e, _ in it], dtype=np.int64).reshape(len(it), P.shape.nvars)
+            )
             self.dcoeffs.append(np.array([complex(c) for _, c in it], dtype=np.complex128))
         self.Z = sample_points(P.shape.nvars, samples, seed)
         self.logz2 = np.log(np.sum(np.abs(self.Z) ** 2, axis=1))

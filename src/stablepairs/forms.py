@@ -20,8 +20,8 @@ cross-construction ratio tests are deterministic.  The polynomials are only
 canonical up to that declared scalar.
 
 The normalized variety pair (R^deg(Delta), Delta^deg(R)) is never expanded:
-XPair keeps both factors with their exponents and unit-normalization
-Mahler estimates, and all downstream norms are additive in log space.
+XPair keeps both factors with their exponents, and all downstream norms are
+additive in log space.
 """
 
 from __future__ import annotations
@@ -141,14 +141,6 @@ class RationalCurve:
             raise PreconditionError("chow evaluation needs a 2 x (N+1) matrix")
         return sylvester_resultant(self._row_form(rows[0]), self._row_form(rows[1]))
 
-    def hurwitz_at(self, B) -> object:
-        if self.d < 2:
-            raise PreconditionError("hyperdiscriminant requires degree >= 2")
-        row = list(B[0]) if isinstance(B[0], (list, tuple)) else list(B)
-        if len(row) != self.N + 1:
-            raise PreconditionError("hurwitz evaluation needs a 1 x (N+1) row")
-        return binary_discriminant(self._row_form(row))
-
 
 class HypersurfaceVariety:
     """Hypersurface {F = 0} in P^(n+1); irreducibility is assumed, not checked."""
@@ -255,11 +247,10 @@ def chow_form_hypersurface(h: HypersurfaceVariety) -> HomogeneousPolynomial:
 
 @dataclass
 class XPair:
-    """(R^deg(Delta), Delta^deg(R)) held implicitly with log-normalizations.
+    """(R^deg(Delta), Delta^deg(R)) held implicitly as its two base forms.
 
-    ``mahler_log_r`` and ``mahler_log_delta`` are MahlerEstimates of
-    log ||R||_0 and log ||Delta||_0 for the emitted representatives; powers
-    and unit normalizations are applied additively downstream.
+    Powers are applied additively downstream, and unit normalizations cancel
+    in the common-random-number ratios that every Mahler formula uses.
     """
 
     resultant: HomogeneousPolynomial
@@ -269,8 +260,6 @@ class XPair:
     d: int
     deg_r: int
     deg_delta: Optional[int]
-    mahler_log_r: Optional[object] = None
-    mahler_log_delta: Optional[object] = None
     curve: Optional[RationalCurve] = None
     meta: dict = field(default_factory=dict)
 
@@ -292,16 +281,12 @@ class XPair:
         return (self.deg_delta, self.deg_r)
 
 
-def build_x_pair(obj, samples: int = 50_000, seed: int = 0,
-                 estimate_mahler: bool = True) -> XPair:
+def build_x_pair(obj) -> XPair:
     """Construct the variety pair for a curve or a hypersurface.
 
-    Mahler normalization constants are estimated once (Monte Carlo, seeded)
-    and stored; hypersurfaces get a resultant-only pair, flagged through
-    ``complete``/``require_delta``.
+    Exact and deterministic; hypersurfaces get a resultant-only pair, flagged
+    through ``complete``/``require_delta``.
     """
-    from .norms import lp_norm
-
     if isinstance(obj, RationalCurve):
         R = chow_form_curve(obj)
         deg_r = 2 * obj.d
@@ -333,12 +318,6 @@ def build_x_pair(obj, samples: int = 50_000, seed: int = 0,
         )
     else:
         raise PreconditionError("build_x_pair needs a RationalCurve or HypersurfaceVariety")
-    if estimate_mahler:
-        xp.mahler_log_r = lp_norm(xp.resultant, 0, samples=samples, seed=seed)
-        if xp.hyperdiscriminant is not None:
-            xp.mahler_log_delta = lp_norm(
-                xp.hyperdiscriminant, 0, samples=samples, seed=seed + 1
-            )
     xp.meta = {
         "degree_formula": {"deg_r": "d(n+1)", "deg_delta": "2d-2 (curves)"},
         "scalar_convention": "content cleared, leading lex coefficient positive real",

@@ -31,17 +31,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergenceError, PreconditionError
-from .poly import GroupElement, HomogeneousPolynomial, OnePSG, act, binary_coeffs
+from .errors import DimensionError, PreconditionError
+from .poly import (
+    GroupElement,
+    HomogeneousPolynomial,
+    OnePSG,
+    act,
+    binary_coeffs,
+    primitive_integer_vector,
+)
 from .scalars import EXACT, FLOAT, QQi, scalar_to_complex
 from .weights import (
     LatticePolytope,
     TensorVector,
-    WeightCharacter,
     act_tensor,
     contains,
     minkowski_sum,
@@ -49,7 +55,6 @@ from .weights import (
     rep_degree,
     scale,
     standard_simplex,
-    support,
     weight_polytope,
 )
 
@@ -174,14 +179,7 @@ def _rational_roots_binary(f: HomogeneousPolynomial) -> List[Tuple[int, int]]:
         if not isinstance(c, QQi) or c.im != 0:
             return []
         fr.append(c.re)
-    den = 1
-    for x in fr:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    ints = [x // (g or 1) for x in ints]
+    ints = primitive_integer_vector(fr)
     roots: List[Tuple[int, int]] = []
     # ints[0] is the coefficient of x^d: [1:0] is a root iff it vanishes
     if ints[0] == 0:
@@ -293,41 +291,46 @@ def _conj_repr(rows) -> list:
     return out
 
 
-def randomized_torus_probe(pair: Pair, trials: int = 20, seed: int = 0) -> ProbeResult:
-    """Apply the torus test to (sigma . v, sigma . w) over seeded conjugators.
+def _probe_conjugators(pair: Pair, trials: int, seed: int) -> Iterator[Tuple[int, Optional[list]]]:
+    """The conjugators (trial number, sigma) of a torus probe, in order.
 
-    Trial 1 is the identity (the standard torus).  For exact pairs of binary
-    forms, root-adapted conjugators are tried next, then random ones: integer
-    matrices in exact mode (containment is scale-invariant, so unnormalized
-    determinants keep everything rational), determinant-normalized complex
-    Gaussians in float mode.  Deterministic for a given seed.
+    Trial 1 is the identity (sigma None: the standard torus).  For exact pairs
+    of binary forms, root-adapted conjugators are tried next, then random ones:
+    integer matrices in exact mode (containment is scale-invariant, so
+    unnormalized determinants keep everything rational), determinant-normalized
+    complex Gaussians in float mode, each drawn from the seeded generator only
+    when its trial is reached.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     n = pair.group_size
     exact = _is_exact(pair.v) and _is_exact(pair.w)
     planned: List[Optional[list]] = [None]
     planned.extend(_root_adapted_conjugators(pair))
-    count = 0
-    trial_no = 0
-    while trial_no < trials:
-        if trial_no < len(planned):
-            sigma = planned[trial_no]
+    for trial in range(1, trials + 1):
+        if trial <= len(planned):
+            yield trial, planned[trial - 1]
         else:
-            sigma = (
-                _random_exact_conjugator(rng, n)
-                if exact
-                else _random_float_conjugator(rng, n)
+            yield trial, (
+                _random_exact_conjugator(rng, n) if exact else _random_float_conjugator(rng, n)
             )
-        trial_no += 1
-        test_pair = pair if sigma is None else pair.conjugated(sigma)
-        ok, lam = torus_semistable(test_pair)
+
+
+def randomized_torus_probe(pair: Pair, trials: int = 20, seed: int = 0) -> ProbeResult:
+    """Apply the torus test to (sigma . v, sigma . w) over seeded conjugators.
+
+    The conjugator schedule is ``_probe_conjugators``; deterministic for a
+    given seed.
+    """
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
+    exact = _is_exact(pair.v) and _is_exact(pair.w)
+    for trial, sigma in _probe_conjugators(pair, trials, seed):
+        ok, lam = torus_semistable(pair if sigma is None else pair.conjugated(sigma))
         if not ok:
             return ProbeResult(
                 passed=False,
-                trials_run=trial_no,
-                failing_trial=trial_no,
+                trials_run=trial,
+                failing_trial=trial,
                 conjugator=None if sigma is None else _conj_repr(sigma),
                 witness=lam,
                 seed=seed,
@@ -618,14 +621,7 @@ def _round_primitive_direction(logeigs: np.ndarray, max_den: int = 16) -> Option
     profile = [p - mean for p in profile]
     if all(p == 0 for p in profile):
         return None
-    den = 1
-    for p in profile:
-        den = den * p.denominator // math.gcd(den, p.denominator)
-    ints = [int(p * den) for p in profile]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    ints = [x // g for x in ints]
+    ints = primitive_integer_vector(profile)
     out = [0] * n
     for pos, idx in enumerate(order):
         out[idx] = ints[pos]
@@ -737,6 +733,8 @@ def descend(pair_or_functional, opts: Optional[DescentOptions] = None,
     no-divergence-observed: evidence, not a proof of semistability.
     """
     opts = opts or DescentOptions()
+    if opts.restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
     if isinstance(pair_or_functional, Pair):
         func = PairFunctional.for_pair(pair_or_functional)
         witness_pair = pair_or_functional
@@ -928,18 +926,8 @@ def stable_probe(pair: Pair, m: int, trials: int = 20, seed: int = 0,
                  opts: Optional[DescentOptions] = None) -> StabilityCertificate:
     """Randomized torus probe plus descent for the tensored pair."""
     tp = build_stable_test_pair(pair, m)
-    rng = np.random.default_rng(seed)
-    n = tp.group_size
     exact = _is_exact(pair.v) and _is_exact(pair.w)
-    planned: List[Optional[list]] = [None]
-    planned.extend(_root_adapted_conjugators(pair))
-    for trial in range(1, trials + 1):
-        if trial - 1 < len(planned):
-            sigma = planned[trial - 1]
-        else:
-            sigma = (
-                _random_exact_conjugator(rng, n) if exact else _random_float_conjugator(rng, n)
-            )
+    for trial, sigma in _probe_conjugators(pair, trials, seed):
         ok, lam = tp.torus_semistable(sigma)
         if not ok:
             return StabilityCertificate(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -294,35 +294,31 @@ class HomogeneousPolynomial:
         if self.mode != EXACT:
             raise ExactnessError("content normalization requires exact mode")
         lead = self.sorted_terms()[0][1]
-        scaled = {e: c / lead for e, c in self.terms.items()}
-        nums: List[int] = []
-        dens: List[int] = []
-        for c in scaled.values():
-            for f in (c.re, c.im):
-                if f != 0:
-                    nums.append(abs(f.numerator))
-                    dens.append(f.denominator)
-        mult = Fraction(_lcm_list(dens), _gcd_list(nums))
+        scaled = [(e, c / lead) for e, c in self.terms.items()]
+        parts = primitive_integer_vector([f for _, c in scaled for f in (c.re, c.im)])
         return HomogeneousPolynomial(
             self.shape,
             self.degree,
-            {e: c * mult for e, c in scaled.items()},
+            {e: QQi(parts[2 * i], parts[2 * i + 1]) for i, (e, _) in enumerate(scaled)},
             EXACT,
         )
 
 
-def _gcd_list(xs: Iterable[int]) -> int:
+def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:
+    """The integer vector with gcd 1 on the ray of a rational vector.
+
+    Clears the denominators and divides out the content, so the result is a
+    positive rational multiple of ``values``; an all-zero input comes back
+    as zeros, and each caller decides what that means.
+    """
+    den = 1
+    for x in values:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in values]
     g = 0
-    for x in xs:
+    for x in ints:
         g = gcd(g, x)
-    return g or 1
-
-
-def _lcm_list(xs: Iterable[int]) -> int:
-    l = 1
-    for x in xs:
-        l = l * x // gcd(l, x)
-    return l
+    return [x // g for x in ints] if g else ints
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +380,6 @@ class GroupElement:
             [[scalar_to_complex(x) for x in row] for row in self.entries],
             dtype=np.complex128,
         )
-
-    def matmul(self, other: "GroupElement") -> "GroupElement":
-        if self.size != other.size or self.mode != other.mode:
-            raise DimensionError("group element size/mode mismatch")
-        return GroupElement(mat_mul(self.entries, other.entries), self.mode)
 
 
 class OnePSG:

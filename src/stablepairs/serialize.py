@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import List, Optional
 
 from .errors import SchemaError
 from .forms import HypersurfaceVariety, RationalCurve, XPair
@@ -41,8 +40,9 @@ def _check_schema(d: dict):
         raise SchemaError(f"unsupported schema {d.get('schema')!r}, expected {SCHEMA!r}")
 
 
-def _scalar_to_json(c, mode: str):
-    if mode == EXACT:
+def scalar_to_json(c) -> dict:
+    """Exact scalars as "p/q" strings, float ones as JSON numbers."""
+    if isinstance(c, QQi):
         return {"re": format_fraction(c.re), "im": format_fraction(c.im)}
     z = complex(c)
     return {"re": z.real, "im": z.imag}
@@ -66,7 +66,7 @@ def poly_to_json(P: HomogeneousPolynomial) -> dict:
         "degree": P.degree,
         "mode": P.mode,
         "terms": [
-            dict(_scalar_to_json(c, P.mode), exp=list(e)) for e, c in P.sorted_terms()
+            dict(scalar_to_json(c), exp=list(e)) for e, c in P.sorted_terms()
         ],
     }
 
@@ -89,7 +89,7 @@ def tensor_to_json(x: TensorVector) -> dict:
     coords = []
     for idx, c in sorted(x.coords.items(), key=str):
         parts = [list(p) if isinstance(p, tuple) else p for p in idx]
-        coords.append(dict(_scalar_to_json(c, x.mode), idx=parts))
+        coords.append(dict(scalar_to_json(c), idx=parts))
     return {
         "schema": SCHEMA,
         "slots": [{"kind": k, "dim": dim} for k, dim in x.slots],
@@ -122,15 +122,6 @@ def vector_from_json(d: dict):
 
 def vector_to_json(e) -> dict:
     return poly_to_json(e) if isinstance(e, HomogeneousPolynomial) else tensor_to_json(e)
-
-
-def group_to_json(g: GroupElement) -> dict:
-    entries = []
-    for row in g.entries:
-        for x in row:
-            s = _scalar_to_json(x, g.mode)
-            entries.append([s["re"], s["im"]])
-    return {"schema": SCHEMA, "size": g.size, "mode": g.mode, "entries": entries}
 
 
 def sigma_from_json(d: dict):
@@ -199,7 +190,7 @@ def curve_to_json(c: RationalCurve) -> dict:
         "N": c.N,
         "d": c.d,
         "gamma": [
-            {"terms": [dict(_scalar_to_json(cf, EXACT), exp=list(e)) for e, cf in gm.sorted_terms()]}
+            {"terms": [dict(scalar_to_json(cf), exp=list(e)) for e, cf in gm.sorted_terms()]}
             for gm in c.gamma
         ],
     }
@@ -235,8 +226,6 @@ def xpair_to_json(xp: XPair) -> dict:
         "hyperdiscriminant": poly_to_json(xp.hyperdiscriminant)
         if xp.hyperdiscriminant is not None
         else None,
-        "mahler_log_r": xp.mahler_log_r.to_json() if xp.mahler_log_r else None,
-        "mahler_log_delta": xp.mahler_log_delta.to_json() if xp.mahler_log_delta else None,
         "meta": xp.meta,
     }
     if xp.curve is not None:
@@ -247,7 +236,6 @@ def xpair_to_json(xp: XPair) -> dict:
 def xpair_from_json(d: dict) -> XPair:
     _check_schema(d)
     delta = d.get("hyperdiscriminant")
-    mk = lambda e: MahlerEstimate(**e) if e else None
     return XPair(
         resultant=poly_from_json(_need(d, "resultant", dict)),
         hyperdiscriminant=poly_from_json(delta) if delta else None,
@@ -256,8 +244,6 @@ def xpair_from_json(d: dict) -> XPair:
         d=int(_need(d, "d")),
         deg_r=int(_need(d, "deg_r")),
         deg_delta=int(d["deg_delta"]) if d.get("deg_delta") is not None else None,
-        mahler_log_r=mk(d.get("mahler_log_r")),
-        mahler_log_delta=mk(d.get("mahler_log_delta")),
         curve=curve_from_json(d["curve"]) if d.get("curve") else None,
         meta=d.get("meta", {}),
     )

@@ -172,7 +172,7 @@ def suite_forms(seed: int = 0) -> List[dict]:
     out = []
     rng = np.random.default_rng(seed)
     conic = rational_normal_curve(2)
-    xp = build_x_pair(conic, estimate_mahler=False)
+    xp = build_x_pair(conic)
     delta = xp.hyperdiscriminant
     ref = {(0, 2, 0): QQi(-1), (1, 0, 1): QQi(4)}
     ratio_ok = delta.terms == ref or delta.terms == {
@@ -180,7 +180,7 @@ def suite_forms(seed: int = 0) -> List[dict]:
     }
     out.append(_check("conic hurwitz = b1^2-4b0b2 up to scalar", ratio_ok, str(delta.terms)))
     for d in (2, 3):
-        xpd = build_x_pair(rational_normal_curve(d), estimate_mahler=False)
+        xpd = build_x_pair(rational_normal_curve(d))
         out.append(
             _check(
                 f"degrees d={d}",
@@ -262,7 +262,7 @@ def suite_energy(samples: int = 50_000, seed: int = 0) -> List[dict]:
     out = []
     rng = np.random.default_rng(seed)
     conic = rational_normal_curve(2)
-    xp = build_x_pair(conic, samples=samples, seed=seed)
+    xp = build_x_pair(conic)
     rep = curve_geometry_oracle(np.eye(3), conic, n_r=48, n_th=48)
     out.append(
         _check(

@@ -15,13 +15,11 @@ functional summing to zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DimensionError, PreconditionError
 from .linprog import hull_membership
-from .poly import HomogeneousPolynomial, OnePSG, VariableShape
+from .poly import HomogeneousPolynomial, OnePSG, VariableShape, primitive_integer_vector
 from .scalars import EXACT, FLOAT, coerce_scalar, scalar_is_zero, scalar_to_complex
 
 
@@ -295,19 +293,6 @@ def standard_simplex(n_plus_1: int) -> LatticePolytope:
     return LatticePolytope(pts)
 
 
-def _primitive_sum_zero(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    n = len(vec)
-    mean = sum(vec, Fraction(0)) / n
-    shifted = [v - mean for v in vec]
-    dens = [f.denominator for f in shifted]
-    lcm = reduce(lambda a, b: a * b // gcd(a, b), dens, 1)
-    ints = [int(f * lcm) for f in shifted]
-    g = reduce(gcd, (abs(i) for i in ints), 0)
-    if g == 0:
-        raise PreconditionError("zero separating functional")
-    return tuple(i // g for i in ints)
-
-
 def contains(inner: LatticePolytope, outer: LatticePolytope):
     """Exact containment conv(inner) in conv(outer), with a witness on failure.
 
@@ -322,7 +307,12 @@ def contains(inner: LatticePolytope, outer: LatticePolytope):
         if ok:
             continue
         mu = cert[: inner.ambient]
-        lam = OnePSG(_primitive_sum_zero([-m for m in mu]))
+        # -mu shifted to sum zero, as a primitive integer direction
+        mean = sum(mu, Fraction(0)) / len(mu)
+        lam_vec = primitive_integer_vector([mean - m for m in mu])
+        if not any(lam_vec):
+            raise PreconditionError("zero separating functional")
+        lam = OnePSG(lam_vec)
         if psg_weight(lam, outer) <= psg_weight(lam, inner):
             raise ArithmeticError("separating certificate failed exact verification")
         return False, lam

@@ -42,12 +42,12 @@ def cubic_curve():
 
 @pytest.fixture(scope="session")
 def conic_xpair(conic_curve):
-    return build_x_pair(conic_curve, samples=200_000, seed=101)
+    return build_x_pair(conic_curve)
 
 
 @pytest.fixture(scope="session")
 def cubic_xpair(cubic_curve):
-    return build_x_pair(cubic_curve, samples=200_000, seed=102)
+    return build_x_pair(cubic_curve)
 
 
 @pytest.fixture

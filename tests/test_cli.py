@@ -1,12 +1,15 @@
 """CLI: schemas, exit codes, determinism, operation coverage."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from stablepairs.cli import HANDLERS, OPERATION_COMMANDS, build_parser, main
+from stablepairs.forms import build_x_pair
+from stablepairs.serialize import curve_from_json, xpair_to_json
 
 POLY_V2 = {
     "schema": "v1",
@@ -109,9 +112,15 @@ def files(tmp_path):
     return paths
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(args, check=True):
+    # the child imports stablepairs from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-m", "stablepairs.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "stablepairs.cli", *args], capture_output=True, text=True, env=env
     )
     if check:
         assert out.returncode == 0, out.stderr
@@ -225,6 +234,24 @@ class TestExitCodes:
         assert out.stderr.startswith("schema error: unknown suite 'bogus'")
         assert len(out.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["pair-check", "--pair", "{pair}", "--descend", "--restarts", "0"],
+        ["distance", "--xpair", "{xpair}", "--infimum", "--restarts", "0", "--samples", "1000"],
+    ])
+    def test_zero_restarts_exit_3(self, files, tmp_path, capsys, argv):
+        xp = tmp_path / "xp.json"
+        xp.write_text(json.dumps(xpair_to_json(build_x_pair(curve_from_json(CONIC)))))
+        argv = [a.format(pair=files["pair"], xpair=str(xp)) for a in argv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated: restarts must be >= 1")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_removed_mode_flag_exit_2(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["pair-check", "--pair", files["pair"], "--mode", "exact"])
+        assert exc.value.code == 2
+
     def test_bad_samples_exit_3(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps(MONO_Z02))
@@ -233,6 +260,11 @@ class TestExitCodes:
 
 
 class TestDeterminism:
+    def test_config_is_seed_and_samples(self, files, capsys):
+        assert main(["pair-check", "--pair", files["pair"], "--seed", "4", "--samples", "9"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"samples": 9, "seed": 4}
+
     def test_byte_identical_reruns(self, files):
         a = run_cli(["mahler", "--poly", files["mono"], "--samples", "5000", "--seed", "3"])
         b = run_cli(["mahler", "--poly", files["mono"], "--samples", "5000", "--seed", "3"])

@@ -20,7 +20,7 @@ from stablepairs.energy import (
 from stablepairs.norms import harmonic
 from stablepairs.oracle import curve_geometry_oracle
 from stablepairs.pairs import DescentOptions, StabilityCertificate, _expm_hermitian
-from stablepairs.poly import OnePSG
+from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape
 from stablepairs.serialize import dump_json
 from stablepairs.verify import random_sl, rational_normal_curve
 from stablepairs.weights import psg_weight
@@ -68,7 +68,7 @@ class TestLogTanDist:
         from stablepairs.errors import PreconditionError
 
         line = RationalCurve(1, 1, [binary_form(1, [1, 0]), binary_form(1, [0, 1])])
-        xp = build_x_pair(line, estimate_mahler=False)
+        xp = build_x_pair(line)
         with pytest.raises(PreconditionError):
             log_tan_dist_p(np.eye(2), xp, 0.0)
 
@@ -166,6 +166,18 @@ class TestMahlerSampleFunctional:
             an = float(np.vdot(H, G).real)
             worst = max(worst, abs(fd - an) / max(abs(fd), 1e-9))
         assert worst < 1e-5
+
+    def test_polynomial_missing_variables(self):
+        # x0^2 on P^2: the partial derivatives in x1 and x2 have no terms
+        P = HomogeneousPolynomial.monomial(VariableShape.vector(3), (2, 0, 0), 1, "exact")
+        f = MahlerSampleFunctional(P, samples=2000, seed=1)
+        sig = random_sl(np.random.default_rng(5), 3)
+        assert math.isfinite(f.log_norm2(sig))
+        assert np.all(np.isfinite(f.moment(sig)))
+        # at the identity, column j of the moment is the x_j-derivative part
+        mom = f.moment(np.eye(3, dtype=complex))
+        assert np.all(np.isfinite(mom))
+        assert np.all(mom[:, 1:] == 0)
 
     def test_p2_matches_exact_gram_value(self, conic_xpair, rng):
         from stablepairs.norms import l2_norm_log_exact

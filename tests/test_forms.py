@@ -21,6 +21,7 @@ from stablepairs.poly import (
     maximal_minors,
 )
 from stablepairs.scalars import QQi
+from stablepairs.serialize import xpair_from_json, xpair_to_json
 from stablepairs.verify import binary_form, rational_normal_curve
 
 V3 = VariableShape.vector(3)
@@ -209,15 +210,19 @@ class TestXPair:
 
     def test_line_pair_has_no_delta(self):
         line = RationalCurve(1, 1, [binary_form(1, [1, 0]), binary_form(1, [0, 1])])
-        xp = build_x_pair(line, estimate_mahler=False)
+        xp = build_x_pair(line)
         assert not xp.complete
         with pytest.raises(PreconditionError):
             xp.require_delta()
 
     def test_hypersurface_pair_flagged(self):
-        xp = build_x_pair(HypersurfaceVariety(1, conic_F()), estimate_mahler=False)
+        xp = build_x_pair(HypersurfaceVariety(1, conic_F()))
         assert not xp.complete
 
-    def test_mahler_estimates_stored(self, conic_xpair):
-        assert conic_xpair.mahler_log_r is not None
-        assert conic_xpair.mahler_log_r.samples == 200_000
+    def test_json_with_old_mahler_fields_loads(self, conic_xpair):
+        # files written before the Mahler estimates were dropped still load;
+        # the two estimates are ignored and not written back
+        doc = xpair_to_json(conic_xpair)
+        estimate = {"log_value": -1.0, "stderr": 0.01, "p": 0.0, "samples": 1000, "seed": 0}
+        doc.update(mahler_log_r=estimate, mahler_log_delta=estimate)
+        assert xpair_to_json(xpair_from_json(doc)) == xpair_to_json(conic_xpair)

@@ -282,6 +282,27 @@ class TestTensoredPair:
         assert left == expected
 
 
+class TestProbeSchedule:
+    """Both probes walk one conjugator schedule: identity, root-adapted, random."""
+
+    # v = 5xy + 3y^2, w = 24x^2y + 18xy^2 - 27y^3: w's roots are [1:0], [3:4], [-3:2]
+    PAIR = Pair(binary_form(2, [0, 5, 3]), binary_form(3, [0, 24, 18, -27]))
+    WITNESS = {"lambda": [1, -1], "conjugator": [["1", "0"], ["-3", "2"]], "trial": 3,
+               "verification": "exact"}
+
+    def test_torus_probe_fails_at_third_trial(self):
+        cert = randomized_torus_probe(self.PAIR, trials=10, seed=0).certificate()
+        assert cert.verdict == "torus-fail"
+        assert cert.witness == self.WITNESS
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_stable_probe_fails_at_third_trial(self, m):
+        cert = stable_probe(self.PAIR, m, trials=10, seed=0)
+        assert cert.verdict == "torus-fail"
+        assert cert.witness == self.WITNESS
+        assert cert.diagnostics["trials"] == 3
+
+
 class TestStableProbe:
     def test_x_xsq_inherits_destabilizer(self):
         cert = stable_probe(

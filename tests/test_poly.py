@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stablepairs.errors import DimensionError, PreconditionError
 from stablepairs.poly import (
@@ -20,6 +22,7 @@ from stablepairs.poly import (
     mat_mul,
     maximal_minors,
     poly_divexact,
+    primitive_integer_vector,
     sylvester_resultant,
     symbolic_maximal_minors,
 )
@@ -292,6 +295,29 @@ class TestExactDivision:
             A = rand_poly(rng, V3, 2)
             B = rand_poly(rng, V3, 3)
             assert poly_divexact(A * B, A) == B
+
+
+class TestPrimitiveIntegerVector:
+    @given(st.lists(st.fractions(min_value=-10**4, max_value=10**4, max_denominator=50),
+                    min_size=1, max_size=6).filter(any))
+    def test_primitive_positive_multiple(self, values):
+        ints = primitive_integer_vector(values)
+        assert all(type(x) is int for x in ints)
+        assert math.gcd(*ints) == 1
+        # one positive rational factor carries the input onto the output
+        i = next(k for k, x in enumerate(values) if x)
+        factor = Fraction(ints[i]) / values[i]
+        assert factor > 0
+        assert [factor * x for x in values] == ints
+
+    def test_zero_vector_stays_zero(self):
+        assert primitive_integer_vector([Fraction(0), Fraction(0)]) == [0, 0]
+
+    def test_content_normalized_gaussian(self):
+        # (3/4 - i/2) x + 9/8 y: divided by the lead, then cleared to 26 x + (27 + 18i) y
+        P = HomogeneousPolynomial(V2, 1, {(1, 0): QQi(Fraction(3, 4), Fraction(-1, 2)),
+                                          (0, 1): QQi(Fraction(9, 8))}, "exact")
+        assert P.content_normalized().terms == {(1, 0): QQi(26), (0, 1): QQi(27, 18)}
 
 
 class TestGroupElement:
