@@ -317,9 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=200_000)
         p.add_argument("--output", default=None)
         p.add_argument("--pretty", action="store_true")
+        p.add_argument("-v", "--verbose", action="count", default=0)
+
+    def descent(p):
+        # only the subcommands that call _descent_opts take the descent knobs
         p.add_argument("--restarts", type=int, default=3)
         p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("polytope", help="support and weight polytope of a vector")
     p.add_argument("--poly")
@@ -338,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--descend", action="store_true")
     common(p)
+    descent(p)
 
     p = sub.add_parser("stable-check", help="tensored stable-pair tests")
     p.add_argument("--pair", required=True)
@@ -345,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--descend", action="store_true")
     common(p)
+    descent(p)
 
     p = sub.add_parser("mahler", help="L^p / Mahler norm estimate; --theta for the conformal factor")
     p.add_argument("--poly", required=True)
@@ -390,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infimum", action="store_true")
     p.add_argument("--gradient", action="store_true")
     common(p)
+    descent(p)
 
     for name, helptext in (
         ("kenergy", "algebraic K-energy of phi_sigma"),
@@ -416,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entries", required=True, help='{"entries": [{"k":..,"curve":..}]}')
     p.add_argument("--p", type=float, default=0.0)
     common(p)
+    descent(p)
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("suites", nargs="*", help="norms weights forms pairs energy")
@@ -457,7 +464,15 @@ def main(argv=None) -> int:
         return 4
     config = {"seed": args.seed, "samples": args.samples}
     payload = {"schema": "v1", "command": args.command, "config": config, "result": payload}
-    text = _render_pretty(payload) if args.pretty else dump_json(payload)
+    if args.pretty:
+        text = _render_pretty(payload)
+    else:
+        try:
+            text = dump_json(payload)
+        except ValueError as exc:
+            # strict JSON refuses the NaN or infinity a diverged estimate produced
+            print(f"non-convergence: non-finite value in result: {exc}", file=sys.stderr)
+            return 4
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

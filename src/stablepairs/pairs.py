@@ -167,6 +167,18 @@ def _is_exact(e) -> bool:
     return (e.mode == EXACT) if isinstance(e, (HomogeneousPolynomial, TensorVector)) else False
 
 
+def _divisors(n: int) -> List[int]:
+    """Positive divisors of a nonzero integer, ascending, by trial division to sqrt."""
+    n = abs(n)
+    small, large = [], []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
+
+
 def _rational_roots_binary(f: HomogeneousPolynomial) -> List[Tuple[int, int]]:
     """Rational projective roots [p:q] of an exact binary form.
 
@@ -196,15 +208,9 @@ def _rational_roots_binary(f: HomogeneousPolynomial) -> List[Tuple[int, int]]:
     if len(poly) <= 1:
         return roots
     lead, const = poly[0], poly[-1]
-
-    def divisors(n: int) -> List[int]:
-        n = abs(n)
-        out = [d for d in range(1, n + 1) if n % d == 0]
-        return out or [1]
-
     seen = set(roots)
-    for p in divisors(const):
-        for q in divisors(lead):
+    for p in _divisors(const):
+        for q in _divisors(lead):
             for sp in (p, -p):
                 if math.gcd(abs(sp), q) != 1:
                     continue

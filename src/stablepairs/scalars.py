@@ -1,9 +1,10 @@
 """Scalar coefficients in the two arithmetic modes.
 
-Exact mode uses Gaussian rationals: a pair of arbitrary-precision
-``fractions.Fraction`` values (real, imaginary).  All ring operations are
-closed, so no rounding can ever occur on the exact path.  Float mode uses
-the ordinary Python ``complex``.
+Exact mode uses Gaussian rationals: a pair of exact rational components
+(real, imaginary), each a plain ``int`` when it is integral and a
+``fractions.Fraction`` otherwise.  All ring operations are closed, so no
+rounding can ever occur on the exact path, and the integer case runs on
+machine-speed Python ints.  Float mode uses the ordinary Python ``complex``.
 
 A polynomial or group element is uniformly in one mode; helper functions
 here parse, coerce and serialize scalars for both.
@@ -19,56 +20,73 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-class QQi:
-    """Gaussian rational a + b*i with Fraction components.
+def _rational(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return int(x.numerator) if x.denominator == 1 else x
 
-    Immutable and hashable; supports +, -, *, /, unary -, ==, and
-    conversion to ``complex``.
+
+class QQi:
+    """Gaussian rational a + b*i with exact rational components.
+
+    ``re`` and ``im`` are ints when integral and Fractions otherwise (a
+    Fraction never has denominator 1), so both always offer ``numerator``
+    and ``denominator`` and hash like the equal Fraction.  Immutable and
+    hashable; supports +, -, *, /, unary -, ==, and conversion to
+    ``complex``.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        _set_re(self, _rational(re))
+        _set_im(self, _rational(im))
 
     def __setattr__(self, *a):
         raise AttributeError("QQi is immutable")
 
     def __add__(self, other):
-        other = _as_qqi(other)
-        return QQi(self.re + other.re, self.im + other.im)
+        if type(other) is not QQi:
+            other = _as_qqi(other)
+        return _qqi(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_qqi(other)
-        return QQi(self.re - other.re, self.im - other.im)
+        if type(other) is not QQi:
+            other = _as_qqi(other)
+        return _qqi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return _as_qqi(other) - self
 
     def __mul__(self, other):
-        other = _as_qqi(other)
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not QQi:
+            other = _as_qqi(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not d:
+            return _qqi(a * c, b * c)
+        if not b:
+            return _qqi(a * c, a * d)
+        return _qqi(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_qqi(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        if type(other) is not QQi:
+            other = _as_qqi(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        den = c * c + d * d
+        if not den:
             raise ZeroDivisionError("division by zero QQi")
-        return QQi(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        if not d:
+            return _qqi(Fraction(a, c), Fraction(b, c))
+        return _qqi(Fraction(a * c + b * d, den), Fraction(b * c - a * d, den))
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, (QQi, int, Fraction)):
@@ -86,18 +104,35 @@ class QQi:
         return f"QQi({self.re!s}, {self.im!s})"
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
+        return _qqi(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact Fraction."""
+    def abs2(self):
+        """|z|^2 as an exact rational (int or Fraction)."""
         return self.re * self.re + self.im * self.im
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
 
-QQI_ZERO = QQi(0, 0)
-QQI_ONE = QQi(1, 0)
+_new = object.__new__
+_set_re = QQi.re.__set__
+_set_im = QQi.im.__set__
+
+
+def _qqi(re, im) -> QQi:
+    """A QQi from exact rational components, without coercion checks.
+
+    The one constructor of arithmetic results: a Fraction component with
+    denominator 1 becomes its int numerator, so integral values stay ints.
+    """
+    if type(re) is not int and re.denominator == 1:
+        re = re.numerator
+    if type(im) is not int and im.denominator == 1:
+        im = im.numerator
+    z = _new(QQi)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 def _as_qqi(x) -> QQi:

@@ -7,9 +7,9 @@ column-degree vector; a tensor coordinate's character is the sum of the
 basis characters of its slots (wedge slot e_i ^ e_j carries eps_i + eps_j).
 
 Containment of polytopes is decided exactly: every point of the inner
-support is tested for membership in the hull of the outer support by a
-rational LP, and a failed test yields a primitive integer separating
-functional summing to zero.
+support that is not itself an outer support point is tested for membership
+in the hull of the outer support by a rational LP, and a failed test yields
+a primitive integer separating functional summing to zero.
 """
 
 from __future__ import annotations
@@ -302,7 +302,11 @@ def contains(inner: LatticePolytope, outer: LatticePolytope):
     if inner.ambient != outer.ambient:
         raise DimensionError("polytope dimension mismatch")
     outer_pts = [list(p.projected) for p in outer.points]
+    # a point of the outer support is in its hull with lambda = e_k: no LP
+    outer_set = {p.projected for p in outer.points}
     for p in inner.points:
+        if p.projected in outer_set:
+            continue
         ok, cert = hull_membership(outer_pts, list(p.projected))
         if ok:
             continue

@@ -252,6 +252,19 @@ class TestExitCodes:
             main(["pair-check", "--pair", files["pair"], "--mode", "exact"])
         assert exc.value.code == 2
 
+    def test_descent_flags_only_on_descent_commands(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["chow", "--curve", files["conic"], "--restarts", "7"])
+        assert exc.value.code == 2
+
+    def test_non_finite_result_exit_4(self, files, monkeypatch, capsys):
+        monkeypatch.setitem(HANDLERS, "polytope", lambda args: {"inf_estimate": float("nan")})
+        assert main(["polytope", "--poly", files["mono"]]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("non-convergence:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_samples_exit_3(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps(MONO_Z02))

@@ -18,6 +18,7 @@ from stablepairs.pairs import (
     stable_probe,
     torus_semistable,
     _expm_hermitian,
+    _divisors,
     _rational_roots_binary,
 )
 from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape
@@ -72,6 +73,18 @@ class TestRationalRoots:
         # roots survive the zero coefficient of x^3
         w = binary_form(3, [0, 24, 18, -27])
         assert sorted(_rational_roots_binary(w)) == [(-3, 2), (1, 0), (3, 4)]
+
+    def test_divisors_match_brute_force(self):
+        for n in range(1, 2001):
+            expected = [d for d in range(1, n + 1) if n % d == 0]
+            assert _divisors(n) == expected
+            assert _divisors(-n) == expected
+
+    def test_roots_with_large_prime_constant(self):
+        # (x - p y)(x + y): the divisor search of the constant -p stops at sqrt(p)
+        p = 1_000_000_007
+        f = binary_form(2, [1, 1 - p, -p])
+        assert _rational_roots_binary(f) == [(-1, 1), (p, 1)]
 
 
 class TestRandomizedProbe:

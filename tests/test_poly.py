@@ -124,6 +124,23 @@ class TestAct:
             s1, s2 = rand_qqi_matrix(rng, 3), rand_qqi_matrix(rng, 3)
             assert act(s2, act(s1, P)) == act(mat_mul(s2, s1), P)
 
+    @given(
+        st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+        st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda ab: sum(ab) <= 2),
+            st.integers(-5, 5),
+            min_size=1,
+        ),
+    )
+    def test_composition_law_integer_matrices(self, s, t, coeffs):
+        # any integer matrices, singular ones included: the law is polynomial
+        sigma = [[QQi(x) for x in s[i:i + 3]] for i in (0, 3, 6)]
+        tau = [[QQi(x) for x in t[i:i + 3]] for i in (0, 3, 6)]
+        P = HomogeneousPolynomial(V3, 2, {(a, b, 2 - a - b): c for (a, b), c in coeffs.items()},
+                                  "exact")
+        assert act(tau, act(sigma, P)) == act(mat_mul(tau, sigma), P)
+
     def test_matrix_shape_substitution(self, rng):
         shape = VariableShape.matrix(2, 2)
         P = rand_poly(rng, shape, 2)

@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from stablepairs import weights
 from stablepairs.errors import PreconditionError
-from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape
+from stablepairs.linprog import hull_membership
+from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape, primitive_integer_vector
 from stablepairs.scalars import QQi
 from stablepairs.weights import (
     LatticePolytope,
@@ -195,6 +199,55 @@ class TestContains:
                 ok, _ = contains(P, Q)
                 weight_ok = all(psg_weight(l, Q) <= psg_weight(l, P) for l in lams)
                 assert ok == weight_ok
+
+
+def contains_by_lp_on_every_point(inner, outer):
+    """contains() without the outer-point shortcut: one LP per inner point."""
+    outer_pts = [list(p.projected) for p in outer.points]
+    for p in inner.points:
+        ok, cert = hull_membership(outer_pts, list(p.projected))
+        if not ok:
+            mu = cert[: inner.ambient]
+            mean = sum(mu, Fraction(0)) / len(mu)
+            return False, primitive_integer_vector([mean - m for m in mu])
+    return True, None
+
+
+CHARS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+class TestContainsShortcut:
+    @given(st.lists(CHARS, min_size=1, max_size=6), st.lists(CHARS, max_size=4),
+           st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_same_answer_as_lp_on_every_point(self, outer_chars, extra, keep):
+        # the inner support shares some points with the outer one
+        shared = [c for c, k in zip(outer_chars, keep) if k]
+        if not shared + extra:
+            extra = [(1, 1, 1)]
+        inner = LatticePolytope([WeightCharacter(c) for c in shared + extra])
+        outer = LatticePolytope([WeightCharacter(c) for c in outer_chars])
+        ok, lam = contains(inner, outer)
+        ok_ref, lam_ref = contains_by_lp_on_every_point(inner, outer)
+        assert ok == ok_ref
+        assert (lam is None and lam_ref is None) or list(lam.exponents) == lam_ref
+
+    def test_polytope_in_itself_needs_no_lp(self, monkeypatch):
+        calls = []
+
+        def counting(points, x):
+            calls.append(x)
+            return hull_membership(points, x)
+
+        monkeypatch.setattr(weights, "hull_membership", counting)
+        P = weight_polytope(HomogeneousPolynomial(
+            VariableShape.vector(3), 3, {(3, 0, 0): 1, (1, 1, 1): -2, (0, 1, 2): 5, (0, 3, 0): 1},
+            "exact"))
+        assert contains(P, P) == (True, None)
+        assert calls == []
+        # a point inside but not on the support still goes to the LP
+        inner = LatticePolytope([WeightCharacter((1, 2, 0)), WeightCharacter((3, 0, 0))])
+        assert contains(inner, P)[0]
+        assert len(calls) == 1
 
 
 class TestMinkowski:
