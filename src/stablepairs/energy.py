@@ -41,7 +41,7 @@ import numpy as np
 from ._kernels import poly_values
 from .errors import PreconditionError
 from .forms import XPair
-from .norms import log_ratio_sq, sample_points, transform_points
+from .norms import _terms_arrays, log_ratio_sq, sample_points, transform_points
 from .pairs import DescentOptions, PairFunctional, StabilityCertificate, _sigma_np, descend
 from .poly import HomogeneousPolynomial
 
@@ -145,18 +145,8 @@ class MahlerSampleFunctional:
         self.p = float(p)
         self.shape = P.shape
         self.degree = P.degree
-        items = P.sorted_terms()
-        self.expo = np.array([e for e, _ in items], dtype=np.int64)
-        self.coeffs = np.array([complex(c) for _, c in items], dtype=np.complex128)
-        derivs = [P.derivative(v) for v in range(P.shape.nvars)]
-        self.dexpo = []
-        self.dcoeffs = []
-        for dP in derivs:
-            it = dP.sorted_terms()
-            self.dexpo.append(
-                np.array([e for e, _ in it], dtype=np.int64).reshape(len(it), P.shape.nvars)
-            )
-            self.dcoeffs.append(np.array([complex(c) for _, c in it], dtype=np.complex128))
+        self.expo, self.coeffs = _terms_arrays(P)
+        self.dterms = [_terms_arrays(P.derivative(v)) for v in range(P.shape.nvars)]
         self.Z = sample_points(P.shape.nvars, samples, seed)
         self.logz2 = np.log(np.sum(np.abs(self.Z) ** 2, axis=1))
         self.samples = samples
@@ -182,9 +172,9 @@ class MahlerSampleFunctional:
         S = self.Z.shape[0]
         rows, cols = self.shape.rows, self.shape.cols
         grad = np.zeros((S, rows * cols), dtype=np.complex128)
-        for v in range(rows * cols):
-            if self.dcoeffs[v].size:
-                grad[:, v] = poly_values(self.dexpo[v], self.dcoeffs[v], pts)
+        for v, (dexpo, dcoeffs) in enumerate(self.dterms):
+            if dcoeffs.size:
+                grad[:, v] = poly_values(dexpo, dcoeffs, pts)
         Wm = self.Z.reshape(S, rows, cols)
         Gm = (grad / vals[:, None]).reshape(S, rows, cols)
         if self.p == 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -63,14 +63,19 @@ class MahlerEstimate:
 
 
 def _terms_arrays(P: HomogeneousPolynomial) -> Tuple[np.ndarray, np.ndarray]:
+    """Exponents (terms, nvars) and complex coefficients, in sorted-term order."""
     items = P.sorted_terms()
-    expo = np.array([e for e, _ in items], dtype=np.int64)
+    expo = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), P.shape.nvars)
     coeffs = np.array([complex(c) for _, c in items], dtype=np.complex128)
     return expo, coeffs
 
 
 def sample_points(nvars: int, samples: int, seed: int) -> np.ndarray:
-    """Standard complex Gaussian rows; projectively uniform on P^(nvars-1)."""
+    """Standard complex Gaussian rows; projectively uniform on P^(nvars-1).
+
+    Every estimator draws here, so this is where fewer than MIN_SAMPLES fail."""
+    if samples < MIN_SAMPLES:
+        raise PreconditionError(f"need at least {MIN_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     return (
         rng.standard_normal((samples, nvars)) + 1j * rng.standard_normal((samples, nvars))
@@ -113,8 +118,6 @@ def lp_norm(P: HomogeneousPolynomial, p: float, samples: int = 200_000,
             seed: int = 0, sigma: Optional[np.ndarray] = None) -> MahlerEstimate:
     """Monte-Carlo estimate of log ||sigma . P||_p (p = 0 is Mahler)."""
     P.require_nonzero()
-    if samples < MIN_SAMPLES:
-        raise PreconditionError(f"need at least {MIN_SAMPLES} samples")
     if p < 0:
         raise PreconditionError("p must be >= 0")
     Z = sample_points(P.shape.nvars, samples, seed)

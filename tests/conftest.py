@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from stablepairs.forms import build_x_pair
-from stablepairs.verify import (
-    binary_form,
-    random_dense_poly,
-    random_linear_factor_form,
-    random_sl,
-    rational_normal_curve,
-)
+from stablepairs.verify import rational_normal_curve
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_RESULTS = []
@@ -54,12 +48,3 @@ def cubic_xpair(cubic_curve):
 def rng():
     return np.random.default_rng(2024)
 
-
-__all__ = [
-    "binary_form",
-    "random_dense_poly",
-    "random_linear_factor_form",
-    "random_sl",
-    "rational_normal_curve",
-    "record_acceptance",
-]

@@ -1,6 +1,10 @@
 """Acceptance criteria, one test per criterion, stated tolerances pinned.
 
-Each test registers a PASS/FAIL line that the terminal summary prints.
+Each test registers a PASS/FAIL line that the terminal summary prints.  The
+draws and tolerances of every criterion except 8 live in
+``stablepairs.verify``, which the CLI `verify` suites run at small sizes;
+each test here calls its criterion with the pinned full sizes and seeds, and
+keeps only the wall-clock bounds of criteria 1 and 10.
 Criterion 13 is asserted in the semistability direction
 deg(Delta) w_lam(R) - deg(R) w_lam(Delta) >= 0 (see the decisions ledger:
 the literally transcribed order is contradicted on the conic by the
@@ -14,247 +18,102 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_acceptance
-from stablepairs.energy import aubin_f0_algebraic, k_energy_algebraic
-from stablepairs.forms import HypersurfaceVariety, chow_form_hypersurface
-from stablepairs.norms import (
-    arestov_check,
-    harmonic,
-    jensen_check,
-    log_ratio_sq,
-    lp_norm,
-)
-from stablepairs.oracle import curve_geometry_oracle
-from stablepairs.pairs import (
-    DescentOptions,
-    Pair,
-    PairFunctional,
-    PolyL2Functional,
-    TensoredPair,
-    descend,
-    randomized_torus_probe,
-    _expm_hermitian,
-)
-from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape, evaluate
-from stablepairs.scalars import QQi
-from stablepairs.verify import (
-    binary_form,
-    random_dense_poly,
-    random_linear_factor_form,
-    random_sl,
-)
+from stablepairs import verify
+from stablepairs.pairs import Pair, TensoredPair
+from stablepairs.poly import HomogeneousPolynomial, VariableShape
+from stablepairs.verify import random_dense_poly, random_sl
 from stablepairs.weights import (
     LatticePolytope,
     TensorVector,
     WeightCharacter,
     minkowski_sum,
-    psg_weight,
     scale,
     standard_simplex,
     weight_polytope,
 )
 
 
-def _record_and_assert(number, title, passed, detail=""):
+def _record_and_assert(number, title, passed, detail="", checks=()):
+    """Record the summary line; failed checks replace its detail."""
+    failed = [f"{c['name']}: {c['detail']}" for c in checks if not c["passed"]]
+    if failed:
+        passed, detail = False, "; ".join(failed)
     record_acceptance(number, title, passed, detail)
     assert passed, f"criterion {number}: {title} -- {detail}"
 
 
 def test_criterion_01_monomial_mahler():
-    # 780 independent 3-sigma checks will fluctuate past the line a couple
-    # of times by chance alone; a case that misses is retested once on fresh
-    # samples and must then land within 3 stderr (family false-fail < 1%)
-    worst_dev, worst_se, worst_case_time = 0.0, 0.0, 0.0
-    count, retests = 0, 0
-    for N in range(1, 5):
-        shape = VariableShape.vector(N + 1)
-        for d in range(1, 7):
-            target = -(d / 2.0) * harmonic(N)
-            for combo in itertools.combinations_with_replacement(range(N + 1), d):
-                exp = [0] * (N + 1)
-                for i in combo:
-                    exp[i] += 1
-                mono = HomogeneousPolynomial.monomial(shape, tuple(exp), 1, "exact")
-                t0 = time.perf_counter()
-                est = lp_norm(mono, 0, samples=200_000, seed=1000 + count)
-                worst_case_time = max(worst_case_time, time.perf_counter() - t0)
-                dev = abs(est.log_value - target)
-                ok = dev <= 3 * est.stderr and est.stderr < 0.02
-                if not ok:
-                    retests += 1
-                    est = lp_norm(mono, 0, samples=200_000, seed=900_000 + count)
-                    dev = abs(est.log_value - target)
-                    ok = dev <= 3 * est.stderr and est.stderr < 0.02
-                worst_dev = max(worst_dev, dev / max(est.stderr, 1e-12))
-                worst_se = max(worst_se, est.stderr)
-                count += 1
-                if not ok:
-                    _record_and_assert(
-                        1, "monomial Mahler identity", False,
-                        f"exp={exp} dev={dev:.4f} se={est.stderr:.4f}",
-                    )
+    checks, worst = verify.monomial_mahler(
+        cases=list(itertools.product(range(1, 5), range(1, 7))), per_case=None,
+        samples=200_000, seed=1000,
+    )
     _record_and_assert(
-        1, "monomial Mahler identity", worst_case_time < 10.0,
-        f"{count} monomials ({retests} retested), worst dev {worst_dev:.2f} se, "
-        f"max se {worst_se:.4f}, max case {worst_case_time:.2f}s",
+        1, "monomial Mahler identity", worst["case_s"] < 10.0,
+        f"{worst['monomials']} monomials ({worst['retests']} retested), "
+        f"worst dev {worst['dev_se']:.2f} se, max se {worst['stderr']:.4f}, "
+        f"max case {worst['case_s']:.2f}s",
+        checks,
     )
 
 
-def _arestov_suite_polys():
-    rng = np.random.default_rng(42)
-    polys = []
-    for _ in range(100):
-        nvars = int(rng.integers(2, 5))  # N <= 3
-        d = int(rng.integers(1, 6))
-        polys.append(random_dense_poly(rng, nvars, d))
-    return polys
+# criteria 2 and 3 share the 100 polynomials drawn from seed 42
+ARESTOV_POLYS = {"count": 100, "nvars": (2, 5), "degrees": (1, 6), "samples": 60_000, "seed": 42}
 
 
 def test_criterion_02_arestov():
-    polys = _arestov_suite_polys()
-    worst_lo, worst_hi = math.inf, math.inf
-    for i, P in enumerate(polys):
-        rep = arestov_check(P, samples=60_000, seed=7000 + i)
-        worst_lo = min(worst_lo, rep["lower_margin"] + rep["slack"])
-        worst_hi = min(worst_hi, rep["upper_margin"] + rep["slack"])
-        if not (rep["lower_holds"] and rep["upper_holds"]):
-            _record_and_assert(2, "Arestov sandwich", False, f"poly {i}: {rep}")
-    # equality witness z0^d: the lower bound is tight within tolerance
-    eq_ok = True
-    for N, d in ((1, 3), (2, 4), (3, 5)):
-        shape = VariableShape.vector(N + 1)
-        exp = [d] + [0] * N
-        rep = arestov_check(
-            HomogeneousPolynomial.monomial(shape, tuple(exp), 1, "exact"),
-            samples=100_000,
-            seed=7700 + N,
-        )
-        eq_ok = eq_ok and abs(rep["lower_margin"]) <= rep["slack"] + 1e-6
+    checks, worst = verify.arestov(
+        **ARESTOV_POLYS, sample_seed=7000,
+        witnesses=((1, 3), (2, 4), (3, 5)), witness_samples=100_000,
+    )
     _record_and_assert(
-        2, "Arestov sandwich on 100 random polynomials + equality witness",
-        eq_ok, f"min slackened margins {worst_lo:.4f}/{worst_hi:.4f}",
+        2, "Arestov sandwich on 100 random polynomials + equality witness", True,
+        f"min slackened margins {worst['lower']:.4f}/{worst['upper']:.4f}", checks,
     )
 
 
 def test_criterion_03_jensen():
-    polys = _arestov_suite_polys()
-    worst = math.inf
-    for i, P in enumerate(polys):
-        rep = jensen_check(P, 2.0, samples=60_000, seed=8000 + i)
-        worst = min(worst, rep["margin"] + rep["slack"])
-        if not rep["holds"]:
-            _record_and_assert(3, "Jensen ordering", False, f"poly {i}: {rep}")
-    _record_and_assert(3, "Jensen ordering L0 <= L2", True, f"min slackened margin {worst:.4f}")
+    checks, worst = verify.jensen(**ARESTOV_POLYS, sample_seed=8000)
+    _record_and_assert(
+        3, "Jensen ordering L0 <= L2", True, f"min slackened margin {worst['margin']:.4f}",
+        checks,
+    )
 
 
 def test_criterion_04_weight_limit_consistency():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    checked = 0
-    while checked < 20:
-        nvars = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 6))
-        P = random_dense_poly(rng, nvars, d)
-        raw = [int(x) for x in rng.integers(-3, 4, size=nvars - 1)]
-        lam_list = raw + [-sum(raw)]
-        if all(a == 0 for a in lam_list):
-            continue
-        lam = OnePSG(lam_list)
-        func = PolyL2Functional(P)
-        vals = [
-            func.log_norm2(np.diag([t ** a for a in lam.exponents]).astype(complex))
-            for t in (1e-2, 1e-3)
-        ]
-        slope = (vals[1] - vals[0]) / (math.log(1e-6) - math.log(1e-4))
-        dev = abs(slope - psg_weight(lam, P))
-        worst = max(worst, dev)
-        checked += 1
+    checks, worst = verify.weight_slopes(count=20, nvars=(2, 5), degrees=(1, 6), seed=11)
     _record_and_assert(
-        4, "log-norm slopes along 20 random 1-PSGs equal exact weights",
-        worst <= 0.05, f"max deviation {worst:.4f}",
+        4, "log-norm slopes along 20 random 1-PSGs equal exact weights", True,
+        f"max deviation {worst['deviation']:.4f}", checks,
     )
 
 
-def test_criterion_05_forms_and_degrees(conic_xpair, cubic_xpair):
-    delta = conic_xpair.hyperdiscriminant
-    ref = {(1, 0, 1): QQi(4), (0, 2, 0): QQi(-1)}
-    hurwitz_ok = delta.terms == ref or delta.terms == {k: -v for k, v in ref.items()}
-    degrees_ok = (
-        conic_xpair.resultant.degree == 4
-        and conic_xpair.hyperdiscriminant.degree == 2
-        and cubic_xpair.resultant.degree == 6
-        and cubic_xpair.hyperdiscriminant.degree == 4
-    )
-    F = HomogeneousPolynomial(
-        VariableShape.vector(3), 2, {(1, 0, 1): 1, (0, 2, 0): -1}, "exact"
-    )
-    Rh = chow_form_hypersurface(HypersurfaceVariety(1, F))
-    rng = np.random.default_rng(5)
-    ratios = set()
-    checked = 0
-    while checked < 20:
-        A = [int(x) for x in rng.integers(-6, 7, size=6)]
-        vb = evaluate(Rh, A)
-        if vb == QQi(0):
-            continue
-        r = evaluate(conic_xpair.resultant, A) / vb
-        ratios.add((str(r.re), str(r.im)))
-        checked += 1
-    ratio_ok = len(ratios) == 1
+def test_criterion_05_forms_and_degrees():
+    checks, worst = verify.forms_and_degrees(trials=20, seed=5)
     _record_and_assert(
-        5, "conic Hurwitz form, Chow/Hurwitz degrees, exact cross-construction ratio",
-        hurwitz_ok and degrees_ok and ratio_ok,
-        f"ratio set {ratios}",
+        5, "conic Hurwitz form, Chow/Hurwitz degrees, exact cross-construction ratio", True,
+        f"ratio set {worst['ratios']}", checks,
     )
 
 
 def test_criterion_06_binary_forms_no_semistable_pairs():
-    rng = np.random.default_rng(77)
-    found_at = []
-    pairs_done = 0
-    for trial in range(25):
-        d = int(rng.integers(2, 5))  # d <= 4, e = d - 1
-        f = random_linear_factor_form(rng, d - 1)
-        g = random_linear_factor_form(rng, d)
-        res = randomized_torus_probe(Pair(f, g), trials=10, seed=600 + trial)
-        ok = (not res.passed) and res.witness is not None
-        if not ok:
-            _record_and_assert(
-                6, "e = d-1 pairs destabilized", False, f"pair {trial} d={d} not destabilized"
-            )
-        # witness soundness is exact: recheck on the conjugated pair
-        found_at.append(res.failing_trial)
-        pairs_done += 1
+    checks, worst = verify.binary_destabilisers(
+        count=25, degrees=(2, 5), trials=10, seed=77, sample_seed=600
+    )
     _record_and_assert(
-        6, "verified destabilizer for 25 random e = d-1 pairs within 10 trials",
-        pairs_done == 25 and max(found_at) <= 10,
-        f"worst trial index {max(found_at)}",
+        6, "verified destabilizer for 25 random e = d-1 pairs within 10 trials", True,
+        f"worst trial index {worst['trial']}", checks,
     )
-
-
-def _blowup_pair():
-    v = TensorVector([("wedge2", 3), ("wedge2", 3)], {((0, 1), (0, 1)): 1})
-    w = TensorVector(
-        [("vector", 3), ("vector", 3), ("wedge2", 3)],
-        {(0, 1, (0, 1)): 1, (1, 0, (0, 1)): 1},
-    )
-    return Pair(v, w)
 
 
 def test_criterion_07_blowup_pair():
-    pair = _blowup_pair()
-    probe = randomized_torus_probe(pair, trials=50, seed=505)
-    cert = descend(
-        pair, DescentOptions(max_iters=10_000, restarts=5, seed=505, grad_tol=1e-12)
-    )
-    iters = sum(r["iterations"] for r in cert.diagnostics["restarts"])
+    checks, worst = verify.blowup_pair_evidence(trials=50, seed=505)
     _record_and_assert(
-        7, "blow-up pair: 50-trial probe passes, no divergence in descent (evidence only)",
-        probe.passed and cert.verdict == "no-divergence-observed",
-        f"descent inf {cert.inf_estimate:.6f} (= log 2 at the unitary locus), "
-        f"{iters} total iterations",
+        7, "blow-up pair: 50-trial probe passes, no divergence in descent (evidence only)", True,
+        f"descent inf {worst['inf_estimate']:.6f} (= log 2 at the unitary locus), "
+        f"{worst['iterations']} total iterations",
+        checks,
     )
 
 
@@ -310,113 +169,47 @@ def test_criterion_08_tensored_bookkeeping():
 
 
 def test_criterion_09_gradient_check():
-    rng = np.random.default_rng(13)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(2, 4))
-        pair = Pair(
-            random_dense_poly(rng, n, int(rng.integers(1, 4))),
-            random_dense_poly(rng, n, int(rng.integers(1, 4))),
-        )
-        sig = random_sl(rng, n)
-        func = PairFunctional.for_pair(pair)
-        G = func.gradient(sig)
-        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        H = (H + H.conj().T) / 2
-        H -= np.trace(H) / n * np.eye(n)
-        eps = 1e-4
-        fd = (
-            func.value(_expm_hermitian(eps * H) @ sig)
-            - func.value(_expm_hermitian(-eps * H) @ sig)
-        ) / (2 * eps)
-        an = float(np.vdot(H, G).real)
-        worst = max(worst, abs(fd - an) / max(abs(fd), 1e-9))
+    checks, worst = verify.gradient_check(count=50, seed=13)
     _record_and_assert(
-        9, "Kempf-Ness gradient vs central differences on 50 instances",
-        worst < 1e-5, f"max rel err {worst:.2e}",
+        9, "Kempf-Ness gradient vs central differences on 50 instances", True,
+        f"max rel err {worst['rel_err']:.2e}", checks,
     )
 
 
-def test_criterion_10_kenergy_oracle_equivalence(
-    conic_xpair, cubic_xpair, conic_curve, cubic_curve
-):
+def test_criterion_10_kenergy_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(21)
-    worst = 0.0
-    details = []
-    for xp, curve in ((conic_xpair, conic_curve), (cubic_xpair, cubic_curve)):
-        for i in range(5):
-            sig = random_sl(rng, curve.N + 1, spread=0.3)
-            orc = curve_geometry_oracle(sig, curve, n_r=48, n_th=48)
-            alg = k_energy_algebraic(sig, xp, samples=200_000, seed=4000 + i)
-            diff = abs(orc.k_energy - alg["k_energy"])
-            tol = max(0.02 * abs(orc.k_energy), 1e-2)
-            worst = max(worst, diff / tol)
-            if diff > tol:
-                details.append(f"d={curve.d} sigma {i}: {diff:.4f} > {tol:.4f}")
+    checks, worst = verify.kenergy_vs_oracle(
+        curve_degrees=(2, 3), count=5, samples=200_000, grid=48, seed=21, sample_seed=4000
+    )
     elapsed = time.perf_counter() - t0
     _record_and_assert(
-        10, "Theorem: algebraic K-energy = quadrature oracle (conic + cubic)",
-        not details and elapsed < 300.0,
-        f"worst diff/tol {worst:.3f}, {elapsed:.1f}s",
+        10, "Theorem: algebraic K-energy = quadrature oracle (conic + cubic)", elapsed < 300.0,
+        f"worst diff/tol {worst['diff_tol']:.3f}, {elapsed:.1f}s", checks,
     )
 
 
-def test_criterion_11_phillipon_soule(conic_xpair, conic_curve):
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for i in range(10):
-        sig = random_sl(rng, 3, spread=0.3)
-        orc = curve_geometry_oracle(sig, conic_curve, n_r=48, n_th=48)
-        dr, err = log_ratio_sq(conic_xpair.resultant, sig, 0.0, samples=200_000, seed=5000 + i)
-        lhs = -conic_xpair.deg_r * orc.aubin_f0
-        tol = 3.0 * (err + conic_xpair.deg_r * 1e-3)
-        worst = max(worst, abs(lhs - dr) / tol)
-        if abs(lhs - dr) > tol:
-            _record_and_assert(
-                11, "Phillipon-Soule identity", False,
-                f"sigma {i}: {lhs:.5f} vs {dr:.5f} (tol {tol:.5f})",
-            )
+def test_criterion_11_phillipon_soule():
+    checks, worst = verify.phillipon_soule(
+        count=10, samples=200_000, grid=48, seed=23, sample_seed=5000
+    )
     _record_and_assert(
-        11, "-degR F0(oracle) = log ||sigma R||_0^2 on 10 random sigma",
-        True, f"worst diff/tol {worst:.3f}",
+        11, "-degR F0(oracle) = log ||sigma R||_0^2 on 10 random sigma", True,
+        f"worst diff/tol {worst['diff_tol']:.3f}", checks,
     )
 
 
-def test_criterion_12_curve_geometry_sanity(conic_curve, cubic_curve):
-    ok = True
-    details = []
-    for curve, d in ((conic_curve, 2), (cubic_curve, 3)):
-        rep = curve_geometry_oracle(np.eye(d + 1), curve, n_r=64, n_th=64)
-        v_ok = abs(rep.volume - d) <= 1e-3
-        mu_ok = abs(rep.mu - 2.0 / d) <= 1e-2
-        ok = ok and v_ok and mu_ok
-        details.append(f"d={d}: V={rep.volume:.6f} mu={rep.mu:.6f}")
+def test_criterion_12_curve_geometry_sanity():
+    checks, _ = verify.curve_geometry(curve_degrees=(2, 3), grid=64)
     _record_and_assert(
-        12, "oracle V = d (1e-3) and mu = 2/d (1e-2) for d = 2, 3",
-        ok, "; ".join(details),
+        12, "oracle V = d (1e-3) and mu = 2/d (1e-2) for d = 2, 3", True,
+        "; ".join(c["detail"] for c in checks), checks,
     )
 
 
-def test_criterion_13_slope_nonnegativity(conic_xpair, cubic_xpair):
-    rng = np.random.default_rng(31)
-    negatives = []
-    for xp in (conic_xpair, cubic_xpair):
-        n1 = xp.N + 1
-        sampled = 0
-        while sampled < 20:
-            raw = [int(x) for x in rng.integers(-5, 6, size=n1 - 1)]
-            lam_list = raw + [-sum(raw)]
-            if all(a == 0 for a in lam_list):
-                continue
-            lam = OnePSG(lam_list)
-            combo = xp.deg_delta * psg_weight(lam, xp.resultant) - xp.deg_r * psg_weight(
-                lam, xp.hyperdiscriminant
-            )
-            if combo < 0:
-                negatives.append((xp.d, lam_list, combo))
-            sampled += 1
+def test_criterion_13_slope_nonnegativity():
+    checks, worst = verify.slope_signs(curve_degrees=(2, 3), count=20, seed=31)
+    negatives = worst["negatives"]
     _record_and_assert(
-        13, "semistability slopes degDelta w(R) - degR w(Delta) >= 0, d = 2, 3",
-        not negatives, f"negatives: {negatives}" if negatives else "all nonnegative",
+        13, "semistability slopes degDelta w(R) - degR w(Delta) >= 0, d = 2, 3", True,
+        f"negatives: {negatives}" if negatives else "all nonnegative", checks,
     )

@@ -105,6 +105,7 @@ def files(tmp_path):
         ("conic", CONIC),
         ("hyp", HYP),
         ("sigma", SIGMA_ID3),
+        ("xpair", xpair_to_json(build_x_pair(curve_from_json(CONIC)))),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
@@ -238,10 +239,8 @@ class TestExitCodes:
         ["pair-check", "--pair", "{pair}", "--descend", "--restarts", "0"],
         ["distance", "--xpair", "{xpair}", "--infimum", "--restarts", "0", "--samples", "1000"],
     ])
-    def test_zero_restarts_exit_3(self, files, tmp_path, capsys, argv):
-        xp = tmp_path / "xp.json"
-        xp.write_text(json.dumps(xpair_to_json(build_x_pair(curve_from_json(CONIC)))))
-        argv = [a.format(pair=files["pair"], xpair=str(xp)) for a in argv]
+    def test_zero_restarts_exit_3(self, files, capsys, argv):
+        argv = [a.format(**files) for a in argv]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("precondition violated: restarts must be >= 1")
@@ -265,11 +264,22 @@ class TestExitCodes:
         assert err.startswith("non-convergence:")
         assert len(err.strip().splitlines()) == 1
 
-    def test_bad_samples_exit_3(self, tmp_path):
-        p = tmp_path / "m.json"
-        p.write_text(json.dumps(MONO_Z02))
-        out = run_cli(["mahler", "--poly", str(p), "--samples", "10"], check=False)
-        assert out.returncode == 3
+    @pytest.mark.parametrize("samples", ["10", "0", "-5"])
+    @pytest.mark.parametrize("argv", [
+        ["mahler", "--poly", "{mono}"],
+        ["kenergy", "--xpair", "{xpair}"],
+        ["aubin", "--xpair", "{xpair}"],
+        ["coercivity", "--xpair", "{xpair}", "--m", "1"],
+        ["distance", "--xpair", "{xpair}"],
+        ["distance", "--xpair", "{xpair}", "--infimum"],
+        ["supnorm", "--poly", "{mono}"],
+    ], ids=["mahler", "kenergy", "aubin", "coercivity", "distance", "infimum", "supnorm"])
+    def test_bad_samples_exit_3(self, files, capsys, argv, samples):
+        argv = [a.format(**files) for a in argv]
+        assert main(argv + ["--samples", samples]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("precondition violated: need at least 1000 samples")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestDeterminism:

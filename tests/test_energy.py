@@ -22,7 +22,7 @@ from stablepairs.oracle import curve_geometry_oracle
 from stablepairs.pairs import DescentOptions, StabilityCertificate, _expm_hermitian
 from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape
 from stablepairs.serialize import dump_json
-from stablepairs.verify import random_sl, rational_normal_curve
+from stablepairs.verify import _traceless_hermitian, random_sl
 from stablepairs.weights import psg_weight
 
 
@@ -155,9 +155,7 @@ class TestMahlerSampleFunctional:
         G = func.gradient(sig)
         worst = 0.0
         for _ in range(4):
-            H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            H = (H + H.conj().T) / 2
-            H -= np.trace(H) / 3 * np.eye(3)
+            H = _traceless_hermitian(rng, 3)
             eps = 1e-5
             fd = (
                 func.value(_expm_hermitian(eps * H) @ sig)

@@ -8,7 +8,6 @@ import pytest
 from stablepairs.pairs import (
     DescentOptions,
     Pair,
-    PairFunctional,
     TensoredPair,
     build_stable_test_pair,
     descend,
@@ -17,24 +16,15 @@ from stablepairs.pairs import (
     randomized_torus_probe,
     stable_probe,
     torus_semistable,
-    _expm_hermitian,
     _divisors,
     _rational_roots_binary,
 )
 from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape
 from stablepairs.weights import TensorVector, psg_weight
-from stablepairs.verify import binary_form, random_dense_poly, random_sl
+from stablepairs import verify
+from stablepairs.verify import binary_form, blowup_pair, random_dense_poly, random_sl
 
 V2 = VariableShape.vector(2)
-
-
-def blowup_pair():
-    v = TensorVector([("wedge2", 3), ("wedge2", 3)], {((0, 1), (0, 1)): 1})
-    w = TensorVector(
-        [("vector", 3), ("vector", 3), ("wedge2", 3)],
-        {(0, 1, (0, 1)): 1, (1, 0, (0, 1)): 1},
-    )
-    return Pair(v, w)
 
 
 class TestTorusSemistable:
@@ -176,28 +166,9 @@ class TestKempfNess:
         G = kempf_ness_gradient(random_sl(rng, 3), pair)
         assert np.allclose(G, G.conj().T) and abs(np.trace(G)) < 1e-12
 
-    def test_gradient_vs_central_differences(self, rng):
-        worst = 0.0
-        for _ in range(20):
-            n = int(rng.integers(2, 4))
-            pair = Pair(
-                random_dense_poly(rng, n, int(rng.integers(1, 4))),
-                random_dense_poly(rng, n, int(rng.integers(1, 4))),
-            )
-            sig = random_sl(rng, n)
-            func = PairFunctional.for_pair(pair)
-            G = func.gradient(sig)
-            H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            H = (H + H.conj().T) / 2
-            H -= np.trace(H) / n * np.eye(n)
-            eps = 1e-4
-            fd = (
-                func.value(_expm_hermitian(eps * H) @ sig)
-                - func.value(_expm_hermitian(-eps * H) @ sig)
-            ) / (2 * eps)
-            an = float(np.vdot(H, G).real)
-            worst = max(worst, abs(fd - an) / max(abs(fd), 1e-9))
-        assert worst < 1e-5
+    def test_gradient_vs_central_differences(self):
+        checks, _ = verify.gradient_check(count=20, seed=2024)
+        assert all(c["passed"] for c in checks)
 
 
 class TestDescend:

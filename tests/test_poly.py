@@ -1,12 +1,13 @@
 """Polynomial core: evaluation, the group action, elimination primitives."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stablepairs.errors import DimensionError, PreconditionError
@@ -16,7 +17,7 @@ from stablepairs.poly import (
     OnePSG,
     VariableShape,
     act,
-    binary_coeffs,
+    bareiss_poly_det,
     binary_discriminant,
     evaluate,
     mat_mul,
@@ -27,6 +28,7 @@ from stablepairs.poly import (
     symbolic_maximal_minors,
 )
 from stablepairs.scalars import QQi
+from stablepairs.verify import binary_form
 
 V2 = VariableShape.vector(2)
 V3 = VariableShape.vector(3)
@@ -41,8 +43,6 @@ def rand_qqi_matrix(rng, n, lo=-4, hi=5):
 
 def rand_poly(rng, shape, d, span=4):
     terms = {}
-    import itertools
-
     for combo in itertools.combinations_with_replacement(range(shape.nvars), d):
         exp = [0] * shape.nvars
         for i in combo:
@@ -148,6 +148,45 @@ class TestAct:
         pt = [[QQi(1), QQi(2)], [QQi(-1), QQi(3)]]
         moved = mat_mul(pt, sig)
         assert evaluate(act(sig, P), pt) == evaluate(P, moved)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices of size 1 to 4 of binary forms, one degree per row, with
+    zero entries, so Bareiss elimination has to swap pivot rows."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        d = draw(st.integers(0, 2))
+        coeffs = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+        rows.append([
+            binary_form(d, draw(coeffs) if draw(st.integers(0, 3)) else [0]) for _ in range(n)
+        ])
+    return rows
+
+
+def leibniz_det(rows):
+    """Permutation-sum determinant over the polynomial ring."""
+    n = len(rows)
+    det = HomogeneousPolynomial.zero(V2, sum(row[0].degree for row in rows), "exact")
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = HomogeneousPolynomial.constant(V2, (-1) ** inversions, "exact")
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        det = det + term
+    return det
+
+
+X, Y, ZERO1 = binary_form(1, [1, 0]), binary_form(1, [0, 1]), binary_form(1, [0])
+
+
+class TestBareiss:
+    @given(poly_matrices())
+    @example([[ZERO1, X], [Y, ZERO1]])
+    @example([[ZERO1, X, Y], [ZERO1, Y, X], [X, X, Y]])
+    def test_matches_leibniz_expansion(self, rows):
+        assert bareiss_poly_det(rows) == leibniz_det(rows)
 
 
 class TestSylvester:

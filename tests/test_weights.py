@@ -1,15 +1,14 @@
 """Weight lattice: supports, polytopes, 1-PSG weights, exact containment."""
 
-import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from stablepairs import weights
+from stablepairs import verify, weights
 from stablepairs.errors import PreconditionError
 from stablepairs.linprog import hull_membership
 from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape, primitive_integer_vector
@@ -28,7 +27,7 @@ from stablepairs.weights import (
     support,
     weight_polytope,
 )
-from stablepairs.verify import binary_form
+from stablepairs.verify import binary_form, blowup_pair
 
 V2 = VariableShape.vector(2)
 M13 = VariableShape.matrix(1, 3)
@@ -36,15 +35,6 @@ M13 = VariableShape.matrix(1, 3)
 
 def disc_poly():
     return HomogeneousPolynomial(M13, 2, {(1, 0, 1): 4, (0, 2, 0): -1}, "exact")
-
-
-def blowup_pair():
-    v = TensorVector([("wedge2", 3), ("wedge2", 3)], {((0, 1), (0, 1)): 1})
-    w = TensorVector(
-        [("vector", 3), ("vector", 3), ("wedge2", 3)],
-        {(0, 1, (0, 1)): 1, (1, 0, (0, 1)): 1},
-    )
-    return v, w
 
 
 class TestSupport:
@@ -56,8 +46,7 @@ class TestSupport:
         assert {c.raw for c in support(P)} == {(3, 0, 0, 0)}
 
     def test_wedge_square_support(self):
-        v, _ = blowup_pair()
-        assert {c.raw for c in support(v)} == {(2, 2, 0)}
+        assert {c.raw for c in support(blowup_pair().v)} == {(2, 2, 0)}
 
     def test_zero_rejected(self):
         with pytest.raises(PreconditionError):
@@ -116,30 +105,16 @@ class TestWeight:
             verts = min(p.pair(lam) for p in poly.vertices)
             assert full == verts
 
-    def test_limit_consistency_float(self, rng):
+    def test_limit_consistency_float(self):
         # slope of log ||lambda(t) e||^2 against log |t|^2 tends to the weight
-        from stablepairs.pairs import PolyL2Functional
-        from stablepairs.verify import random_dense_poly
-
-        for _ in range(5):
-            P = random_dense_poly(rng, 3, int(rng.integers(1, 5)))
-            a, b = int(rng.integers(-3, 4)), int(rng.integers(-3, 4))
-            if a == 0 and b == 0 and a + b == 0:
-                continue
-            lam = OnePSG([a, b, -a - b])
-            func = PolyL2Functional(P)
-            vals = [
-                func.log_norm2(np.diag([t ** e for e in lam.exponents]).astype(complex))
-                for t in (1e-2, 1e-3)
-            ]
-            slope = (vals[1] - vals[0]) / (math.log(1e-6) - math.log(1e-4))
-            assert abs(slope - psg_weight(lam, P)) < 0.05
+        checks, _ = verify.weight_slopes(count=5, nvars=(3, 4), degrees=(1, 5), seed=2024)
+        assert all(c["passed"] for c in checks)
 
 
 class TestContains:
     def test_equal_points(self):
-        v, w = blowup_pair()
-        ok, _ = contains(weight_polytope(v), weight_polytope(w))
+        pair = blowup_pair()
+        ok, _ = contains(weight_polytope(pair.v), weight_polytope(pair.w))
         assert ok
 
     def test_segment_failure_with_witness(self):
@@ -250,6 +225,44 @@ class TestContainsShortcut:
         assert len(calls) == 1
 
 
+@st.composite
+def hull_queries(draw):
+    """Small integer points in dimension 1 to 3, and a query point."""
+    dim = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+    return draw(st.lists(coords, min_size=1, max_size=6)), draw(coords)
+
+
+def linprog_feasible(points, x):
+    """x in conv(points) by a floating-point LP: lambda >= 0, sum 1, sum lambda p = x."""
+    a_eq = np.vstack([np.array(points, dtype=float).T, np.ones(len(points))])
+    res = linprog(np.zeros(len(points)), A_eq=a_eq, b_eq=list(x) + [1.0], bounds=(0, None),
+                  method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def exact_hull_membership(points, x):
+    return hull_membership([[Fraction(c) for c in p] for p in points], [Fraction(c) for c in x])
+
+
+class TestHullMembership:
+    @given(hull_queries())
+    def test_farkas_certificate_separates(self, query):
+        points, x = query
+        ok, y = exact_hull_membership(points, x)
+        assert ok == linprog_feasible(points, x)
+        if not ok:
+            # y[:dim] . x > max_k y[:dim] . p_k, exactly (zip stops at dim)
+            score = [sum(yi * c for yi, c in zip(y, p)) for p in points + [x]]
+            assert score[-1] > max(score[:-1])
+
+    @given(hull_queries(), st.integers(0, 5))
+    def test_listed_point_is_feasible(self, query, k):
+        points, _ = query
+        assert exact_hull_membership(points, points[k % len(points)]) == (True, None)
+
+
 class TestMinkowski:
     def test_additive_identity(self):
         P = weight_polytope(disc_poly())
@@ -301,15 +314,15 @@ class TestTensorVector:
             TensorVector([("wedge2", 3)], {((1, 1),): 1})
 
     def test_act_tensor_support_transform(self):
-        _, w = blowup_pair()
+        w = blowup_pair().w
         sig = [[QQi(1), QQi(1), QQi(0)], [QQi(0), QQi(1), QQi(0)], [QQi(0), QQi(0), QQi(1)]]
         moved = act_tensor(sig, w)
         assert (2, 2, 0) in {c.raw for c in support(moved)}
 
     def test_rep_degree(self):
-        v, w = blowup_pair()
-        assert rep_degree(v) == 4
-        assert rep_degree(w) == 4
+        pair = blowup_pair()
+        assert rep_degree(pair.v) == 4
+        assert rep_degree(pair.w) == 4
         assert rep_degree(binary_form(3, [1, 0, 0, 1])) == 3
         assert rep_degree(VariableShape.matrix(2, 3), 6) == 6
         assert rep_degree(HomogeneousPolynomial.constant(V2, 5)) == 0
