@@ -102,13 +102,16 @@ OPERATION_COMMANDS = {
 
 
 def _load(path: str) -> dict:
+    """An input file; a command's own output envelope yields its result."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}")
+    envelope = isinstance(obj, dict) and {"schema", "command", "result"} <= obj.keys()
+    return obj["result"] if envelope else obj
 
 
 def _sigma_arg(args, size: int):

@@ -41,7 +41,7 @@ import numpy as np
 from ._kernels import poly_values
 from .errors import PreconditionError
 from .forms import XPair
-from .norms import _terms_arrays, log_ratio_sq, sample_points, transform_points
+from .norms import _log_mean_exp, _terms_arrays, log_ratio_sq, sample_points, transform_points
 from .pairs import DescentOptions, PairFunctional, StabilityCertificate, _sigma_np, descend
 from .poly import HomogeneousPolynomial
 
@@ -161,9 +161,7 @@ class MahlerSampleFunctional:
         lv = 2.0 * (np.log(np.abs(vals)) + self.degree * math.log(s)) - self.degree * self.logz2
         if self.p == 0:
             return float(np.mean(lv))
-        X = 0.5 * self.p * lv
-        mx = float(np.max(X))
-        return (2.0 / self.p) * (mx + math.log(float(np.mean(np.exp(X - mx)))))
+        return (2.0 / self.p) * _log_mean_exp(0.5 * self.p * lv)[0]
 
     def moment(self, sigma: np.ndarray) -> np.ndarray:
         s = float(np.max(np.abs(sigma)))

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
 from ._kernels import poly_log_abs, poly_values
 from .errors import PreconditionError
-from .poly import HomogeneousPolynomial, VariableShape
+from .poly import Exponent, HomogeneousPolynomial, VariableShape
 
 MIN_SAMPLES = 1_000
 
@@ -130,14 +130,10 @@ def lp_norm(P: HomogeneousPolynomial, p: float, samples: int = 200_000,
             seed=seed,
             p=0.0,
         )
-    X = p * Y
-    mx = float(np.max(X))
-    w = np.exp(X - mx)
-    m = float(np.mean(w))
-    se_m = float(np.std(w, ddof=1) / math.sqrt(samples))
+    log_mean, rel_err = _log_mean_exp(p * Y)
     return MahlerEstimate(
-        log_value=(mx + math.log(m)) / p,
-        stderr=se_m / (m * p),
+        log_value=log_mean / p,
+        stderr=rel_err / p,
         samples=samples,
         seed=seed,
         p=float(p),
@@ -171,6 +167,7 @@ def log_ratio_sq(P: HomogeneousPolynomial, sigma: np.ndarray, p: float,
 
 
 def _log_mean_exp(X: np.ndarray) -> Tuple[float, float]:
+    """(log mean exp(X), its standard error), shifted by max(X) against overflow."""
     mx = float(np.max(X))
     w = np.exp(X - mx)
     m = float(np.mean(w))
@@ -267,15 +264,21 @@ def jensen_check(P: HomogeneousPolynomial, p: float = 2.0,
     }
 
 
-def l2_norm_log_exact(P: HomogeneousPolynomial) -> float:
-    """log ||P||_L2 from the exact monomial Gram: ||z^a||^2 = M! a! / (M+d)!."""
-    P = P.to_float().require_nonzero()
+def fs_log_masses(P: HomogeneousPolynomial) -> Dict[Exponent, float]:
+    """log |c_a|^2 ||z^a||^2 per monomial of P in the unit-volume Fubini-Study
+    L^2 Gram, which is diagonal with ||z^a||^2 = M! a! / (M+d)! on P^M."""
+    P = P.to_float()
     m = P.shape.nvars - 1
     base = math.lgamma(m + 1) - math.lgamma(m + P.degree + 1)
-    logs = [
-        2.0 * math.log(abs(c)) + base + sum(math.lgamma(e + 1) for e in exp)
+    return {
+        exp: 2.0 * math.log(abs(c)) + base + sum(math.lgamma(e + 1) for e in exp)
         for exp, c in P.terms.items()
-    ]
+    }
+
+
+def l2_norm_log_exact(P: HomogeneousPolynomial) -> float:
+    """log ||P||_L2 from the exact monomial Gram (see ``fs_log_masses``)."""
+    logs = list(fs_log_masses(P.require_nonzero()).values())
     mx = max(logs)
     return 0.5 * (mx + math.log(sum(math.exp(x - mx) for x in logs)))
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 

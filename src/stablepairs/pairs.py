@@ -15,8 +15,9 @@ descent certifies divergence (with an extracted, verified destabilizing
 Norm choices: polynomial representations use the L^2 norm with the
 unit-volume Fubini-Study measure (monomials are orthogonal with
 ||z^a||^2 = M! a! / (M+d)! on P^M); tensor representations use the
-Hermitian coordinate norm with orthonormal wedge basis.  Both are
-unitarily invariant under left multiplication of the group element.
+Hermitian coordinate norm with orthonormal wedge basis.  Both are unitarily
+invariant, and one functional evaluates both on dense tensors with a
+symmetric-power axis per polynomial row or tensor slot.
 
 Tensored pairs (I^q (x) v^m, w^(m+1)) from the stable-pair definition are
 never expanded: their log-norms are the additive combination
@@ -31,11 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
+from .norms import fs_log_masses
 from .poly import (
     GroupElement,
     HomogeneousPolynomial,
@@ -356,6 +359,13 @@ def randomized_torus_probe(pair: Pair, trials: int = 20, seed: int = 0) -> Probe
 # (through exp(eps H) sigma) equal to 2 Re Tr(H m^T).  The gradient matrix is
 # then m^T + conj(m), projected to traceless Hermitian.
 
+# Cap on the entries of any dense array PolyL2Functional allocates: a tensor,
+# one S^d(sigma) or one moment gather.  The twisted cubic's Delta^6, one
+# Sym^24(C^4) axis, needs an 8.6 M-entry S^24; a degree-5 Chow form on P^4
+# (126^4 = 2.5e8 entries) is refused.
+DENSE_ENTRY_CAP = 10_000_000
+_RECURSION_CHUNK = 1 << 20  # entries of S^(d-1) read at a time
+
 
 def _scale_split(sigma: np.ndarray) -> Tuple[np.ndarray, float]:
     s = float(np.max(np.abs(sigma)))
@@ -364,145 +374,164 @@ def _scale_split(sigma: np.ndarray) -> Tuple[np.ndarray, float]:
     return sigma / s, math.log(s)
 
 
-def _log_factorial(n: int) -> float:
-    return math.lgamma(n + 1)
+def _sym_dim(n: int, d: int) -> int:
+    return math.comb(n + d - 1, d)
+
+
+@lru_cache(maxsize=None)
+def _sym_basis(n: int, d: int) -> Dict[Tuple[int, ...], int]:
+    """Positions of the degree-d monomials in n variables, descending lex order."""
+    if n == 1:
+        return {(d,): 0}
+    order = ((k,) + rest for k in range(d, -1, -1) for rest in _sym_basis(n - 1, d - k))
+    return {a: pos for pos, a in enumerate(order)}
+
+
+@lru_cache(maxsize=None)
+def _sym_step(n: int, d: int):
+    """Tables (up, root, cols, inv_lead) from Sym^(d-1) to Sym^d of C^n:
+    up[j, c] is the position of c + e_j and root[j, c] = sqrt(c_j + 1); the
+    a whose first variable is j fill cols[j], and inv_lead[a] = 1 / sqrt(a_j)."""
+    lower = np.array(list(_sym_basis(n, d - 1)))
+    pos = _sym_basis(n, d)
+    up = np.array([[pos[c] for c in map(tuple, (lower + e).tolist())]
+                   for e in np.eye(n, dtype=int)])
+    upper = np.array(list(pos))
+    cols = [slice(len(pos) - _sym_dim(n - j, d), len(pos) - _sym_dim(n - j - 1, d))
+            for j in range(n)]
+    lead = upper[np.arange(len(pos)), np.argmax(upper > 0, axis=1)]
+    return up, np.sqrt(lower.T + 1.0), cols, 1.0 / np.sqrt(lead)
+
+
+def _sym_powers(sigma: np.ndarray, degrees) -> Dict[int, np.ndarray]:
+    """S^d(sigma) for each d in degrees: S^0 = 1 and, for j the first variable of b,
+
+        S^d[a, b] = sum_i sigma[i, j] sqrt(a_i / b_j) S^(d-1)[a - e_i, b - e_j],
+
+    the rescaled coefficient of z^a in z^b under ``poly.act``'s substitution."""
+    n = sigma.shape[0]
+    powers = {0: np.ones((1, 1), dtype=np.complex128)}
+    prev = powers[0]
+    for d in range(1, max(degrees) + 1):
+        up, root, cols, inv_lead = _sym_step(n, d)
+        cur = np.zeros((len(inv_lead),) * 2, dtype=np.complex128)
+        step = max(1, _RECURSION_CHUNK // len(inv_lead))
+        for rows in (slice(lo, lo + step) for lo in range(0, len(prev), step)):
+            for i in range(n):
+                scaled = prev[rows] * root[i, rows, None]
+                for j, blk in enumerate(cols):
+                    # b - e_j runs in order over the last len(blk) monomials
+                    cur[up[i, rows], blk] += sigma[i, j] * scaled[:, blk.start - blk.stop:]
+        cur *= inv_lead
+        prev = cur
+        if d in degrees:
+            powers[d] = cur
+    return powers
+
+
+def _dense_blocks(n: int, amplitudes: dict) -> list:
+    """[(axis degrees, tensor)] from {per-axis exponents: amplitude}, one
+    tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation."""
+    profiles = sorted({tuple(map(sum, axes)) for axes in amplitudes})
+    for degs in profiles:
+        dims = [_sym_dim(n, d) for d in degs]
+        size = math.prod(dims)
+        largest = max([size] + [max(dim * dim, n * _sym_dim(n, d - 1) * size // dim)
+                                for d, dim in zip(degs, dims) if d > 0])
+        if largest > DENSE_ENTRY_CAP:
+            raise PreconditionError(
+                f"dense norm tensor of shape {tuple(dims)} needs an array of {largest} "
+                f"entries, above the cap of {DENSE_ENTRY_CAP}"
+            )
+    blocks = {degs: np.zeros(tuple(_sym_dim(n, d) for d in degs), dtype=np.complex128)
+              for degs in profiles}
+    for axes, z in amplitudes.items():
+        degs = tuple(map(sum, axes))
+        blocks[degs][tuple(_sym_basis(n, d)[a] for a, d in zip(axes, degs))] += z
+    return list(blocks.items())
 
 
 class PolyL2Functional:
-    """log L^2(FS, unit volume) norm of sigma . P for a float polynomial."""
+    """log ||sigma . e||^2 of a polynomial e (L^2 norm of the unit-volume
+    Fubini-Study measure) or a tensor vector e (Hermitian coordinate norm).
 
-    def __init__(self, P: HomogeneousPolynomial):
-        self.P = P.to_float()
-        self.nvars = P.shape.nvars
-        self.cols = P.shape.cols
-        self.degree = P.degree
-        m = self.nvars - 1  # complex projective dimension of the domain
-        self._logw_base = _log_factorial(m) - _log_factorial(m + P.degree)
-
-    def _log_weight(self, exp) -> float:
-        return self._logw_base + sum(_log_factorial(e) for e in exp)
-
-    def _transformed(self, sigma: np.ndarray) -> Tuple[HomogeneousPolynomial, float]:
-        scaled, logs = _scale_split(sigma)
-        return act(scaled, self.P), 2.0 * self.degree * logs
-
-    def log_norm2(self, sigma: np.ndarray) -> float:
-        Q, corr = self._transformed(sigma)
-        logs = [
-            2.0 * math.log(abs(c)) + self._log_weight(e)
-            for e, c in Q.terms.items()
-            if c != 0
-        ]
-        if not logs:
-            raise PreconditionError("polynomial annihilated by singular matrix")
-        mx = max(logs)
-        return mx + math.log(sum(math.exp(x - mx) for x in logs)) + corr
-
-    def moment(self, sigma: np.ndarray) -> np.ndarray:
-        # m_ij = <sum_r z_(r,i) d_(r,j) Q, Q> / ||Q||^2 in the monomial Gram
-        # basis; masses are rescaled by the dominant one to avoid under/overflow
-        Q, _ = self._transformed(sigma)
-        items = Q.sorted_terms()
-        coeff = dict(items)
-        logws = {e: self._log_weight(e) for e, _ in items}
-        mass_logs = [2.0 * math.log(abs(c)) + logws[e] for e, c in items]
-        mx = max(mass_logs)
-        norm2 = sum(math.exp(x - mx) for x in mass_logs)
-        n = self.cols
-        mom = np.zeros((n, n), dtype=np.complex128)
-        for e, c in items:
-            for v, ev in enumerate(e):
-                if ev == 0:
-                    continue
-                r, j = divmod(v, self.cols)
-                for i in range(n):
-                    if i == j:
-                        tgt, c2 = e, c
-                    else:
-                        te = list(e)
-                        te[v] -= 1
-                        te[r * self.cols + i] += 1
-                        tgt = tuple(te)
-                        c2 = coeff.get(tgt)
-                        if c2 is None:
-                            continue
-                    lwt = logws.get(tgt)
-                    if lwt is None:
-                        lwt = self._log_weight(tgt)
-                    mag = math.exp(
-                        math.log(abs(c)) + math.log(abs(c2)) + lwt - mx
-                    )
-                    phase = (c / abs(c)) * np.conj(c2 / abs(c2))
-                    mom[i, j] += ev * phase * mag
-        return mom / norm2
-
-
-class TensorHermFunctional:
-    """Hermitian coordinate norm of sigma . x for a tensor vector.
-
-    Wedge slots are embedded isometrically into antisymmetric two-fold
-    tensors so the action and partial traces are plain per-axis matrix
-    contractions.
+    e is held as dense tensors, one per row-degree profile, with one axis per
+    polynomial row or tensor slot in orthonormal coordinates (c_a sqrt(a!) for
+    a polynomial), and one log constant: log M!/(M+d)! for a polynomial, 0 for
+    a tensor, plus the log of the scale that makes the largest entry 1.
     """
 
-    def __init__(self, x: TensorVector):
-        x = x.to_float()
-        self.n = x.group_size
-        axes_dims: List[int] = []
-        slot_axes: List[Tuple[str, int]] = []
-        for kind, d in x.slots:
-            if kind == "vector":
-                slot_axes.append(("vector", len(axes_dims)))
-                axes_dims.append(d)
-            else:
-                slot_axes.append(("wedge2", len(axes_dims)))
-                axes_dims.extend([d, d])
-        arr = np.zeros(tuple(axes_dims), dtype=np.complex128)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for idx, c in x.coords.items():
-            z = scalar_to_complex(c)
-            keys = [[]]
-            weights = [1.0]
-            for (kind, _), part in zip(x.slots, idx):
-                if kind == "vector":
-                    keys = [k + [part] for k in keys]
-                else:
-                    i, j = part
-                    keys = [k + [i, j] for k in keys] + [k + [j, i] for k in keys]
-                    weights = [w * inv_sqrt2 for w in weights] + [
-                        -w * inv_sqrt2 for w in weights
-                    ]
-            for k, wgt in zip(keys, weights):
-                arr[tuple(k)] += z * wgt
-        self.arr = arr
-        self.degree = x.degree()
-        self.naxes = arr.ndim
+    def __init__(self, e):
+        if isinstance(e, HomogeneousPolynomial):
+            P = e.to_float().require_nonzero()
+            n, self.degree = P.shape.cols, P.degree
+            masses = fs_log_masses(P)
+            self.log_const = max(masses.values())
+            amplitudes = {
+                tuple(a[r * n:(r + 1) * n] for r in range(P.shape.rows)):
+                    P.terms[a] / abs(P.terms[a]) * math.exp(0.5 * (m - self.log_const))
+                for a, m in masses.items()
+            }
+        elif isinstance(e, TensorVector):
+            n, self.degree, self.log_const = e.group_size, e.degree(), 0.0
+            unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+            r = 1.0 / math.sqrt(2.0)
+            amplitudes = {}
+            for idx, c in e.coords.items():
+                terms = [((), scalar_to_complex(c))]
+                for (kind, _), part in zip(e.slots, idx):
+                    # a wedge e_i ^ e_j is (e_i (x) e_j - e_j (x) e_i) / sqrt(2)
+                    pieces = [((part,), 1.0)] if kind == "vector" else [(part, r), (part[::-1], -r)]
+                    terms = [(axes + tuple(unit[k] for k in p), z * s)
+                             for axes, z in terms for p, s in pieces]
+                for axes, z in terms:
+                    amplitudes[axes] = amplitudes.get(axes, 0) + z
+        else:
+            raise PreconditionError("no norm functional for this object")
+        self.n = n
+        self.blocks = _dense_blocks(n, amplitudes)
+        self._degrees = {d for degs, _ in self.blocks for d in degs}
+        self._last = None
 
-    def _transformed(self, sigma: np.ndarray) -> Tuple[np.ndarray, float]:
-        scaled, logs = _scale_split(sigma)
-        y = self.arr
-        for axis in range(self.naxes):
-            y = np.tensordot(scaled, y, axes=([1], [axis]))
-            y = np.moveaxis(y, 0, axis)
-        return y, 2.0 * self.naxes * logs
+    def _transformed(self, sigma: np.ndarray) -> Tuple[List[np.ndarray], float, float]:
+        """(blocks of sigma . e over their largest |entry|, their squared norm,
+        log ||sigma . e||^2), kept for the last sigma for its moment."""
+        sigma = np.asarray(sigma, dtype=np.complex128)
+        key = (sigma.shape, sigma.tobytes())
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        sig_hat, logs = _scale_split(sigma)
+        powers = _sym_powers(sig_hat, self._degrees)
+        ys = []
+        for degs, y in self.blocks:
+            for axis, d in enumerate(degs):
+                y = np.moveaxis(np.tensordot(powers[d], y, axes=([1], [axis])), 0, axis)
+            ys.append(y)
+        top = max(float(np.max(np.abs(y))) for y in ys)
+        if top == 0.0:
+            raise PreconditionError("vector annihilated by singular matrix")
+        ys = [y / top for y in ys]
+        n2 = sum(float(np.vdot(y, y).real) for y in ys)
+        value = math.log(n2) + 2.0 * math.log(top) + self.log_const + 2.0 * self.degree * logs
+        self._last = (key, (ys, n2, value))
+        return ys, n2, value
 
     def log_norm2(self, sigma: np.ndarray) -> float:
-        y, corr = self._transformed(sigma)
-        n2 = float(np.vdot(y, y).real)
-        if n2 <= 0.0:
-            raise PreconditionError("tensor annihilated by singular matrix")
-        return math.log(n2) + corr
+        return self._transformed(sigma)[2]
 
     def moment(self, sigma: np.ndarray) -> np.ndarray:
-        y, _ = self._transformed(sigma)
-        n2 = float(np.vdot(y, y).real)
+        ys, n2, _ = self._transformed(sigma)
         mom = np.zeros((self.n, self.n), dtype=np.complex128)
-        all_axes = list(range(self.naxes))
-        for axis in all_axes:
-            others = [a for a in all_axes if a != axis]
-            # rho[a, b] = sum_rest y[..a..] conj(y[..b..]); m_ij += rho[j, i]
-            rho = np.tensordot(y, np.conj(y), axes=(others, others))
-            mom += rho.T
+        for (degs, _), y in zip(self.blocks, ys):
+            for axis, d in enumerate(degs):
+                if d == 0:
+                    continue
+                up, root = _sym_step(self.n, d)[:2]
+                # E_ij acts by z_i d_j, so m is the Gram matrix of the partial
+                # derivatives d_j y along the axis (orthonormal coordinates)
+                g = np.take(y, up, axis=axis) * root.reshape(root.shape + (1,) * (y.ndim - axis - 1))
+                g = np.moveaxis(g, axis, 0).reshape(self.n, -1)
+                mom += g.conj() @ g.T
         return mom / n2
 
 
@@ -536,7 +565,7 @@ class PairFunctional:
     @classmethod
     def for_pair(cls, pair: Pair) -> "PairFunctional":
         return cls(
-            [(-1.0, _functional_for(pair.v)), (1.0, _functional_for(pair.w))],
+            [(-1.0, PolyL2Functional(pair.v)), (1.0, PolyL2Functional(pair.w))],
             pair.group_size,
         )
 
@@ -550,14 +579,6 @@ class PairFunctional:
         g = m.T + np.conj(m)
         g -= (np.trace(g) / self.size) * np.eye(self.size)
         return g
-
-
-def _functional_for(e):
-    if isinstance(e, HomogeneousPolynomial):
-        return PolyL2Functional(e)
-    if isinstance(e, TensorVector):
-        return TensorHermFunctional(e)
-    raise PreconditionError("no norm functional for this object")
 
 
 def kempf_ness_value(sigma, pair: Pair) -> float:
@@ -906,8 +927,8 @@ class TensoredPair:
     def functional(self) -> PairFunctional:
         n = self.group_size
         parts = [
-            (float(self.m + 1), _functional_for(self.base.w)),
-            (-float(self.m), _functional_for(self.base.v)),
+            (float(self.m + 1), PolyL2Functional(self.base.w)),
+            (-float(self.m), PolyL2Functional(self.base.v)),
         ]
         if self.q > 0:
             parts.append((-float(self.q), HilbertSchmidtFunctional(n)))
@@ -916,11 +937,8 @@ class TensoredPair:
     def log_norm2_sides(self, sigma) -> Tuple[float, float]:
         """(log ||sigma.(I^q x v^m)||^2, log ||sigma.w^(m+1)||^2), additively."""
         sig = _sigma_np(sigma, self.group_size)
-        left = self.m * _functional_for(self.base.v).log_norm2(sig)
-        if self.q > 0:
-            left += self.q * HilbertSchmidtFunctional(self.group_size).log_norm2(sig)
-        right = (self.m + 1) * _functional_for(self.base.w).log_norm2(sig)
-        return left, right
+        (wt_w, w), *left = self.functional().parts
+        return -sum(wt * f.log_norm2(sig) for wt, f in left), wt_w * w.log_norm2(sig)
 
 
 def build_stable_test_pair(pair: Pair, m: int) -> TensoredPair:

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from stablepairs.cli import HANDLERS, OPERATION_COMMANDS, build_parser, main
 from stablepairs.forms import build_x_pair
+from stablepairs.pairs import DENSE_ENTRY_CAP
 from stablepairs.serialize import curve_from_json, xpair_to_json
 
 POLY_V2 = {
@@ -246,6 +248,31 @@ class TestExitCodes:
         assert err.startswith("precondition violated: restarts must be >= 1")
         assert len(err.strip().splitlines()) == 1
 
+    def test_dense_size_above_cap_exit_3(self, tmp_path, capsys):
+        # row degree 5 on a 4 x 5 matrix: 126^4 = 2.5e8 dense entries per component
+        def poly(first):
+            exp = ([5, 0, 0, 0, 0] if first else [0, 5, 0, 0, 0]) * 4
+            return {"schema": "v1", "shape": {"kind": "matrix", "rows": 4, "cols": 5},
+                    "degree": 20, "mode": "exact",
+                    "terms": [{"exp": exp, "re": "1", "im": "0"}]}
+
+        assert 126**4 > DENSE_ENTRY_CAP
+        path = tmp_path / "big_pair.json"
+        path.write_text(json.dumps({"schema": "v1", "v": poly(True), "w": poly(False)}))
+        tracemalloc.start()
+        try:
+            code = main(["pair-check", "--pair", str(path), "--descend", "--restarts", "1",
+                         "--max-iters", "5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 1 << 20  # refused before any dense array is allocated
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("precondition violated: dense norm tensor of shape (126, 126, 126, 126)")
+        assert len(err.strip().splitlines()) == 1
+
     def test_removed_mode_flag_exit_2(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["pair-check", "--pair", files["pair"], "--mode", "exact"])
@@ -280,6 +307,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("precondition violated: need at least 1000 samples")
         assert len(err.strip().splitlines()) == 1
+
+
+class TestOutputAsInput:
+    """A command's --output file (the envelope) reads back as its bare result."""
+
+    @pytest.mark.parametrize("make, use", [
+        (["xpair", "--curve", "{conic}"],
+         ["kenergy", "--xpair", "{out}", "--sigma", "{sigma}", "--samples", "1000"]),
+        (["xpair", "--curve", "{conic}"], ["distance", "--xpair", "{out}", "--samples", "1000"]),
+        (["chow", "--curve", "{conic}"], ["mahler", "--poly", "{out}", "--samples", "1000"]),
+    ], ids=["xpair-kenergy", "xpair-distance", "chow-mahler"])
+    def test_envelope_and_bare_result_agree(self, files, tmp_path, capsys, make, use):
+        envelope, bare = tmp_path / "envelope.json", tmp_path / "bare.json"
+        assert main([a.format(**files) for a in make] + ["--output", str(envelope)]) == 0
+        bare.write_text(json.dumps(json.loads(envelope.read_text())["result"]))
+        results = []
+        for path in (envelope, bare):
+            assert main([a.format(out=path, **files) for a in use]) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        assert results[0] == results[1]
 
 
 class TestDeterminism:

@@ -154,8 +154,6 @@ class TestHurwitzCurve:
         D = hurwitz_form_curve(conic_curve)
         for _ in range(10):
             b0, b2 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            from fractions import Fraction
-
             # pick b1 with b1^2 = 4 b0 b2 over the rationals when possible
             prod = 4 * b0 * b2
             root = int(round(prod ** 0.5))

@@ -1,13 +1,11 @@
 """Quadrature oracle: reference geometry and internal consistency."""
 
-import math
-
 import numpy as np
 import pytest
 
 from stablepairs.errors import PreconditionError
 from stablepairs.oracle import curve_geometry_oracle, wedge_square_matrix
-from stablepairs.verify import random_sl, rational_normal_curve
+from stablepairs.verify import random_sl
 
 
 class TestReferenceGeometry:

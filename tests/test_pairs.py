@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stablepairs.norms import l2_norm_log_exact
 from stablepairs.pairs import (
     DescentOptions,
     Pair,
+    PolyL2Functional,
     TensoredPair,
     build_stable_test_pair,
     descend,
@@ -17,12 +21,19 @@ from stablepairs.pairs import (
     stable_probe,
     torus_semistable,
     _divisors,
+    _expm_hermitian,
     _rational_roots_binary,
 )
-from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape
-from stablepairs.weights import TensorVector, psg_weight
+from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape, act
+from stablepairs.weights import TensorVector, act_tensor, psg_weight
 from stablepairs import verify
-from stablepairs.verify import binary_form, blowup_pair, random_dense_poly, random_sl
+from stablepairs.verify import (
+    _traceless_hermitian,
+    binary_form,
+    blowup_pair,
+    random_dense_poly,
+    random_sl,
+)
 
 V2 = VariableShape.vector(2)
 
@@ -249,8 +260,6 @@ class TestTensoredPair:
 
     def test_minkowski_matches_brute_force(self):
         from stablepairs.weights import (
-            LatticePolytope,
-            WeightCharacter,
             minkowski_sum,
             scale,
             standard_simplex,
@@ -309,3 +318,103 @@ class TestStableProbe:
         # no asserted ground truth: just a verdict with q, m recorded
         assert cert.verdict in ("torus-fail", "no-divergence-observed", "divergence-detected")
         assert cert.diagnostics["q"] == 4 and cert.diagnostics["m"] == 2
+
+
+def _row_exponents(rng, n: int, d: int) -> list:
+    """A random exponent vector of one matrix row: n entries summing to d."""
+    return list(np.bincount(rng.integers(0, n, size=d), minlength=n))
+
+
+@st.composite
+def polynomials(draw):
+    """Float polynomials of every kind the functional takes: vector and matrix
+    shapes, matrices mixing two row-degree profiles, and constants."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["vector", "matrix", "two-profile", "constant"]))
+    rows = 1 if kind == "vector" else draw(st.integers(2 if kind == "two-profile" else 1, 3))
+    shape = VariableShape.vector(n) if kind == "vector" else VariableShape.matrix(rows, n)
+    if kind == "constant":
+        return HomogeneousPolynomial.constant(shape, complex(*rng.standard_normal(2)), "float")
+    degrees = [int(d) for d in rng.integers(0, 4, size=rows)]
+    degrees[0] = max(degrees[0], 1)
+    profiles = [degrees]
+    if kind == "two-profile":
+        # move one unit of degree from the first row: same total, new profile
+        profiles.append([degrees[0] - 1, degrees[1] + 1] + degrees[2:])
+    terms = {}
+    for profile in profiles:
+        for _ in range(int(rng.integers(1, 6))):
+            exp = sum((_row_exponents(rng, n, d) for d in profile), [])
+            terms[tuple(exp)] = complex(*rng.standard_normal(2))
+    return HomogeneousPolynomial(shape, sum(degrees), terms, "float")
+
+
+@st.composite
+def tensors(draw):
+    """Float tensor vectors with one to three vector or wedge-square slots."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    kinds = draw(st.lists(st.sampled_from(["vector", "wedge2"]), min_size=1, max_size=3))
+    coords = {}
+    for _ in range(int(rng.integers(1, 6))):
+        idx = []
+        for kind in kinds:
+            if kind == "vector":
+                idx.append(int(rng.integers(0, n)))
+            else:
+                i, j = sorted(rng.choice(n, size=2, replace=False))
+                idx.append((int(i), int(j)))
+        coords[tuple(idx)] = complex(*rng.standard_normal(2))
+    return TensorVector([(k, n) for k in kinds], coords, "float")
+
+
+@st.composite
+def group_elements(draw, n: int):
+    """A random SL(n) element, or diag(t^lambda) for an integer lambda summing to 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_sl(rng, n, spread=draw(st.sampled_from([0.3, 1.0])))
+    lam = [int(a) for a in rng.integers(-3, 4, size=n - 1)]
+    lam.append(-sum(lam))
+    t = draw(st.sampled_from([1e-2, 0.3, 2.0]))
+    return np.diag([t ** a for a in lam]).astype(np.complex128)
+
+
+def _close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+class TestDenseFunctional:
+    """The dense symmetric-power functional against independent sparse code."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_polynomial_value_matches_sparse_act(self, data):
+        P = data.draw(polynomials())
+        sig = data.draw(group_elements(P.shape.cols))
+        value = 0.5 * PolyL2Functional(P).log_norm2(sig)
+        assert _close(value, l2_norm_log_exact(act(sig, P)), 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tensor_value_matches_sparse_act(self, data):
+        x = data.draw(tensors())
+        sig = data.draw(group_elements(x.group_size))
+        value = PolyL2Functional(x).log_norm2(sig)
+        assert _close(value, math.log(act_tensor(sig, x).hermitian_norm2()), 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_moment_matches_central_differences(self, data):
+        e = data.draw(st.one_of(polynomials(), tensors()))
+        n = e.shape.cols if isinstance(e, HomogeneousPolynomial) else e.group_size
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sig = random_sl(rng, n, spread=0.5)
+        H = _traceless_hermitian(rng, n) + 0.5 * np.eye(n)
+        func = PolyL2Functional(e)
+        eps = 1e-5
+        fd = (func.log_norm2(_expm_hermitian(eps * H) @ sig)
+              - func.log_norm2(_expm_hermitian(-eps * H) @ sig)) / (2 * eps)
+        an = 2.0 * float(np.trace(H @ func.moment(sig).T).real)
+        assert _close(an, fd, 1e-6)
