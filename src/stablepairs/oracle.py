@@ -23,10 +23,26 @@ the average scalar curvature is mu = 2/d.
 
 The K-energy is integrated along the Bergman path sigma_t = exp(t H) with
 sigma = u exp(H) the polar decomposition (the unitary factor drops out of
-every potential), Gauss-Legendre in t.  P^1 is tiled exactly by the closed
-unit disks of the two standard charts; each disk carries a Gauss-Legendre
-(radius) x trapezoid (angle) polar grid, refined until successive grids
-agree to tolerance.
+every potential), Gauss-Legendre in t.  H = U diag(lam) U^* is diagonalised
+once per grid; with y = U^* gamma and y~ = (/\\^2 U)^* w, whose coordinates
+scale by exp(t lam2_a) for the pair sums lam2_a = lam_i + lam_j (i < j),
+
+    |v_t|^2        = sum_k exp(2t lam_k) |y_k|^2,
+    <H v_t, v_t>   = sum_k lam_k exp(2t lam_k) |y_k|^2,
+    |w_t|^2        = sum_a exp(2t lam2_a) |y~_a|^2,
+    |w_t ^ w_t'|^2 = sum_(a<b) exp(2t (lam2_a + lam2_b)) |y~_a y~'_b - y~_b y~'_a|^2,
+
+the last being |w|^2 |w'|^2 - |<w', w>|^2 (Lagrange) as a sum of positive
+terms.  The t-independent weights are computed once per grid, so each
+t-node (t = 0 for V and mu, t = 1 for phi_sigma, J and F0, and the
+Gauss-Legendre nodes) costs a few real matrix-vector products.  Every node
+also yields the integral of g_w,t, which equals 2d - 2 exactly; the largest
+deviation over the t-nodes is reported per grid as `gauss_bonnet_drift`, a
+diagnostic of under-resolved curvature that no gate reads.
+
+P^1 is tiled exactly by the closed unit disks of the two standard charts;
+each disk carries a Gauss-Legendre (radius) x trapezoid (angle) polar grid,
+refined until successive grids agree to tolerance.
 """
 
 from __future__ import annotations
@@ -94,30 +110,11 @@ def _polyder_rows(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:, 1:] * np.arange(1, n)
 
 
-def _polymul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.shape[0] + b.shape[0] - 1, dtype=np.complex128)
-    for i, ai in enumerate(a):
-        out[i : i + b.shape[0]] += ai * b
-    return out
-
-
 def _wedge_coeff_rows(z: np.ndarray) -> np.ndarray:
     """Coefficients of w_(i,j) = z_i z_j' - z_j z_i' for i < j."""
     zp = _polyder_rows(z)
-    rows = []
-    for i, j in combinations(range(z.shape[0]), 2):
-        rows.append(_polymul_rows(z[i], zp[j]) - _polymul_rows(z[j], zp[i]))
-    width = max(r.shape[0] for r in rows)
-    out = np.zeros((len(rows), width), dtype=np.complex128)
-    for k, r in enumerate(rows):
-        out[k, : r.shape[0]] = r
-    return out
-
-
-def _eval_rows(coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate each coefficient row at all points: (npts, nrows)."""
-    powers = pts[:, None] ** np.arange(coeffs.shape[1])[None, :]
-    return powers @ coeffs.T
+    return np.array([np.convolve(z[i], zp[j]) - np.convolve(z[j], zp[i])
+                     for i, j in combinations(range(z.shape[0]), 2)])
 
 
 def wedge_square_matrix(A: np.ndarray) -> np.ndarray:
@@ -152,105 +149,72 @@ class _CurveCharts:
         W = (np.outer(wr * r, np.full(n_th, 2.0 / n_th))).ravel()
         return pts, W
 
-    def chart_values(self, chart: int, pts: np.ndarray):
-        Z = _eval_rows(self.z_coeffs[chart], pts)
-        Zp = _eval_rows(self.zp_coeffs[chart], pts)
-        Wz = _eval_rows(self.w_coeffs[chart], pts)
-        Wzp = _eval_rows(self.wp_coeffs[chart], pts)
-        return Z, Zp, Wz, Wzp
+    def chart_values(self, pts: np.ndarray, A: np.ndarray):
+        """(A gamma, A gamma', /\\^2 A w, /\\^2 A w') at pts, chart 0 then chart 1.
 
-
-def _fs_pullback(v: np.ndarray, vp: np.ndarray) -> np.ndarray:
-    """(|v|^2 |v'|^2 - |<v', v>|^2) / |v|^4 rowwise."""
-    n2 = np.sum(np.abs(v) ** 2, axis=1)
-    np2 = np.sum(np.abs(vp) ** 2, axis=1)
-    cross = np.abs(np.sum(vp * np.conj(v), axis=1)) ** 2
-    return (n2 * np2 - cross) / n2**2
-
-
-def _geometry_arrays(charts: _CurveCharts, A: np.ndarray, chart_data, W2: np.ndarray):
-    """(g, g_w, |v|^2, v, vp) for the transformed curve on one chart grid."""
-    Z, Zp, Wz, Wzp = chart_data
-    v = Z @ A.T
-    vp = Zp @ A.T
-    w = Wz @ W2.T
-    wp = Wzp @ W2.T
-    v2 = np.sum(np.abs(v) ** 2, axis=1)
-    w2 = np.sum(np.abs(w) ** 2, axis=1)
-    g = w2 / v2**2
-    g_w = _fs_pullback(w, wp)
-    return g, g_w, v2, v, vp
-
-
-def _polar_hermitian_log(sigma: np.ndarray) -> np.ndarray:
-    """H with sigma = (unitary) exp(H): H = (1/2) log(sigma^* sigma)."""
-    sts = sigma.conj().T @ sigma
-    vals, vecs = np.linalg.eigh(sts)
-    return (vecs * (0.5 * np.log(vals.real))) @ vecs.conj().T
-
-
-def _hermitian_exp(H: np.ndarray, t: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(t * vals.real)) @ vecs.conj().T
+        Each is (rows, 2 * npts), one column per point; one power table
+        serves both charts.
+        """
+        A2 = wedge_square_matrix(A)
+        powers = np.vander(pts, max(c.shape[1] for c in self.w_coeffs), increasing=True).T
+        return tuple(
+            np.hstack([M @ c @ powers[: c.shape[1]] for c in per_chart])
+            for M, per_chart in ((A, self.z_coeffs), (A, self.zp_coeffs),
+                                 (A2, self.w_coeffs), (A2, self.wp_coeffs))
+        )
 
 
 def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
               t_nodes: int) -> dict:
-    curve = charts.curve
     pts, Wq = charts.grids(n_r, n_th)
-    data = [charts.chart_values(c, pts) for c in (0, 1)]
-    eye = np.eye(curve.N + 1, dtype=np.complex128)
-    W2_eye = wedge_square_matrix(eye)
+    Wq = np.tile(Wq, 2)
+
+    # sigma = u exp(H) with H = U diag(lam) U^*; in the eigenbasis every
+    # squared norm along exp(tH) is a sum of exponentials in t (module doc).
+    # lam2 lists the pairs i < j in the order of wedge_square_matrix
+    vals, U = np.linalg.eigh(sigma.conj().T @ sigma)
+    lam = 0.5 * np.log(vals)
+    i, j = np.triu_indices(lam.size, 1)
+    lam2 = lam[i] + lam[j]
+    a, b = np.triu_indices(lam2.size, 1)
+    y, yp, wy, wyp = charts.chart_values(pts, U.conj().T)
+    v_wt = np.abs(y) ** 2
+    cross_wt = yp * y.conj()
+    w_wt = np.abs(wy) ** 2
+    gw_wt = np.array([np.abs(wy[p] * wyp[q] - wy[q] * wyp[p]) ** 2 for p, q in zip(a, b)])
+
+    def at(t: float):
+        """(|v_t|^2, g_t, g_w,t, phidot_t) at every point, v_t = exp(tH) gamma."""
+        ev = np.exp(2.0 * t * lam)
+        v2 = ev @ v_wt
+        w2 = np.exp(2.0 * t * lam2) @ w_wt
+        g_w = (np.exp(2.0 * t * (lam2[a] + lam2[b])) @ gw_wt) / w2**2
+        return v2, w2 / v2**2, g_w, 2.0 * ((lam * ev) @ v_wt) / v2
 
     # reference geometry: V, mu
-    V = 0.0
-    total_scal = 0.0
-    ref = []
-    for chart in (0, 1):
-        g, g_w, v2, _, _ = _geometry_arrays(charts, eye, data[chart], W2_eye)
-        V += float(np.dot(g, Wq))
-        total_scal += float(np.dot(2.0 * g - g_w, Wq))
-        ref.append((g, v2))
-    mu = total_scal / V
+    v2_ref, g_ref, g_w_ref, _ = at(0.0)
+    V = float(g_ref @ Wq)
+    mu = float((2.0 * g_ref - g_w_ref) @ Wq) / V
 
-    # potential phi_sigma and the Aubin functionals
-    W2_sigma = wedge_square_matrix(sigma)
-    J = 0.0
-    phi_mass = 0.0
-    for chart in (0, 1):
-        g_ref, v2_ref = ref[chart]
-        _, _, v2_s, v_s, vp_s = _geometry_arrays(charts, sigma, data[chart], W2_sigma)
-        Z, Zp, _, _ = data[chart]
-        phi = np.log(v2_s) - np.log(v2_ref)
-        dphi = (
-            np.sum(vp_s * np.conj(v_s), axis=1) / v2_s
-            - np.sum(Zp * np.conj(Z), axis=1) / v2_ref
-        )
-        J += float(np.dot(np.abs(dphi) ** 2, Wq))
-        phi_mass += float(np.dot(phi * g_ref, Wq))
-    J = J / (2.0 * V)
-    F0 = J - phi_mass / V
+    # potential phi_sigma and the Aubin functionals: they see sigma only
+    # through sigma^* sigma = exp(2H), so they are the t = 1 values
+    v2_s = at(1.0)[0]
+    dphi = (np.exp(2.0 * lam) @ cross_wt) / v2_s - cross_wt.sum(axis=0) / v2_ref
+    J = float(np.abs(dphi) ** 2 @ Wq) / (2.0 * V)
+    F0 = J - float((np.log(v2_s) - np.log(v2_ref)) * g_ref @ Wq) / V
 
-    # K-energy along exp(tH), Gauss-Legendre in t
-    H = _polar_hermitian_log(sigma)
+    # K-energy along exp(tH), Gauss-Legendre in t, and the Gauss-Bonnet
+    # sentinel: g_w,t integrates to 2d - 2 at every t
     tn, tw = np.polynomial.legendre.leggauss(t_nodes)
-    tvals = 0.5 * (tn + 1.0)
-    twts = 0.5 * tw
     nu = 0.0
-    for tv, wt in zip(tvals, twts):
-        At = _hermitian_exp(H, tv)
-        W2t = wedge_square_matrix(At)
-        inner = 0.0
-        for chart in (0, 1):
-            g_t, g_w_t, v2_t, v_t, _ = _geometry_arrays(charts, At, data[chart], W2t)
-            scal_t = 2.0 - g_w_t / g_t
-            hv = v_t @ H.T  # row convention: (H v)^T = v^T H^T
-            phidot = 2.0 * np.real(np.sum(hv * np.conj(v_t), axis=1)) / v2_t
-            inner += float(np.dot(phidot * (scal_t - mu) * g_t, Wq))
-        nu += wt * inner
+    drift = 0.0
+    for tv, wt in zip(0.5 * (tn + 1.0), 0.5 * tw):
+        _, g_t, g_w_t, phidot = at(tv)
+        nu += wt * float(phidot * ((2.0 - mu) * g_t - g_w_t) @ Wq)
+        drift = max(drift, abs(float(g_w_t @ Wq) - (2 * charts.curve.d - 2)))
     nu = -nu / V
 
-    return {"V": V, "mu": mu, "J": J, "F0": F0, "nu": nu}
+    return {"V": V, "mu": mu, "J": J, "F0": F0, "nu": nu, "gauss_bonnet_drift": drift}
 
 
 def curve_geometry_oracle(

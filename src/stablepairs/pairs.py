@@ -630,7 +630,7 @@ def _round_primitive_direction(logeigs: np.ndarray, max_den: int = 16) -> Option
     """Continued-fraction rounding of a normalized log-eigenvalue profile.
 
     Gaps between consecutive sorted entries are rounded to denominators
-    <= max_den, the профиle is rebuilt, mean-shifted to sum zero, and cleared
+    <= max_den, the profile is rebuilt, mean-shifted to sum zero, and cleared
     to a primitive integer vector.
     """
     order = np.argsort(logeigs)[::-1]

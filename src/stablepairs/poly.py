@@ -77,9 +77,6 @@ class VariableShape:
     def nvars(self) -> int:
         return self.rows * self.cols
 
-    def column_of(self, flat_index: int) -> int:
-        return flat_index % self.cols
-
     def column_degrees(self, exp: Exponent) -> Tuple[int, ...]:
         """Per-column total exponent of a monomial (its torus character)."""
         out = [0] * self.cols

@@ -3,9 +3,56 @@
 import numpy as np
 import pytest
 
-from stablepairs.errors import PreconditionError
-from stablepairs.oracle import curve_geometry_oracle, wedge_square_matrix
+from stablepairs.errors import NonConvergenceError, PreconditionError
+from stablepairs.oracle import _CurveCharts, _run_grid, curve_geometry_oracle, wedge_square_matrix
 from stablepairs.verify import random_sl
+
+ORACLE_KEYS = ("V", "mu", "J", "F0", "nu", "gauss_bonnet_drift")
+
+
+def _direct_grid(curve, sigma, n, t_nodes):
+    """`_run_grid` from explicit matrices, plus the F0 path integral.
+
+    Each t-node forms exp(tH) and /\\^2 exp(tH), maps gamma and w through
+    them, and takes g_w as the Gram-determinant pullback
+    (|w|^2 |w'|^2 - |<w', w>|^2) / |w|^4; phi_sigma, J and F0 use sigma
+    itself.  Returns (the `_run_grid` dict, -(1/V) int_0^1 int phidot_t
+    omega_t dt on the same Gauss-Legendre nodes).
+    """
+    charts = _CurveCharts(curve)
+    pts, wq = charts.grids(n, n)
+    wq = np.tile(wq, 2)
+    Z, Zp, Wz, Wzp = charts.chart_values(pts, np.eye(curve.N + 1))
+    vals, vecs = np.linalg.eigh(sigma.conj().T @ sigma)
+    lam = 0.5 * np.log(vals)
+    H = (vecs * lam) @ vecs.conj().T
+
+    def sq(x):
+        return np.sum(np.abs(x) ** 2, axis=0)
+
+    def geometry(A):
+        A2 = wedge_square_matrix(A)
+        v, vp, w, wp = A @ Z, A @ Zp, A2 @ Wz, A2 @ Wzp
+        gram = sq(w) * sq(wp) - np.abs(np.sum(wp * w.conj(), axis=0)) ** 2
+        dlog = np.sum(vp * v.conj(), axis=0) / sq(v)
+        return v, dlog, sq(w) / sq(v) ** 2, gram / sq(w) ** 2
+
+    v_ref, dlog_ref, g_ref, gw_ref = geometry(np.eye(curve.N + 1))
+    V = g_ref @ wq
+    mu = (2.0 * g_ref - gw_ref) @ wq / V
+    v_s, dlog_s, _, _ = geometry(sigma)
+    J = np.abs(dlog_s - dlog_ref) ** 2 @ wq / (2.0 * V)
+    F0 = J - (np.log(sq(v_s)) - np.log(sq(v_ref))) * g_ref @ wq / V
+    tn, tw = np.polynomial.legendre.leggauss(t_nodes)
+    nu = path = drift = 0.0
+    for t, wt in zip(0.5 * (tn + 1.0), 0.5 * tw):
+        v, _, g, gw = geometry((vecs * np.exp(t * lam)) @ vecs.conj().T)
+        phidot = 2.0 * np.real(np.sum((H @ v) * v.conj(), axis=0)) / sq(v)
+        nu += wt * (phidot * (2.0 - gw / g - mu) * g) @ wq
+        path += wt * (phidot * g) @ wq
+        drift = max(drift, abs(gw @ wq - (2 * curve.d - 2)))
+    out = {"V": V, "mu": mu, "J": J, "F0": F0, "nu": -nu / V, "gauss_bonnet_drift": drift}
+    return out, -path / V
 
 
 class TestReferenceGeometry:
@@ -36,10 +83,16 @@ class TestReferenceGeometry:
 
 
 class TestInternalIdentities:
-    def test_f0_equals_path_integral(self, conic_curve, rng):
-        # F0 = J - phi-mass must agree with its own variational definition
-        # -int_0^1 (1/V) int phidot omega_t dt; both sit inside the oracle,
-        # so run the oracle twice with different grids and compare stability
+    def test_f0_equals_path_integral(self, conic_curve, cubic_curve, rng):
+        # F0(phi_sigma) = J - (1/V) int phi omega_0 against its variational
+        # definition -(1/V) int_0^1 int phidot_t omega_t dt along exp(tH)
+        for curve in (conic_curve, cubic_curve):
+            sig = random_sl(rng, curve.N + 1, spread=0.3)
+            res = _run_grid(_CurveCharts(curve), sig, 48, 48, 33)
+            _, path = _direct_grid(curve, sig, 48, 33)
+            assert abs(res["F0"] - path) < 1e-8
+
+    def test_refined_grid_agrees(self, conic_curve, rng):
         sig = random_sl(rng, 3, spread=0.4)
         a = curve_geometry_oracle(sig, conic_curve, n_r=48, n_th=48)
         b = curve_geometry_oracle(sig, conic_curve, n_r=72, n_th=72)
@@ -59,6 +112,35 @@ class TestInternalIdentities:
         b = curve_geometry_oracle(u @ sig, conic_curve, n_r=48, n_th=48)
         assert a.k_energy == pytest.approx(b.k_energy, abs=1e-8)
         assert a.aubin_f0 == pytest.approx(b.aubin_f0, abs=1e-8)
+
+
+class TestSpectralGrid:
+    def test_matches_direct_evaluation(self, conic_curve, cubic_curve, rng):
+        for curve in (conic_curve, cubic_curve):
+            sig = random_sl(rng, curve.N + 1, spread=0.3)
+            res = _run_grid(_CurveCharts(curve), sig, 24, 24, 9)
+            ref, _ = _direct_grid(curve, sig, 24, 9)
+            for key in ORACLE_KEYS:
+                assert abs(res[key] - ref[key]) < 1e-12, key
+
+    def test_gauss_bonnet_drift_healthy(self, conic_curve, cubic_curve, rng):
+        for curve in (conic_curve, cubic_curve):
+            sig = random_sl(rng, curve.N + 1, spread=0.3)
+            rep = curve_geometry_oracle(sig, curve)
+            assert all(h["gauss_bonnet_drift"] < 1e-10 for h in rep.diagnostics["grids"])
+
+    def test_gauss_bonnet_drift_flags_unresolved_curvature(self, cubic_curve):
+        # spread 1.0 on the twisted cubic: nu does not converge on 96/144/216
+        # grids, while V = 3 and J, F0 do; the sentinel sees it and falls
+        # as the grid refines
+        sig = random_sl(np.random.default_rng(1), 4, spread=1.0)
+        charts = _CurveCharts(cubic_curve)
+        coarse, fine = (_run_grid(charts, sig, n, n, 33) for n in (96, 144))
+        assert abs(coarse["V"] - 3.0) < 1e-10
+        assert coarse["gauss_bonnet_drift"] > 0.05
+        assert 1e-3 < fine["gauss_bonnet_drift"] < coarse["gauss_bonnet_drift"]
+        with pytest.raises(NonConvergenceError):
+            curve_geometry_oracle(sig, cubic_curve)
 
 
 class TestWedgeMatrix:
