@@ -35,6 +35,7 @@ from .pairs import (
     descend,
     kempf_ness_gradient,
     kempf_ness_value,
+    polytope_sides,
     randomized_torus_probe,
     stable_probe,
     torus_semistable,
@@ -152,10 +153,9 @@ def cmd_pair_check(args):
         sig = sigma_from_json(_load(args.sigma))
         pair = pair.conjugated(sig.entries if sig.mode == "exact" else sig.to_numpy())
     if args.descend:
-        cert = descend(pair, _descent_opts(args))
-        return cert.to_json()
+        return descend(pair.functional(), _descent_opts(args)).to_json()
     if args.trials > 1:
-        return randomized_torus_probe(pair, trials=args.trials, seed=args.seed).certificate().to_json()
+        return randomized_torus_probe(pair, trials=args.trials, seed=args.seed).to_json()
     ok, lam = torus_semistable(pair)
     if ok:
         return {"verdict": "torus-pass", "witness": None}
@@ -169,8 +169,8 @@ def cmd_stable_check(args):
         cert = stable_probe(pair, args.m, trials=max(args.trials, 1), seed=args.seed,
                             opts=_descent_opts(args))
         return cert.to_json()
-    ok, lam = tp.torus_semistable()
-    left, right = tp.polytope_sides()
+    ok, lam = torus_semistable(tp)
+    left, right = polytope_sides(tp.parts)
     return {
         "verdict": "torus-pass" if ok else "torus-fail",
         "witness": None if ok else {"lambda": list(lam.exponents)},

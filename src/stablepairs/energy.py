@@ -194,11 +194,10 @@ def xpair_functional(xp: XPair, p: float = 0.0, samples: int = 20_000,
     xp.require_delta()
     n = xp.N + 1
     return PairFunctional(
-        [
-            (float(xp.deg_r), MahlerSampleFunctional(xp.hyperdiscriminant, p, samples, seed)),
-            (-float(xp.deg_delta), MahlerSampleFunctional(xp.resultant, p, samples, seed + 1)),
-        ],
+        [(xp.deg_r, xp.hyperdiscriminant), (-xp.deg_delta, xp.resultant)],
         n,
+        [MahlerSampleFunctional(xp.hyperdiscriminant, p, samples, seed),
+         MahlerSampleFunctional(xp.resultant, p, samples, seed + 1)],
     )
 
 

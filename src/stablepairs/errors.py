@@ -30,4 +30,9 @@ class DegenerateCurveError(PreconditionError):
 
 
 class NonConvergenceError(StablePairsError):
-    """A numerical routine exhausted its budget without meeting tolerance."""
+    """A numerical routine exhausted its budget without meeting tolerance;
+    ``diagnostics`` holds what it computed on the way, when it has any."""
+
+    def __init__(self, message: str, diagnostics: dict = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics

@@ -255,5 +255,6 @@ def curve_geometry_oracle(
         prev = cur
     raise NonConvergenceError(
         f"quadrature did not stabilize to {tol}; grids: "
-        + ", ".join(f"({h['n_r']}x{h['n_th']})" for h in history)
+        + ", ".join(f"({h['n_r']}x{h['n_th']})" for h in history),
+        diagnostics={"grids": history, "t_nodes": t_nodes},
     )

@@ -2,15 +2,30 @@
 
 A pair (v, w) of nonzero vectors in two representations of SL(N+1, C) is
 semistable when the projective orbit closure of (v, w) avoids that of
-(v, 0).  The exact torus criterion is weight-polytope containment
-N(v) in N(w); the group-level question is probed numerically: randomized
-conjugate-torus tests, and gradient descent on the Kempf-Ness difference
+(v, 0).  Every pair kind is one list of integer-weighted exact parts
+[(c_k, e_k)], never expanded:
 
-    value(sigma) = log ||sigma . w||^2 - log ||sigma . v||^2,
+    Pair (v, w)                           (-1, v), (1, w)
+    TensoredPair (I^q (x) v^m, w^(m+1))   (m+1, w), (-m, v), (-q, Q_N)
+    X-pair (R, Delta), energy.py          (deg R, Delta), (-deg Delta, R)
 
-whose infimum is the log-tan^2 distance between the orbit closures.  The
-descent certifies divergence (with an extracted, verified destabilizing
-1-PSG); failure to diverge is evidence only, and certificates say so.
+The parts with c_k < 0 make up v, those with c_k > 0 make up w.  The torus
+test is N(v) = sum |c_k| N(e_k) over c_k < 0 inside N(w); a 1-PSG lambda
+destabilizes when sum_k c_k w_lambda(e_k) > 0, w_lambda(e) the least
+<a, lambda> over N(e).  The identity factor is the standard simplex Q_N,
+of weight min_i lambda_i; its Hilbert-Schmidt norm is unitarily invariant,
+so no conjugator or frame acts on it.  The group-level question is probed
+by randomized conjugate-torus tests and by descent on the Kempf-Ness value
+
+    value(sigma) = sum_k c_k log ||sigma . e_k||^2,
+
+whose infimum is the log-tan^2 distance between the orbit closures.
+
+Witnesses, the same for all three kinds: torus-fail carries a lambda
+checked exactly against the parts; divergence-detected carries a lambda
+from the diverging trajectory that ``_verify_destabilizer`` checked, and a
+divergence whose lambda fails is not reported; no-divergence-observed is
+evidence only, and certificates say so.
 
 Norm choices: polynomial representations use the L^2 norm with the
 unit-volume Fubini-Study measure (monomials are orthogonal with
@@ -18,13 +33,6 @@ unit-volume Fubini-Study measure (monomials are orthogonal with
 Hermitian coordinate norm with orthonormal wedge basis.  Both are unitarily
 invariant, and one functional evaluates both on dense tensors with a
 symmetric-power axis per polynomial row or tensor slot.
-
-Tensored pairs (I^q (x) v^m, w^(m+1)) from the stable-pair definition are
-never expanded: their log-norms are the additive combination
-
-    q log ||sigma||_HS^2 + m log ||sigma . v||^2,
-
-with the Hilbert-Schmidt norm on the identity factor.
 """
 
 from __future__ import annotations
@@ -61,6 +69,10 @@ from .weights import (
     weight_polytope,
 )
 
+# A part (c_k, e_k): an integer weight and a polynomial, a tensor vector or,
+# for the identity factor, a lattice polytope.
+Part = Tuple[int, object]
+
 # ---------------------------------------------------------------------------
 # pair containers and certificates
 # ---------------------------------------------------------------------------
@@ -77,7 +89,7 @@ def _group_size(e) -> int:
 class Pair:
     """Two nonzero vectors in representations of the same SL(N+1)."""
 
-    def __init__(self, v, w, labels: Optional[Tuple[str, str]] = None):
+    def __init__(self, v, w):
         if isinstance(v, HomogeneousPolynomial):
             v.require_nonzero("pair component v")
         if isinstance(w, HomogeneousPolynomial):
@@ -86,7 +98,6 @@ class Pair:
             raise DimensionError("pair components live under different groups")
         self.v = v
         self.w = w
-        self.labels = labels
 
     @property
     def group_size(self) -> int:
@@ -98,14 +109,32 @@ class Pair:
             self.w, TensorVector
         ) else "l2"
 
+    @property
+    def parts(self) -> List[Part]:
+        return [(-1, self.v), (1, self.w)]
+
+    def functional(self) -> "PairFunctional":
+        return PairFunctional(self.parts, self.group_size)
+
     def conjugated(self, sigma) -> "Pair":
-        return Pair(_act_any(sigma, self.v), _act_any(sigma, self.w), self.labels)
+        return Pair(_act_any(sigma, self.v), _act_any(sigma, self.w))
 
 
 def _act_any(sigma, e):
     if isinstance(e, HomogeneousPolynomial):
         return act(sigma, e)
     return act_tensor(sigma, e)
+
+
+def _conjugated(parts: Sequence[Part], sigma) -> List[Part]:
+    """sigma . e_k for every vector part; a polytope part stays as it is."""
+    if sigma is None:
+        return list(parts)
+    return [(c, e if isinstance(e, LatticePolytope) else _act_any(sigma, e)) for c, e in parts]
+
+
+def _all_exact(parts: Sequence[Part]) -> bool:
+    return all(isinstance(e, LatticePolytope) or e.mode == EXACT for _, e in parts)
 
 
 @dataclass
@@ -135,21 +164,51 @@ class StabilityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# exact torus tests and randomized conjugate probes
+# the torus test and the randomized conjugate probe
 # ---------------------------------------------------------------------------
 
 
-def torus_semistable(pair: Pair) -> Tuple[bool, Optional[OnePSG]]:
-    """Standard-torus criterion: N(v) inside N(w), with witness on failure.
+def _side_weights(lam: OnePSG, parts: Sequence[Part]) -> Tuple[int, int]:
+    """(w_lambda(left), w_lambda(right)): sum |c_k| w_lambda(e_k) over c_k < 0, c_k > 0."""
+    weights = [c * psg_weight(lam, e) for c, e in parts]
+    return (-sum(x for (c, _), x in zip(parts, weights) if c < 0),
+            sum(x for (c, _), x in zip(parts, weights) if c > 0))
 
-    A failing witness lambda satisfies w_lambda(w) > w_lambda(v) exactly.
+
+def polytope_sides(parts: Sequence[Part]) -> Tuple[LatticePolytope, LatticePolytope]:
+    """(N(left), N(right)): Minkowski sums of |c_k| N(e_k) over c_k < 0 and c_k > 0.
+
+    A side made of one part with |c_k| = 1 is that part's polytope itself.
     """
-    ok, lam = contains(weight_polytope(pair.v), weight_polytope(pair.w))
+    sides = []
+    for sign in (-1, 1):
+        side = None
+        for c, e in parts:
+            if c * sign > 0:
+                poly = weight_polytope(e)
+                poly = poly if abs(c) == 1 else scale(poly, abs(c))
+                side = poly if side is None else minkowski_sum(side, poly)
+        if side is None:
+            raise PreconditionError("a pair needs parts of both signs")
+        sides.append(side)
+    return sides[0], sides[1]
+
+
+def torus_semistable(pair, conjugator=None) -> Tuple[bool, Optional[OnePSG]]:
+    """Standard-torus test of any pair kind, optionally conjugated first:
+    N(left) inside N(right), with a witness lambda on failure.
+
+    The witness is checked exactly against the parts:
+    sum_k c_k w_lambda(e_k) > 0.
+    """
+    parts = _conjugated(pair.parts, conjugator)
+    ok, lam = contains(*polytope_sides(parts))
     if ok:
         return True, None
-    if not psg_weight(lam, pair.w) > psg_weight(lam, pair.v):
+    wv, ww = _side_weights(lam, parts)
+    if not ww > wv:
         raise RuntimeError(f"weight-polytope witness {list(lam.exponents)} does not "
-                           "satisfy w_lambda(w) > w_lambda(v)")
+                           "satisfy sum_k c_k w_lambda(e_k) > 0")
     return False, lam
 
 
@@ -164,10 +223,6 @@ def _random_float_conjugator(rng: np.random.Generator, n: int) -> np.ndarray:
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
     det = np.linalg.det(z)
     return z / det ** (1.0 / n)
-
-
-def _is_exact(e) -> bool:
-    return (e.mode == EXACT) if isinstance(e, (HomogeneousPolynomial, TensorVector)) else False
 
 
 def _divisors(n: int) -> List[int]:
@@ -225,24 +280,22 @@ def _rational_roots_binary(f: HomogeneousPolynomial) -> List[Tuple[int, int]]:
     return roots
 
 
-def _root_adapted_conjugators(pair: Pair) -> List[List[List[QQi]]]:
-    """Exact conjugators sending a rational root of w (then of v) to [0:1].
+def _root_adapted_conjugators(parts: Sequence[Part]) -> List[List[List[QQi]]]:
+    """Exact conjugators sending a rational root of a right part (then of a
+    left part) to [0:1].
 
-    Only defined for exact pairs of binary forms; the second row of each
-    conjugator is a root of the form, so the conjugated form gains a zero
-    coefficient and the standard torus sees the root structure.
+    Only defined when every vector part is an exact binary form; the second
+    row of each conjugator is a root of the form, so the conjugated form gains
+    a zero coefficient and the standard torus sees the root structure.
     """
-    if not (
-        isinstance(pair.v, HomogeneousPolynomial)
-        and isinstance(pair.w, HomogeneousPolynomial)
-        and pair.v.shape.nvars == 2
-        and _is_exact(pair.v)
-        and _is_exact(pair.w)
-    ):
+    forms = [e for _, e in sorted(parts, key=lambda part: part[0] < 0)
+             if not isinstance(e, LatticePolytope)]
+    if not all(isinstance(f, HomogeneousPolynomial) and f.shape.nvars == 2 and f.mode == EXACT
+               for f in forms):
         return []
     out = []
     seen = set()
-    for form in (pair.w, pair.v):
+    for form in forms:
         for (p, q) in _rational_roots_binary(form):
             if (p, q) in seen:
                 continue
@@ -253,37 +306,6 @@ def _root_adapted_conjugators(pair: Pair) -> List[List[List[QQi]]]:
                 rows = [[QQi(0), QQi(1)], [QQi(p), QQi(0)]]
             out.append(rows)
     return out
-
-
-@dataclass
-class ProbeResult:
-    passed: bool
-    trials_run: int
-    failing_trial: Optional[int] = None
-    conjugator: Optional[list] = None
-    witness: Optional[OnePSG] = None
-    seed: Optional[int] = None
-    exact: bool = True
-
-    def certificate(self) -> StabilityCertificate:
-        if self.passed:
-            return StabilityCertificate(
-                verdict="no-divergence-observed",
-                diagnostics={"probe": "torus", "trials": self.trials_run,
-                             "note": "pass after trials is not a proof of semistability"},
-                seed=self.seed,
-            )
-        return StabilityCertificate(
-            verdict="torus-fail",
-            witness={
-                "lambda": list(self.witness.exponents),
-                "conjugator": self.conjugator,
-                "trial": self.failing_trial,
-                "verification": "exact" if self.exact else "thresholded-support",
-            },
-            diagnostics={"probe": "torus", "trials": self.trials_run},
-            seed=self.seed,
-        )
 
 
 def _conj_repr(rows) -> list:
@@ -300,7 +322,7 @@ def _conj_repr(rows) -> list:
     return out
 
 
-def _probe_conjugators(pair: Pair, trials: int, seed: int) -> Iterator[Tuple[int, Optional[list]]]:
+def _probe_conjugators(pair, trials: int, seed: int) -> Iterator[Tuple[int, Optional[list]]]:
     """The conjugators (trial number, sigma) of a torus probe, in order.
 
     Trial 1 is the identity (sigma None: the standard torus).  For exact pairs
@@ -312,9 +334,9 @@ def _probe_conjugators(pair: Pair, trials: int, seed: int) -> Iterator[Tuple[int
     """
     rng = np.random.default_rng(seed)
     n = pair.group_size
-    exact = _is_exact(pair.v) and _is_exact(pair.w)
+    exact = _all_exact(pair.parts)
     planned: List[Optional[list]] = [None]
-    planned.extend(_root_adapted_conjugators(pair))
+    planned.extend(_root_adapted_conjugators(pair.parts))
     for trial in range(1, trials + 1):
         if trial <= len(planned):
             yield trial, planned[trial - 1]
@@ -324,28 +346,35 @@ def _probe_conjugators(pair: Pair, trials: int, seed: int) -> Iterator[Tuple[int
             )
 
 
-def randomized_torus_probe(pair: Pair, trials: int = 20, seed: int = 0) -> ProbeResult:
-    """Apply the torus test to (sigma . v, sigma . w) over seeded conjugators.
+def randomized_torus_probe(pair, trials: int = 20, seed: int = 0) -> StabilityCertificate:
+    """Apply the torus test to any pair kind conjugated by seeded conjugators.
 
     The conjugator schedule is ``_probe_conjugators``; deterministic for a
-    given seed.
+    given seed.  A pass after every trial is evidence, not proof.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    exact = _is_exact(pair.v) and _is_exact(pair.w)
+    exact = _all_exact(pair.parts)
     for trial, sigma in _probe_conjugators(pair, trials, seed):
-        ok, lam = torus_semistable(pair if sigma is None else pair.conjugated(sigma))
+        ok, lam = torus_semistable(pair, sigma)
         if not ok:
-            return ProbeResult(
-                passed=False,
-                trials_run=trial,
-                failing_trial=trial,
-                conjugator=None if sigma is None else _conj_repr(sigma),
-                witness=lam,
+            return StabilityCertificate(
+                verdict="torus-fail",
+                witness={
+                    "lambda": list(lam.exponents),
+                    "conjugator": None if sigma is None else _conj_repr(sigma),
+                    "trial": trial,
+                    "verification": "exact" if exact or sigma is None else "thresholded-support",
+                },
+                diagnostics={"probe": "torus", "trials": trial},
                 seed=seed,
-                exact=exact or sigma is None,
             )
-    return ProbeResult(passed=True, trials_run=trials, seed=seed, exact=exact)
+    return StabilityCertificate(
+        verdict="no-divergence-observed",
+        diagnostics={"probe": "torus", "trials": trials,
+                     "note": "pass after trials is not a proof of semistability"},
+        seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,32 +579,38 @@ class HilbertSchmidtFunctional:
         return ss.T / float(np.trace(ss).real)
 
 
-class PairFunctional:
-    """value(sigma) = sum_k weight_k * log ||sigma . e_k||^2 over components."""
+def _norm_functional(e, n: int):
+    """The log-norm functional of a part: the L^2 or Hermitian norm of a vector,
+    the Hilbert-Schmidt norm of the identity factor (a polytope part)."""
+    return HilbertSchmidtFunctional(n) if isinstance(e, LatticePolytope) else PolyL2Functional(e)
 
-    def __init__(self, parts: Sequence[Tuple[float, object]], size: int):
+
+class PairFunctional:
+    """value(sigma) = sum_k c_k log ||sigma . e_k||^2 over the parts (c_k, e_k).
+
+    ``norms`` holds one log-norm functional per part; by default
+    ``_norm_functional`` of each part.
+    """
+
+    def __init__(self, parts: Sequence[Part], size: int, norms: Optional[Sequence] = None):
         self.parts = list(parts)
         self.size = size
+        if norms is None:
+            norms = [_norm_functional(e, size) for _, e in self.parts]
+        self.norms = list(norms)
 
     @property
     def scale_slope(self) -> float:
-        """d value / d log(c) under sigma -> c sigma: 2 sum_k wt_k deg_k."""
-        return 2.0 * sum(wt * f.degree for wt, f in self.parts)
-
-    @classmethod
-    def for_pair(cls, pair: Pair) -> "PairFunctional":
-        return cls(
-            [(-1.0, PolyL2Functional(pair.v)), (1.0, PolyL2Functional(pair.w))],
-            pair.group_size,
-        )
+        """d value / d log(c) under sigma -> c sigma: 2 sum_k c_k deg_k."""
+        return 2.0 * sum(c * f.degree for (c, _), f in zip(self.parts, self.norms))
 
     def value(self, sigma: np.ndarray) -> float:
-        return sum(wt * f.log_norm2(sigma) for wt, f in self.parts)
+        return sum(c * f.log_norm2(sigma) for (c, _), f in zip(self.parts, self.norms))
 
     def gradient(self, sigma: np.ndarray) -> np.ndarray:
         m = np.zeros((self.size, self.size), dtype=np.complex128)
-        for wt, f in self.parts:
-            m += wt * f.moment(sigma)
+        for (c, _), f in zip(self.parts, self.norms):
+            m += c * f.moment(sigma)
         g = m.T + np.conj(m)
         g -= (np.trace(g) / self.size) * np.eye(self.size)
         return g
@@ -583,12 +618,12 @@ class PairFunctional:
 
 def kempf_ness_value(sigma, pair: Pair) -> float:
     """log ||sigma . w||^2 - log ||sigma . v||^2 in the pair's norm choice."""
-    return PairFunctional.for_pair(pair).value(_sigma_np(sigma, pair.group_size))
+    return pair.functional().value(_sigma_np(sigma, pair.group_size))
 
 
 def kempf_ness_gradient(sigma, pair: Pair) -> np.ndarray:
     """Gradient over traceless Hermitian H of value(exp(H) sigma) at H = 0."""
-    return PairFunctional.for_pair(pair).gradient(_sigma_np(sigma, pair.group_size))
+    return pair.functional().gradient(_sigma_np(sigma, pair.group_size))
 
 
 def _sigma_np(sigma, n: int) -> np.ndarray:
@@ -698,44 +733,41 @@ def _thresholded(e, tol: float):
     )
 
 
-def _verify_destabilizer(pair: Pair, lam: OnePSG, frame: np.ndarray) -> Optional[dict]:
-    """Check w_lambda(w) > w_lambda(v) for the pair conjugated into `frame`.
+def _verify_destabilizer(func: PairFunctional, lam: OnePSG, frame: np.ndarray) -> Optional[dict]:
+    """Check sum_k c_k w_lambda(frame . e_k) > 0 over the functional's parts.
 
-    Exact when the frame snaps to a signed permutation of an exact pair;
-    otherwise verified on tolerance-thresholded float supports, cross-checked
-    by measuring the Kempf-Ness slope along the candidate direction (the
-    slope must reproduce the integer weight gap, which guards the threshold).
+    Exact when the frame snaps to a signed permutation and every part is
+    exact; otherwise verified on tolerance-thresholded float supports,
+    cross-checked by measuring the slope of ``func.value`` along the
+    candidate direction (the slope must reproduce the integer weight gap,
+    which guards the threshold).  The record's weights are those of the left
+    and right vectors, sum |c_k| w_lambda(e_k) over c_k < 0 and c_k > 0.
     """
-    exact_pair = _is_exact(pair.v) and _is_exact(pair.w)
     snapped = _snap_to_signed_permutation(frame)
-    if exact_pair and snapped is not None:
-        conj = pair.conjugated(snapped)
-        wv, ww = psg_weight(lam, conj.v), psg_weight(lam, conj.w)
-        if ww > wv:
-            return {
-                "lambda": list(lam.exponents),
-                "conjugator": _conj_repr(snapped),
-                "verification": "exact",
-                "weights": {"v": wv, "w": ww},
-            }
-        return None
-    fv = pair.v.to_float() if exact_pair else pair.v
-    fw = pair.w.to_float() if exact_pair else pair.w
-    conj = Pair(fv, fw).conjugated(frame)
-    cv = _thresholded(conj.v, WITNESS_SUPPORT_TOL)
-    cw = _thresholded(conj.w, WITNESS_SUPPORT_TOL)
-    wv, ww = psg_weight(lam, cv), psg_weight(lam, cw)
+    if snapped is not None and _all_exact(func.parts):
+        wv, ww = _side_weights(lam, _conjugated(func.parts, snapped))
+        if ww <= wv:
+            return None
+        return {
+            "lambda": list(lam.exponents),
+            "conjugator": _conj_repr(snapped),
+            "verification": "exact",
+            "weights": {"v": wv, "w": ww},
+        }
+    parts = [(c, e if isinstance(e, LatticePolytope)
+              else _thresholded(_act_any(frame, e.to_float()), WITNESS_SUPPORT_TOL))
+             for c, e in func.parts]
+    wv, ww = _side_weights(lam, parts)
     if ww <= wv:
         return None
     # slope cross-check along diag(t^lambda) @ frame
-    func = PairFunctional.for_pair(Pair(fv, fw))
     vals = []
     for t in (1e-2, 1e-3):
         d = np.diag([t ** a for a in lam.exponents]).astype(np.complex128)
         vals.append(func.value(d @ frame))
     slope = (vals[1] - vals[0]) / (math.log(1e-6) - math.log(1e-4))
     expected = ww - wv
-    if abs(slope - expected) > 0.1:
+    if not abs(slope - expected) <= 0.1:
         return None
     return {
         "lambda": list(lam.exponents),
@@ -747,33 +779,27 @@ def _verify_destabilizer(pair: Pair, lam: OnePSG, frame: np.ndarray) -> Optional
     }
 
 
-def descend(pair_or_functional, opts: Optional[DescentOptions] = None,
-            pair_for_witness: Optional[Pair] = None) -> StabilityCertificate:
+def descend(func: PairFunctional, opts: Optional[DescentOptions] = None) -> StabilityCertificate:
     """Multi-start retraction descent sigma <- exp(-eta grad) sigma.
 
-    Backtracking Armijo line search; divergence is declared when the value
-    has decreased strictly for `divergence_run` consecutive accepted steps
-    while log ||sigma||_HS^2 exceeds the threshold, and the certificate then
-    carries a destabilizing 1-PSG extracted from the log-spectrum of the
-    diverging trajectory and verified via exact weights (or thresholded
-    supports plus a slope check).  A run that never diverges yields
-    no-divergence-observed: evidence, not a proof of semistability.
+    Backtracking Armijo line search.  A restart diverges when the value has
+    decreased strictly for `divergence_run` consecutive accepted steps while
+    log ||sigma||_HS^2 exceeds the threshold, or when the line search stalls
+    far out on such a trajectory.  A destabilizing 1-PSG is then extracted
+    from the log-spectrum of sigma and checked by ``_verify_destabilizer``:
+    a verified one ends the run as divergence-detected, a failed one goes to
+    `rejected_candidates` and the next restart runs.  A run that never
+    verifies a witness yields no-divergence-observed: evidence, not a proof
+    of semistability.
     """
     opts = opts or DescentOptions()
     if opts.restarts < 1:
         raise PreconditionError("restarts must be >= 1")
-    if isinstance(pair_or_functional, Pair):
-        func = PairFunctional.for_pair(pair_or_functional)
-        witness_pair = pair_or_functional
-    else:
-        func = pair_or_functional
-        witness_pair = pair_for_witness
     n = func.size
     rng = np.random.default_rng(opts.seed)
     best_value = math.inf
     diagnostics: dict = {"restarts": [], "rejected_candidates": []}
     witness = None
-    diverged = False
 
     slope = func.scale_slope
 
@@ -795,7 +821,7 @@ def descend(pair_or_functional, opts: Optional[DescentOptions] = None,
         iters = 0
         final_grad = None  # stays null in the output when no gradient was computed
         lognorm2 = 2.0 * log_scale + math.log(float(np.vdot(sig_hat, sig_hat).real))
-        stalled_extreme = False
+        diverged = stalled_extreme = False
         for iters in range(1, opts.max_iters + 1):
             try:
                 grad = func.gradient(sig_hat)
@@ -821,8 +847,7 @@ def descend(pair_or_functional, opts: Optional[DescentOptions] = None,
             if not accepted:
                 # float cancellation can stall the line search while the
                 # trajectory is running off to infinity; a permissive flag is
-                # sound because the fallback below only fires on a witness
-                # that passes the exact weight test
+                # sound because only a verified witness ends the run
                 stalled_extreme = value < start_value - 10.0 and lognorm2 > 10.0
                 break
             if cand_value < value:
@@ -841,52 +866,29 @@ def descend(pair_or_functional, opts: Optional[DescentOptions] = None,
                     break
             else:
                 eta = min(eta * opts.grow, opts.eta_max)
-        sigma = sig_hat
         best_value = min(best_value, value)
         diagnostics["restarts"].append(
             {"iterations": iters, "final_value": value, "final_grad_norm": final_grad}
         )
         if diverged or stalled_extreme:
-            sts = sigma.conj().T @ sigma
-            eigvals, eigvecs = np.linalg.eigh(sts)
-            logeigs = 0.5 * np.log(np.maximum(eigvals.real, 1e-300))
-            cand_dir = _round_primitive_direction(logeigs)
-            rec = None
-            if cand_dir is not None and witness_pair is not None:
+            eigvals, eigvecs = np.linalg.eigh(sig_hat.conj().T @ sig_hat)
+            cand_dir = _round_primitive_direction(0.5 * np.log(np.maximum(eigvals.real, 1e-300)))
+            if cand_dir is not None:
                 lam = OnePSG([-a for a in cand_dir])
-                frame = eigvecs.conj().T
-                rec = _verify_destabilizer(witness_pair, lam, frame)
-                if rec is not None:
-                    witness = rec
-                else:
-                    diagnostics["rejected_candidates"].append(
-                        {"lambda": [-a for a in cand_dir], "reason": "weight test failed"}
-                    )
-            if diverged:
-                break
-            if rec is not None:
-                # monotone window was cut short by float cancellation, but the
-                # extracted 1-PSG passed the weight test: certified divergence
-                diverged = True
-                diagnostics["stall_confirmed_by_witness"] = True
-                break
+                witness = _verify_destabilizer(func, lam, eigvecs.conj().T)
+                if witness is not None:
+                    if not diverged:
+                        # the monotone window was cut short by float cancellation
+                        diagnostics["stall_confirmed_by_witness"] = True
+                    break
+                diagnostics["rejected_candidates"].append(
+                    {"lambda": list(lam.exponents), "reason": "weight test failed"}
+                )
 
-    if diverged:
-        return StabilityCertificate(
-            verdict="divergence-detected",
-            witness=witness,
-            inf_estimate=best_value,
-            diagnostics=diagnostics,
-            seed=opts.seed,
-        )
-    diagnostics["note"] = "no divergence observed; this is not a proof of semistability"
-    return StabilityCertificate(
-        verdict="no-divergence-observed",
-        witness=None,
-        inf_estimate=best_value,
-        diagnostics=diagnostics,
-        seed=opts.seed,
-    )
+    if witness is None:
+        diagnostics["note"] = "no divergence observed; this is not a proof of semistability"
+    verdict = "no-divergence-observed" if witness is None else "divergence-detected"
+    return StabilityCertificate(verdict, witness, best_value, diagnostics, opts.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +897,7 @@ def descend(pair_or_functional, opts: Optional[DescentOptions] = None,
 
 
 class TensoredPair:
-    """(I^q (x) v^m, w^(m+1)) held implicitly via additive contracts."""
+    """(I^q (x) v^m, w^(m+1)), held as its weighted parts, never expanded."""
 
     def __init__(self, base: Pair, m: int, q: Optional[int] = None):
         if m < 1:
@@ -910,35 +912,22 @@ class TensoredPair:
     def group_size(self) -> int:
         return self.base.group_size
 
-    def polytope_sides(self, conjugator=None) -> Tuple[LatticePolytope, LatticePolytope]:
-        v = self.base.v if conjugator is None else _act_any(conjugator, self.base.v)
-        w = self.base.w if conjugator is None else _act_any(conjugator, self.base.w)
-        left = scale(weight_polytope(v), self.m)
+    @property
+    def parts(self) -> List[Part]:
+        parts = [(self.m + 1, self.base.w), (-self.m, self.base.v)]
         if self.q > 0:
-            left = minkowski_sum(scale(standard_simplex(self.group_size), self.q), left)
-        right = scale(weight_polytope(w), self.m + 1)
-        return left, right
-
-    def torus_semistable(self, conjugator=None) -> Tuple[bool, Optional[OnePSG]]:
-        left, right = self.polytope_sides(conjugator)
-        ok, lam = contains(left, right)
-        return (True, None) if ok else (False, lam)
+            parts.append((-self.q, standard_simplex(self.group_size)))
+        return parts
 
     def functional(self) -> PairFunctional:
-        n = self.group_size
-        parts = [
-            (float(self.m + 1), PolyL2Functional(self.base.w)),
-            (-float(self.m), PolyL2Functional(self.base.v)),
-        ]
-        if self.q > 0:
-            parts.append((-float(self.q), HilbertSchmidtFunctional(n)))
-        return PairFunctional(parts, n)
+        return PairFunctional(self.parts, self.group_size)
 
     def log_norm2_sides(self, sigma) -> Tuple[float, float]:
         """(log ||sigma.(I^q x v^m)||^2, log ||sigma.w^(m+1)||^2), additively."""
         sig = _sigma_np(sigma, self.group_size)
-        (wt_w, w), *left = self.functional().parts
-        return -sum(wt * f.log_norm2(sig) for wt, f in left), wt_w * w.log_norm2(sig)
+        func = self.functional()
+        logs = [(c, c * f.log_norm2(sig)) for (c, _), f in zip(func.parts, func.norms)]
+        return -sum(x for c, x in logs if c < 0), sum(x for c, x in logs if c > 0)
 
 
 def build_stable_test_pair(pair: Pair, m: int) -> TensoredPair:
@@ -950,24 +939,11 @@ def stable_probe(pair: Pair, m: int, trials: int = 20, seed: int = 0,
                  opts: Optional[DescentOptions] = None) -> StabilityCertificate:
     """Randomized torus probe plus descent for the tensored pair."""
     tp = build_stable_test_pair(pair, m)
-    exact = _is_exact(pair.v) and _is_exact(pair.w)
-    for trial, sigma in _probe_conjugators(pair, trials, seed):
-        ok, lam = tp.torus_semistable(sigma)
-        if not ok:
-            return StabilityCertificate(
-                verdict="torus-fail",
-                witness={
-                    "lambda": list(lam.exponents),
-                    "conjugator": None if sigma is None else _conj_repr(sigma),
-                    "trial": trial,
-                    "verification": "exact" if exact or sigma is None else "thresholded-support",
-                },
-                diagnostics={"probe": "tensored-torus", "trials": trial, "m": tp.m, "q": tp.q},
-                seed=seed,
-            )
+    cert = randomized_torus_probe(tp, trials, seed)
+    if cert.verdict == "torus-fail":
+        cert.diagnostics.update(probe="tensored-torus", m=tp.m, q=tp.q)
+        return cert
     cert = descend(tp.functional(), opts or DescentOptions(seed=seed))
-    cert.diagnostics["probe"] = "tensored-descent-after-torus-pass"
-    cert.diagnostics["m"] = tp.m
-    cert.diagnostics["q"] = tp.q
+    cert.diagnostics.update(probe="tensored-descent-after-torus-pass", m=tp.m, q=tp.q)
     cert.seed = seed
     return cert

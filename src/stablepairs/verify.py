@@ -27,8 +27,8 @@ from .oracle import curve_geometry_oracle
 from .pairs import (
     DescentOptions,
     Pair,
-    PairFunctional,
     PolyL2Functional,
+    TensoredPair,
     _expm_hermitian,
     descend,
     randomized_torus_probe,
@@ -300,10 +300,10 @@ def binary_destabilisers(*, count: int, degrees: Range, trials: int, seed: int,
         d = int(rng.integers(*degrees))
         f = random_linear_factor_form(rng, d - 1)
         g = random_linear_factor_form(rng, d)
-        res = randomized_torus_probe(Pair(f, g), trials=trials, seed=sample_seed + i)
-        ok = (not res.passed) and res.witness is not None
-        worst["trial"] = max(worst["trial"], res.failing_trial or 0)
-        out.append(_check(f"e=d-1 destabilizer {i} d={d}", ok, f"trial {res.failing_trial}"))
+        cert = randomized_torus_probe(Pair(f, g), trials=trials, seed=sample_seed + i)
+        trial = cert.witness["trial"] if cert.verdict == "torus-fail" else None
+        worst["trial"] = max(worst["trial"], trial or 0)
+        out.append(_check(f"e=d-1 destabilizer {i} d={d}", trial is not None, f"trial {trial}"))
     return out, worst
 
 
@@ -312,12 +312,13 @@ def blowup_pair_evidence(*, trials: int, seed: int) -> Checked:
     Kempf-Ness descent (5 restarts) observes no divergence (evidence only)."""
     pair = blowup_pair()
     probe = randomized_torus_probe(pair, trials=trials, seed=seed)
-    cert = descend(pair, DescentOptions(max_iters=10_000, restarts=5, seed=seed, grad_tol=1e-12))
+    cert = descend(pair.functional(),
+                   DescentOptions(max_iters=10_000, restarts=5, seed=seed, grad_tol=1e-12))
     iterations = sum(r["iterations"] for r in cert.diagnostics["restarts"])
     out = [_check(
         "blow-up pair probe and descent",
-        probe.passed and cert.verdict == "no-divergence-observed",
-        f"{probe.trials_run} trials, descent {cert.verdict}",
+        probe.verdict == cert.verdict == "no-divergence-observed",
+        f"{probe.diagnostics['trials']} trials, descent {cert.verdict}",
     )]
     return out, {"inf_estimate": cert.inf_estimate, "iterations": iterations}
 
@@ -334,7 +335,7 @@ def gradient_check(*, count: int, seed: int) -> Checked:
             random_dense_poly(rng, n, int(rng.integers(1, 4))),
         )
         sig = random_sl(rng, n)
-        func = PairFunctional.for_pair(pair)
+        func = pair.functional()
         G = func.gradient(sig)
         H = _traceless_hermitian(rng, n)
         eps = 1e-4
@@ -492,13 +493,15 @@ def suite_pairs(seed: int = 0) -> List[dict]:
     out += binary_destabilisers(count=2, degrees=(2, 4), trials=10, seed=seed,
                                 sample_seed=seed)[0]
     out += gradient_check(count=10, seed=seed)[0]
-    cert = descend(Pair(x, x2), DescentOptions(max_iters=1500, restarts=1, seed=seed))
-    out.append(
-        _check(
-            "(x, x^2) descent diverges with verified witness",
-            cert.verdict == "divergence-detected" and cert.witness is not None,
+    for name, pair in (("(x, x^2) descent", Pair(x, x2)),
+                       ("tensored (x, x^2) m=1 descent", TensoredPair(Pair(x, x2), 1))):
+        cert = descend(pair.functional(), DescentOptions(max_iters=1500, restarts=1, seed=seed))
+        out.append(
+            _check(
+                f"{name} diverges with verified witness",
+                cert.verdict == "divergence-detected" and cert.witness is not None,
+            )
         )
-    )
     return out
 
 

@@ -271,6 +271,10 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("precondition violated: dense norm tensor of shape (126, 126, 126, 126)")
+        # torus-only commands build no norm functional, so the cap never applies
+        for argv in (["pair-check"], ["stable-check", "--m", "1"]):
+            assert main([*argv, "--pair", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "torus-fail"
         assert len(err.strip().splitlines()) == 1
 
     def test_removed_mode_flag_exit_2(self, files):

@@ -199,22 +199,35 @@ class TestOrbitDistance:
         # v = w built from the same form: distance identically zero
         from stablepairs.pairs import PairFunctional
 
-        f = MahlerSampleFunctional(conic_xpair.resultant, 0.0, samples=2000, seed=1)
-        func = PairFunctional([(1.0, f), (-1.0, f)], 3)
+        R = conic_xpair.resultant
+        f = MahlerSampleFunctional(R, 0.0, samples=2000, seed=1)
+        func = PairFunctional([(1, R), (-1, R)], 3, [f, f])
         assert func.value(np.eye(3)) == pytest.approx(0.0, abs=1e-12)
 
-    def test_planted_destabilizer_diverges(self):
+    @staticmethod
+    def _planted(norm):
         # an XPair-shaped functional with a torus destabilizer: swap the
-        # roles so the v-side strictly dominates
+        # roles so the v-side strictly dominates; the divergence must carry
+        # a verified witness
         from stablepairs.pairs import PairFunctional, descend
         from stablepairs.verify import binary_form
-        from stablepairs.pairs import PolyL2Functional
 
-        f = PolyL2Functional(binary_form(1, [1, 0]).to_float())
-        g = PolyL2Functional(binary_form(2, [1, 0, 0]).to_float())
-        func = PairFunctional([(1.0, g), (-1.0, f)], 2)
+        x, x2 = binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])
+        func = PairFunctional([(1, x2), (-1, x)], 2, [norm(x2, 0), norm(x, 1)])
         cert = descend(func, DescentOptions(max_iters=1500, restarts=1, seed=0))
         assert cert.verdict == "divergence-detected"
+        assert cert.witness["verification"] in ("exact", "numeric-support+slope")
+        assert sorted(cert.witness["lambda"]) == [-1, 1]
+        assert cert.witness["weights"]["w"] > cert.witness["weights"]["v"]
+
+    def test_planted_destabilizer_diverges(self):
+        from stablepairs.pairs import PolyL2Functional
+
+        self._planted(lambda P, seed: PolyL2Functional(P))
+
+    def test_planted_destabilizer_diverges_mahler_parts(self):
+        # the same pair on the X-pair functional's sample Mahler norms
+        self._planted(lambda P, seed: MahlerSampleFunctional(P, 0.0, samples=2000, seed=seed))
 
 
 class TestAsymptoticReport:

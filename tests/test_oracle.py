@@ -139,8 +139,16 @@ class TestSpectralGrid:
         assert abs(coarse["V"] - 3.0) < 1e-10
         assert coarse["gauss_bonnet_drift"] > 0.05
         assert 1e-3 < fine["gauss_bonnet_drift"] < coarse["gauss_bonnet_drift"]
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError) as exc:
             curve_geometry_oracle(sig, cubic_curve)
+        # the error carries every grid's results, not only their sizes: the
+        # drift (0.13, 1.8e-2, 9.1e-4) stays far above the healthy 1e-14 on
+        # every grid, and nu is the entry that does not settle
+        grids = exc.value.diagnostics["grids"]
+        assert [(g["n_r"], g["n_th"]) for g in grids] == [(96, 96), (144, 144), (216, 216)]
+        assert all(g["gauss_bonnet_drift"] > 1e-4 for g in grids)
+        assert abs(grids[1]["nu"] - grids[0]["nu"]) > 1e-3
+        assert exc.value.diagnostics["t_nodes"] == 33
 
 
 class TestWedgeMatrix:

@@ -17,6 +17,7 @@ from stablepairs.pairs import (
     descend,
     kempf_ness_gradient,
     kempf_ness_value,
+    polytope_sides,
     randomized_torus_probe,
     stable_probe,
     torus_semistable,
@@ -25,7 +26,17 @@ from stablepairs.pairs import (
     _rational_roots_binary,
 )
 from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape, act
-from stablepairs.weights import TensorVector, act_tensor, psg_weight
+from stablepairs.scalars import QQi, parse_fraction
+from stablepairs.weights import (
+    TensorVector,
+    act_tensor,
+    contains,
+    minkowski_sum,
+    psg_weight,
+    scale,
+    standard_simplex,
+    weight_polytope,
+)
 from stablepairs import verify
 from stablepairs.verify import (
     _traceless_hermitian,
@@ -93,23 +104,23 @@ class TestRandomizedProbe:
         res = randomized_torus_probe(
             Pair(binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])), trials=5, seed=0
         )
-        assert not res.passed and res.failing_trial == 1
+        assert res.verdict == "torus-fail" and res.witness["trial"] == 1
 
     def test_blowup_fifty_trials(self):
         res = randomized_torus_probe(blowup_pair(), trials=50, seed=7)
-        assert res.passed
+        assert res.verdict == "no-divergence-observed"
 
     def test_trivial_rep_closed_orbit(self):
         one = HomogeneousPolynomial.constant(V2, 1)
         xy = binary_form(2, [0, 1, 0])
         res = randomized_torus_probe(Pair(one, xy), trials=25, seed=3)
-        assert res.passed
+        assert res.verdict == "no-divergence-observed"
 
     def test_deterministic_given_seed(self):
         pair = blowup_pair()
         a = randomized_torus_probe(pair, trials=10, seed=5)
         b = randomized_torus_probe(pair, trials=10, seed=5)
-        assert (a.passed, a.failing_trial) == (b.passed, b.failing_trial)
+        assert (a.verdict, a.witness) == (b.verdict, b.witness)
 
     def test_root_adapted_finds_hidden_destabilizer(self):
         # (x + 2y, (x + 2y)^2): the standard torus passes, the root-adapted
@@ -118,7 +129,7 @@ class TestRandomizedProbe:
         g = f * f
         assert torus_semistable(Pair(f, g))[0]
         res = randomized_torus_probe(Pair(f, g), trials=10, seed=0)
-        assert not res.passed and res.failing_trial <= 3
+        assert res.verdict == "torus-fail" and res.witness["trial"] <= 3
         assert res.witness is not None
 
 
@@ -185,12 +196,29 @@ class TestKempfNess:
 class TestDescend:
     def test_x_xsq_diverges_with_exact_witness(self):
         cert = descend(
-            Pair(binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])),
+            Pair(binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])).functional(),
             DescentOptions(max_iters=2000, restarts=1, seed=0),
         )
         assert cert.verdict == "divergence-detected"
         assert cert.witness is not None
         assert sorted(cert.witness["lambda"]) == [-1, 1]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_tensored_x_xsq_diverges_with_exact_witness(self, m):
+        # (I (x) x^m, (x^2)^(m+1)), q = 1: its witness must carry the
+        # Hilbert-Schmidt factor's weight min_i lambda_i on the left side
+        x, x2 = binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])
+        tp = TensoredPair(Pair(x, x2), m)
+        cert = descend(tp.functional(), DescentOptions(max_iters=1500, restarts=1, seed=0))
+        assert cert.verdict == "divergence-detected"
+        wit = cert.witness
+        assert wit["verification"] == "exact"
+        assert wit["lambda"] in ([1, -1], [-1, 1])
+        lam = OnePSG(wit["lambda"])
+        sigma = [[QQi(parse_fraction(c)) for c in row] for row in wit["conjugator"]]
+        wx, wx2 = psg_weight(lam, act(sigma, x)), psg_weight(lam, act(sigma, x2))
+        assert wit["weights"] == {"v": m * wx + tp.q * min(lam.exponents), "w": (m + 1) * wx2}
+        assert wit["weights"]["w"] > wit["weights"]["v"]
 
     def test_closed_orbit_minimum(self):
         # (1, xy): minimum over diag(t, 1/t) grid sits at t = 1 and equals
@@ -203,13 +231,13 @@ class TestDescend:
             for t in np.linspace(0.25, 4.0, 31)
         ]
         assert min(grid) == pytest.approx(math.log(1 / 6), abs=1e-9)
-        cert = descend(pair, DescentOptions(max_iters=800, restarts=3, seed=1))
+        cert = descend(pair.functional(), DescentOptions(max_iters=800, restarts=3, seed=1))
         assert cert.verdict == "no-divergence-observed"
         assert cert.inf_estimate == pytest.approx(math.log(1 / 6), abs=1e-6)
 
     def test_identity_pair_flat(self, rng):
         P = random_dense_poly(rng, 2, 2)
-        cert = descend(Pair(P, P), DescentOptions(max_iters=50, restarts=1))
+        cert = descend(Pair(P, P).functional(), DescentOptions(max_iters=50, restarts=1))
         assert cert.inf_estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_probe_failure_implies_descent_divergence(self, rng):
@@ -219,8 +247,8 @@ class TestDescend:
         g = binary_form(2, [1, 0, 0])
         pair = Pair(f, g)
         res = randomized_torus_probe(pair, trials=5, seed=0)
-        assert not res.passed
-        lam = res.witness
+        assert res.verdict == "torus-fail"
+        lam = OnePSG(res.witness["lambda"])
         vals = [
             kempf_ness_value(np.diag([float(t) ** e for e in lam.exponents]), pair)
             for t in (1e-1, 1e-2, 1e-3)
@@ -233,7 +261,7 @@ class TestTensoredPair:
         # m = 1, v = w = x^d: q Q_N + N(v) cannot sit inside 2 N(v)
         v = binary_form(3, [1, 0, 0, 0])
         tp = build_stable_test_pair(Pair(v, v), m=1)
-        ok, lam = tp.torus_semistable()
+        ok, lam = torus_semistable(tp)
         assert not ok and lam is not None
 
     def test_q_zero_degenerate(self):
@@ -241,7 +269,7 @@ class TestTensoredPair:
         xy = binary_form(2, [0, 1, 0])
         tp = TensoredPair(Pair(one, xy), m=2)
         assert tp.q == 0
-        ok, _ = tp.torus_semistable()
+        ok, _ = torus_semistable(tp)
         assert ok
 
     def test_additivity_contract_against_kron(self, rng):
@@ -259,16 +287,9 @@ class TestTensoredPair:
         assert left == pytest.approx(math.log(float(np.vdot(brute, brute).real)), rel=1e-10)
 
     def test_minkowski_matches_brute_force(self):
-        from stablepairs.weights import (
-            minkowski_sum,
-            scale,
-            standard_simplex,
-            weight_polytope,
-        )
-
         v = binary_form(2, [1, 0, 3])
         tp = TensoredPair(Pair(v, v * v), m=2, q=2)
-        left, _ = tp.polytope_sides()
+        left, _ = polytope_sides(tp.parts)
         expected = minkowski_sum(
             scale(standard_simplex(2), 2), scale(weight_polytope(v), 2)
         )
@@ -284,7 +305,7 @@ class TestProbeSchedule:
                "verification": "exact"}
 
     def test_torus_probe_fails_at_third_trial(self):
-        cert = randomized_torus_probe(self.PAIR, trials=10, seed=0).certificate()
+        cert = randomized_torus_probe(self.PAIR, trials=10, seed=0)
         assert cert.verdict == "torus-fail"
         assert cert.witness == self.WITNESS
 
@@ -311,6 +332,20 @@ class TestStableProbe:
             cert = stable_probe(Pair(v, v), m=m, trials=3, seed=0)
             assert cert.verdict == "torus-fail"
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_hidden_destabilizer_diverges_with_witness(self, m):
+        # (x + 2y, (x + 2y)^2) passes the standard torus; the tensored descent
+        # stalls off to infinity and must confirm that with a verified witness
+        f = binary_form(1, [1, 2])
+        cert = stable_probe(Pair(f, f * f), m, trials=1, seed=0)
+        assert cert.verdict == "divergence-detected"
+        wit = cert.witness
+        assert wit["verification"] in ("exact", "numeric-support+slope")
+        assert wit["weights"]["w"] > wit["weights"]["v"]
+        if wit["verification"] == "numeric-support+slope":
+            assert wit["expected_slope"] == wit["weights"]["w"] - wit["weights"]["v"]
+            assert abs(wit["measured_slope"] - wit["expected_slope"]) <= 0.1
+
     def test_blowup_reported_with_diagnostics(self):
         cert = stable_probe(
             blowup_pair(), m=2, trials=5, seed=0, opts=DescentOptions(max_iters=100, restarts=1)
@@ -318,6 +353,38 @@ class TestStableProbe:
         # no asserted ground truth: just a verdict with q, m recorded
         assert cert.verdict in ("torus-fail", "no-divergence-observed", "divergence-detected")
         assert cert.diagnostics["q"] == 4 and cert.diagnostics["m"] == 2
+
+
+@st.composite
+def binary_pairs(draw):
+    """Exact pairs of binary forms with small integer coefficients."""
+    forms = []
+    for _ in range(2):
+        d = draw(st.integers(1, 4))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1)
+                      .filter(any))
+        forms.append(binary_form(d, coeffs))
+    return Pair(*forms)
+
+
+def _verdict(result):
+    ok, lam = result
+    return ok, None if lam is None else lam.exponents
+
+
+class TestOneTorusTest:
+    @settings(max_examples=100, deadline=None)
+    @given(binary_pairs(), st.integers(1, 3), st.integers(0, 3))
+    def test_matches_per_kind_containment(self, pair, m, q):
+        # the parts-based test against the containments it replaced:
+        # N(v) in N(w), and q Q_N + m N(v) in (m+1) N(w)
+        expected = contains(weight_polytope(pair.v), weight_polytope(pair.w))
+        assert _verdict(torus_semistable(pair)) == _verdict(expected)
+        left = scale(weight_polytope(pair.v), m)
+        if q > 0:
+            left = minkowski_sum(scale(standard_simplex(2), q), left)
+        expected = contains(left, scale(weight_polytope(pair.w), m + 1))
+        assert _verdict(torus_semistable(TensoredPair(pair, m, q))) == _verdict(expected)
 
 
 def _row_exponents(rng, n: int, d: int) -> list:
