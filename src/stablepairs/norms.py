@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._kernels import poly_log_abs, poly_values
 from .errors import PreconditionError
@@ -182,6 +181,12 @@ def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0,
     Multi-start quasi-Newton ascent of log |P|_FS from the best sample
     points, refined to gradient stationarity `tol`; never claimed to be the
     exact supremum.
+
+    The ascent is scipy's L-BFGS-B.  ``scipy.optimize`` is imported on the
+    first call, not with the module: it is about 0.6 s and 45 MB of a cold
+    start on 2 CPUs, and nothing else in the package uses scipy, so
+    ``import stablepairs.cli`` and every command that never reaches this
+    function load numpy alone.
     """
     P = P.to_float().require_nonzero()
     nv = P.shape.nvars
@@ -207,6 +212,8 @@ def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0,
         grad_re = -(np.real(ratio) - d * np.real(zz) / z2)
         grad_im = -(-np.imag(ratio) - d * np.imag(zz) / z2)
         return f, np.concatenate([grad_re, grad_im])
+
+    from scipy.optimize import minimize
 
     best = float(np.max(Y))
     for k in range(min(starts, samples)):

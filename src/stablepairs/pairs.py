@@ -691,26 +691,22 @@ def _round_primitive_direction(logeigs: np.ndarray, max_den: int = 16) -> Option
 
 
 def _snap_to_signed_permutation(u: np.ndarray, tol: float = 1e-6):
-    """Round a unitary to a generalized permutation with entries 0, ±1, ±i."""
+    """Round a phased permutation to a generalized permutation with entries
+    0, ±1, ±i: |z| <= tol goes to 0, ||z| - 1| <= tol to the nearest fourth
+    root of unity, and any other entry gives None.  The rounding multiplies
+    u by a diagonal unitary, which moves no support and so no torus weight.
+    """
+    roots = ((1.0, QQi(1)), (-1.0, QQi(-1)), (1.0j, QQi(0, 1)), (-1.0j, QQi(0, -1)))
     n = u.shape[0]
     snapped = [[QQi(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            z = u[i, j]
-            best = None
-            for cand, q in (
-                (0.0 + 0.0j, QQi(0)),
-                (1.0 + 0.0j, QQi(1)),
-                (-1.0 + 0.0j, QQi(-1)),
-                (0.0 + 1.0j, QQi(0, 1)),
-                (0.0 - 1.0j, QQi(0, -1)),
-            ):
-                if abs(z - cand) <= tol:
-                    best = q
-                    break
-            if best is None:
+            z = complex(u[i, j])
+            if abs(z) <= tol:
+                continue
+            if abs(abs(z) - 1.0) > tol:
                 return None
-            snapped[i][j] = best
+            snapped[i][j] = min(roots, key=lambda r: abs(z - r[0]))[1]
     return snapped
 
 

@@ -219,15 +219,27 @@ class TestOrbitDistance:
         assert cert.witness["verification"] in ("exact", "numeric-support+slope")
         assert sorted(cert.witness["lambda"]) == [-1, 1]
         assert cert.witness["weights"]["w"] > cert.witness["weights"]["v"]
+        return cert
 
     def test_planted_destabilizer_diverges(self):
         from stablepairs.pairs import PolyL2Functional
 
         self._planted(lambda P, seed: PolyL2Functional(P))
 
+    @staticmethod
+    def _mahler_norm(P, seed):
+        # the X-pair functional's sample Mahler norms
+        return MahlerSampleFunctional(P, 0.0, samples=2000, seed=seed)
+
     def test_planted_destabilizer_diverges_mahler_parts(self):
-        # the same pair on the X-pair functional's sample Mahler norms
-        self._planted(lambda P, seed: MahlerSampleFunctional(P, 0.0, samples=2000, seed=seed))
+        self._planted(self._mahler_norm)
+
+    def test_planted_mahler_parts_witness_is_exact(self):
+        # the descent ends on a phased permutation frame, which snaps exactly
+        cert = self._planted(self._mahler_norm)
+        assert cert.witness["verification"] == "exact"
+        assert cert.witness["lambda"] == [1, -1]
+        assert cert.witness["conjugator"] == [["-1", "0"], ["0", "0+-1i"]]
 
 
 class TestAsymptoticReport:

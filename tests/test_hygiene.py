@@ -1,7 +1,11 @@
-"""Source hygiene: every imported name in src/ and tests/ is read somewhere."""
+"""Source hygiene: every imported name in src/ and tests/ is read somewhere,
+and a cold start of the package and its CLI loads no scipy module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,3 +32,16 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize is most of a cold start; only sup_norm may load it
+    path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stablepairs, stablepairs.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"

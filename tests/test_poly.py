@@ -32,6 +32,9 @@ from stablepairs.verify import binary_form
 
 V2 = VariableShape.vector(2)
 V3 = VariableShape.vector(3)
+# projective roots (a:b) of 1 to 3 small integer linear binary factors
+LINEAR_ROOTS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                        min_size=1, max_size=3)
 
 
 def rand_qqi_matrix(rng, n, lo=-4, hi=5):
@@ -254,6 +257,20 @@ class TestSylvester:
                 g = g * HomogeneousPolynomial(sh, 1, {(1, 0): b, (0, 1): -a}, "exact")
             # f and g share the middle root by construction
             assert sylvester_resultant(f, g) == QQi(0)
+
+    @given(LINEAR_ROOTS, LINEAR_ROOTS)
+    @example([(1, 0)], [(2, 0)])
+    @example([(0, 1), (1, 1)], [(-1, -1)])
+    def test_zero_iff_projective_common_root(self, f_roots, g_roots):
+        # products of linear factors b x - a y, which vanish exactly at (a:b)
+        def product(roots):
+            out = HomogeneousPolynomial.constant(V2, 1)
+            for a, b in roots:
+                out = out * HomogeneousPolynomial(V2, 1, {(1, 0): b, (0, 1): -a}, "exact")
+            return out
+
+        common = any(a * d == b * c for a, b in f_roots for c, d in g_roots)
+        assert (sylvester_resultant(product(f_roots), product(g_roots)) == QQi(0)) == common
 
     def test_nonzero_for_coprime(self):
         f = HomogeneousPolynomial(V2, 1, {(1, 0): 1}, "exact")
