@@ -1,10 +1,11 @@
 """Hot numeric kernel: batched sparse-polynomial evaluation.
 
-Monte-Carlo Mahler and L^p estimates, and the sample-average Mahler
-functional that X-pair descent runs on, spend nearly all their time
-evaluating one sparse polynomial on 1e4..1e6 complex sample points; the
-sup-norm ascent evaluates it at single points many times.  (The curve
-quadrature oracle evaluates its charts by itself and never calls it.)
+Only ``norms`` calls this module.  Its ``MahlerSampleFunctional`` -- the
+one sample set behind the Monte-Carlo Mahler and L^p estimates and the
+X-pair descent objective -- spends nearly all its time evaluating one
+sparse polynomial on 1e4..1e6 complex sample points; the sup-norm ascent
+and ``fs_pointwise`` evaluate it at single points.  (The curve quadrature
+oracle evaluates its charts by itself and never calls it.)
 
 One algorithm, a power table.  For a chunk of sample rows, every variable
 that some term uses is raised to the powers 0..M (M the largest exponent)

@@ -115,6 +115,23 @@ def _load(path: str) -> dict:
     return obj["result"] if envelope else obj
 
 
+def _load_one(args, *flags):
+    """(flag, loaded input) for the first of the input ``flags`` given."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path:
+            return flag, _load(path)
+    raise SchemaError("need one of " + ", ".join(f"--{flag}" for flag in flags))
+
+
+def _inline_json(text: str):
+    """An inline JSON argument: --at, --lambda."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid inline JSON {text!r}: {exc}")
+
+
 def _sigma_arg(args, size: int):
     if getattr(args, "sigma", None) is None:
         return np.eye(size, dtype=np.complex128)
@@ -136,14 +153,14 @@ def _descent_opts(args) -> DescentOptions:
 
 
 def cmd_polytope(args):
-    e = vector_from_json(_load(args.poly if args.poly else args.tensor))
+    e = vector_from_json(_load_one(args, "poly", "tensor")[1])
     supp = sorted(c.raw for c in support(e))
     return dict(polytope_to_json(weight_polytope(e)), support=[list(s) for s in supp])
 
 
 def cmd_weight(args):
-    e = vector_from_json(_load(args.poly if args.poly else args.tensor))
-    lam = psg_from_json(json.loads(args.lam))
+    e = vector_from_json(_load_one(args, "poly", "tensor")[1])
+    lam = psg_from_json(_inline_json(args.lam))
     return {"weight": psg_weight(lam, e), "lambda": list(lam.exponents)}
 
 
@@ -192,7 +209,7 @@ def cmd_mahler(args):
 def cmd_supnorm(args):
     P = poly_from_json(_load(args.poly))
     if args.at:
-        z = [complex(v[0], v[1]) for v in json.loads(args.at)]
+        z = [complex(v[0], v[1]) for v in _inline_json(args.at)]
         return {"fs_pointwise_sq": fs_pointwise(P, z)}
     return {"sup_norm": sup_norm(P, samples=args.samples, seed=args.seed)}
 
@@ -208,40 +225,41 @@ def cmd_chow(args):
     curve = curve_from_json(_load(args.curve))
     R = chow_form_curve(curve)
     if args.at:
-        return {"value": scalar_to_json(evaluate(R, json.loads(args.at)))}
+        return {"value": scalar_to_json(evaluate(R, _inline_json(args.at)))}
     return poly_to_json(R)
 
 
 def cmd_hurwitz(args):
     D = hurwitz_form_curve(curve_from_json(_load(args.curve)))
     if args.at:
-        return {"value": scalar_to_json(evaluate(D, json.loads(args.at)))}
+        return {"value": scalar_to_json(evaluate(D, _inline_json(args.at)))}
     return poly_to_json(D)
 
 
 def cmd_chow_hyp(args):
     R = chow_form_hypersurface(hypersurface_from_json(_load(args.hyp)))
     if args.at:
-        return {"value": scalar_to_json(evaluate(R, json.loads(args.at)))}
+        return {"value": scalar_to_json(evaluate(R, _inline_json(args.at)))}
     return poly_to_json(R)
 
 
 def cmd_xpair(args):
-    src = _load(args.curve if args.curve else args.hyp)
-    obj = curve_from_json(src) if args.curve else hypersurface_from_json(src)
+    flag, src = _load_one(args, "curve", "hyp")
+    obj = curve_from_json(src) if flag == "curve" else hypersurface_from_json(src)
     return xpair_to_json(build_x_pair(obj))
 
 
 def cmd_distance(args):
-    if args.pair:
-        pair = pair_from_json(_load(args.pair))
+    flag, src = _load_one(args, "pair", "xpair")
+    if flag == "pair":
+        pair = pair_from_json(src)
         sig = _sigma_arg(args, pair.group_size)
         out = {"kempf_ness_value": kempf_ness_value(sig, pair)}
         if args.gradient:
             G = kempf_ness_gradient(sig, pair)
             out["gradient"] = [[[z.real, z.imag] for z in row] for row in G.tolist()]
         return out
-    xp = xpair_from_json(_load(args.xpair))
+    xp = xpair_from_json(src)
     if args.infimum:
         cert = orbit_distance(xp, args.p, opts=_descent_opts(args), samples=args.samples)
         return cert.to_json()

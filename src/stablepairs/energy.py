@@ -28,7 +28,9 @@ through the Hilbert-Schmidt norm of sigma on the identity factor:
             - q log||sigma||_HS^2 - (km-1) degDelta log||sigma.R||_0^2 ].
 
 All Mahler quantities are common-random-number Monte-Carlo ratios with
-propagated standard errors.
+propagated standard errors.  The descent objective (``xpair_functional``)
+runs on ``norms.MahlerSampleFunctional``, the same seeded sample set that
+``norms.log_ratio_sq`` estimates from; it is re-exported here.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._kernels import poly_values
 from .errors import PreconditionError
 from .forms import XPair
-from .norms import _log_mean_exp, _terms_arrays, log_ratio_sq, sample_points, transform_points
+from .norms import MahlerSampleFunctional, log_ratio_sq
 from .pairs import DescentOptions, PairFunctional, StabilityCertificate, _sigma_np, descend
-from .poly import HomogeneousPolynomial
 
 
 def log_tan_dist_p(sigma, xp: XPair, p: float = 0.0, samples: int = 200_000,
@@ -126,66 +126,8 @@ def coercivity_value(sigma, xp: XPair, m: int, k: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# sample-average Mahler functional, for descent over the group at index p
+# descent over the group at index p
 # ---------------------------------------------------------------------------
-
-
-class MahlerSampleFunctional:
-    """Fixed-sample estimate of log ||sigma . P||_p^2 with analytic gradient.
-
-    Common random numbers make the objective a smooth deterministic
-    surrogate; p = 0 averages the log directly, p > 0 uses the softmax
-    weights of the p-th power.
-    """
-
-    def __init__(self, P: HomogeneousPolynomial, p: float = 0.0,
-                 samples: int = 20_000, seed: int = 0):
-        P = P.to_float().require_nonzero()
-        self.P = P
-        self.p = float(p)
-        self.shape = P.shape
-        self.degree = P.degree
-        self.expo, self.coeffs = _terms_arrays(P)
-        self.dterms = [_terms_arrays(P.derivative(v)) for v in range(P.shape.nvars)]
-        self.Z = sample_points(P.shape.nvars, samples, seed)
-        self.logz2 = np.log(np.sum(np.abs(self.Z) ** 2, axis=1))
-        self.samples = samples
-
-    def _vals(self, sig_hat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        pts = transform_points(self.Z, sig_hat, self.shape)
-        return poly_values(self.expo, self.coeffs, pts), pts
-
-    def log_norm2(self, sigma: np.ndarray) -> float:
-        s = float(np.max(np.abs(sigma)))
-        vals, _ = self._vals(sigma / s)
-        lv = 2.0 * (np.log(np.abs(vals)) + self.degree * math.log(s)) - self.degree * self.logz2
-        if self.p == 0:
-            return float(np.mean(lv))
-        return (2.0 / self.p) * _log_mean_exp(0.5 * self.p * lv)[0]
-
-    def moment(self, sigma: np.ndarray) -> np.ndarray:
-        s = float(np.max(np.abs(sigma)))
-        sig_hat = sigma / s
-        vals, pts = self._vals(sig_hat)
-        S = self.Z.shape[0]
-        rows, cols = self.shape.rows, self.shape.cols
-        grad = np.zeros((S, rows * cols), dtype=np.complex128)
-        for v, (dexpo, dcoeffs) in enumerate(self.dterms):
-            if dcoeffs.size:
-                grad[:, v] = poly_values(dexpo, dcoeffs, pts)
-        Wm = self.Z.reshape(S, rows, cols)
-        Gm = (grad / vals[:, None]).reshape(S, rows, cols)
-        if self.p == 0:
-            weights = np.full(S, 1.0 / S)
-        else:
-            lv = 2.0 * np.log(np.abs(vals)) - self.degree * self.logz2
-            X = 0.5 * self.p * lv
-            w = np.exp(X - np.max(X))
-            weights = w / np.sum(w)
-        # m = E_w [ W^T (grad/val) sig_hat^T ]; holomorphic chain rule, the
-        # conjugate half is supplied by the 2 Re Tr(H m^T) wrapper
-        contrib = np.einsum("s,sri,srj->ij", weights, Wm, Gm)
-        return contrib @ sig_hat.T
 
 
 def xpair_functional(xp: XPair, p: float = 0.0, samples: int = 20_000,

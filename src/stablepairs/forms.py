@@ -27,7 +27,7 @@ additive in log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import DegenerateCurveError, PreconditionError
 from .poly import (
@@ -273,12 +273,6 @@ class XPair:
                 "this XPair has no hyperdiscriminant (hypersurface-only); "
                 "resultant-only operations remain available"
             )
-
-    @property
-    def pair_exponents(self) -> Tuple[int, int]:
-        """Exponents (on R, on Delta) of the degree-normalized pair."""
-        self.require_delta()
-        return (self.deg_delta, self.deg_r)
 
 
 def build_x_pair(obj) -> XPair:

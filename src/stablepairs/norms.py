@@ -13,6 +13,10 @@ the exact monomial moments used as oracles in the tests:
 
 so log ||z^a||_0 = -(d/2) H_M for every degree-d monomial.
 
+Every Monte-Carlo estimate here and the X-pair descent objective in
+``energy`` read one seeded sample set, ``MahlerSampleFunctional``, which
+builds the log ||z||^2 normaliser only when an estimator reads it.
+
 All estimates are seeded and reproducible; Monte-Carlo results carry their
 sample standard error.  ``lp_norm(...).log_value`` is the log of the norm
 itself (single bar); callers that work in the log tan^2 convention double it
@@ -25,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,19 +93,90 @@ def transform_points(Z: np.ndarray, sigma: np.ndarray, shape: VariableShape) -> 
     return W.reshape(S, shape.nvars)
 
 
-def pointwise_log_fs(P: HomogeneousPolynomial, Z: np.ndarray,
-                     sigma: Optional[np.ndarray] = None) -> np.ndarray:
-    """log |sigma . P|_FS at each sample: log|P(z sigma)| - (d/2) log ||z||^2."""
-    expo, coeffs = _terms_arrays(P.to_float())
-    if sigma is not None:
+def _log_mean_exp(X: np.ndarray) -> Tuple[float, float]:
+    """(log mean exp(X), its standard error), shifted by max(X) against overflow."""
+    mx = float(np.max(X))
+    w = np.exp(X - mx)
+    m = float(np.mean(w))
+    se = float(np.std(w, ddof=1) / math.sqrt(X.size))
+    return mx + math.log(m), se / m
+
+
+class MahlerSampleFunctional:
+    """The seeded Fubini-Study sample set of P, and log ||sigma . P||_p^2 on it.
+
+    Holds Z = ``sample_points(nvars, samples, seed)`` and the float terms of
+    P; log ||z||^2 and the partial-derivative tables are built on first
+    read, so ``log_ratio_sq`` at p = 0 (normalisers cancel) never builds
+    them.  sigma = s sigma_hat with s its largest entry modulus, so far out
+    on a diverging descent log |P(z sigma)| = log |P(z sigma_hat)| + d log s
+    cannot overflow.  p = 0 averages the log; p > 0 uses the softmax weights
+    of the p-th power.
+    """
+
+    def __init__(self, P: HomogeneousPolynomial, p: float = 0.0,
+                 samples: int = 20_000, seed: int = 0):
+        P = P.to_float().require_nonzero()
+        self.P = P
+        self.p = float(p)
+        self.shape = P.shape
+        self.degree = P.degree
+        self.expo, self.coeffs = _terms_arrays(P)
+        self.Z = sample_points(P.shape.nvars, samples, seed)
+
+    @cached_property
+    def logz2(self) -> np.ndarray:
+        return np.log(np.sum(np.abs(self.Z) ** 2, axis=1))
+
+    @cached_property
+    def dterms(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        return [_terms_arrays(self.P.derivative(v)) for v in range(self.shape.nvars)]
+
+    def _moved(self, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+        """(z sigma_hat per sample, sigma_hat, d log s)."""
         s = float(np.max(np.abs(sigma)))
-        pts = transform_points(Z, sigma / s, P.shape)
-        corr = P.degree * math.log(s)
-    else:
-        pts, corr = Z, 0.0
-    logs = poly_log_abs(expo, coeffs, pts)
-    z2 = np.sum(np.abs(Z) ** 2, axis=1)
-    return logs + corr - 0.5 * P.degree * np.log(z2)
+        sig_hat = sigma / s
+        return transform_points(self.Z, sig_hat, self.shape), sig_hat, self.degree * math.log(s)
+
+    def log_abs(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
+        """log |P(z sigma)| per sample; None is the identity, with no transform."""
+        if sigma is None:
+            return poly_log_abs(self.expo, self.coeffs, self.Z)
+        pts, _, log_scale = self._moved(sigma)
+        return poly_log_abs(self.expo, self.coeffs, pts) + log_scale
+
+    def log_fs(self) -> np.ndarray:
+        """log |P|_FS per sample: log |P(z)| - (d/2) log ||z||^2."""
+        return self.log_abs() - 0.5 * self.degree * self.logz2
+
+    def log_norm2(self, sigma: np.ndarray) -> float:
+        lv = 2.0 * self.log_abs(sigma) - self.degree * self.logz2
+        if self.p == 0:
+            return float(np.mean(lv))
+        return (2.0 / self.p) * _log_mean_exp(0.5 * self.p * lv)[0]
+
+    def moment(self, sigma: np.ndarray) -> np.ndarray:
+        pts, sig_hat, _ = self._moved(sigma)
+        vals = poly_values(self.expo, self.coeffs, pts)
+        S = self.Z.shape[0]
+        rows, cols = self.shape.rows, self.shape.cols
+        grad = np.zeros((S, rows * cols), dtype=np.complex128)
+        for v, (dexpo, dcoeffs) in enumerate(self.dterms):
+            if dcoeffs.size:
+                grad[:, v] = poly_values(dexpo, dcoeffs, pts)
+        Wm = self.Z.reshape(S, rows, cols)
+        Gm = (grad / vals[:, None]).reshape(S, rows, cols)
+        if self.p == 0:
+            weights = np.full(S, 1.0 / S)
+        else:
+            lv = 2.0 * np.log(np.abs(vals)) - self.degree * self.logz2
+            X = 0.5 * self.p * lv
+            w = np.exp(X - np.max(X))
+            weights = w / np.sum(w)
+        # m = E_w [ W^T (grad/val) sig_hat^T ]; holomorphic chain rule, the
+        # conjugate half is supplied by the 2 Re Tr(H m^T) wrapper
+        contrib = np.einsum("s,sri,srj->ij", weights, Wm, Gm)
+        return contrib @ sig_hat.T
 
 
 def fs_pointwise(P: HomogeneousPolynomial, z) -> float:
@@ -110,33 +186,24 @@ def fs_pointwise(P: HomogeneousPolynomial, z) -> float:
         raise PreconditionError("point length does not match the polynomial shape")
     if not np.any(z):
         raise PreconditionError("zero point has no projective class")
-    return float(np.exp(2.0 * pointwise_log_fs(P, z)[0]))
+    expo, coeffs = _terms_arrays(P.to_float())
+    y = poly_log_abs(expo, coeffs, z) - 0.5 * P.degree * np.log(np.sum(np.abs(z) ** 2, axis=1))
+    return float(np.exp(2.0 * y[0]))
 
 
 def lp_norm(P: HomogeneousPolynomial, p: float, samples: int = 200_000,
-            seed: int = 0, sigma: Optional[np.ndarray] = None) -> MahlerEstimate:
-    """Monte-Carlo estimate of log ||sigma . P||_p (p = 0 is Mahler)."""
-    P.require_nonzero()
+            seed: int = 0) -> MahlerEstimate:
+    """Monte-Carlo estimate of log ||P||_p (p = 0 is Mahler)."""
     if p < 0:
         raise PreconditionError("p must be >= 0")
-    Z = sample_points(P.shape.nvars, samples, seed)
-    Y = pointwise_log_fs(P, Z, sigma)
+    Y = MahlerSampleFunctional(P, p, samples, seed).log_fs()
     if p == 0:
-        return MahlerEstimate(
-            log_value=float(np.mean(Y)),
-            stderr=float(np.std(Y, ddof=1) / math.sqrt(samples)),
-            samples=samples,
-            seed=seed,
-            p=0.0,
-        )
-    log_mean, rel_err = _log_mean_exp(p * Y)
-    return MahlerEstimate(
-        log_value=log_mean / p,
-        stderr=rel_err / p,
-        samples=samples,
-        seed=seed,
-        p=float(p),
-    )
+        p, log_value = 0.0, float(np.mean(Y))
+        stderr = float(np.std(Y, ddof=1) / math.sqrt(samples))
+    else:
+        log_mean, rel_err = _log_mean_exp(p * Y)
+        log_value, stderr = log_mean / p, rel_err / p
+    return MahlerEstimate(log_value, stderr, samples, seed, float(p))
 
 
 def log_ratio_sq(P: HomogeneousPolynomial, sigma: np.ndarray, p: float,
@@ -147,17 +214,13 @@ def log_ratio_sq(P: HomogeneousPolynomial, sigma: np.ndarray, p: float,
     mean of 2(log|P(z sigma)| - log|P(z)|), which has small variance for
     sigma near the unitaries.
     """
-    P = P.to_float()
-    expo, coeffs = _terms_arrays(P)
-    Z = sample_points(P.shape.nvars, samples, seed)
-    s = float(np.max(np.abs(sigma)))
-    pts = transform_points(Z, sigma / s, P.shape)
-    base = poly_log_abs(expo, coeffs, Z)
-    moved = poly_log_abs(expo, coeffs, pts) + P.degree * math.log(s)
+    f = MahlerSampleFunctional(P, p, samples, seed)
+    moved = f.log_abs(sigma)
+    base = f.log_abs()
     if p == 0:
         D = 2.0 * (moved - base)
         return float(np.mean(D)), float(np.std(D, ddof=1) / math.sqrt(samples))
-    z2 = 0.5 * P.degree * np.log(np.sum(np.abs(Z) ** 2, axis=1))
+    z2 = 0.5 * f.degree * f.logz2
     est_moved = _log_mean_exp(p * (moved - z2))
     est_base = _log_mean_exp(p * (base - z2))
     val = 2.0 * (est_moved[0] - est_base[0]) / p
@@ -165,22 +228,17 @@ def log_ratio_sq(P: HomogeneousPolynomial, sigma: np.ndarray, p: float,
     return val, err
 
 
-def _log_mean_exp(X: np.ndarray) -> Tuple[float, float]:
-    """(log mean exp(X), its standard error), shifted by max(X) against overflow."""
-    mx = float(np.max(X))
-    w = np.exp(X - mx)
-    m = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / math.sqrt(X.size))
-    return mx + math.log(m), se / m
+# multi-start ascent of ``sup_norm``: start points and gradient stationarity
+SUP_STARTS = 8
+SUP_GTOL = 1e-8
 
 
-def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0,
-             starts: int = 8, tol: float = 1e-8) -> float:
+def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0) -> float:
     """Certified lower bound for ||P||_inf: sample max plus projected ascent.
 
-    Multi-start quasi-Newton ascent of log |P|_FS from the best sample
-    points, refined to gradient stationarity `tol`; never claimed to be the
-    exact supremum.
+    Multi-start quasi-Newton ascent of log |P|_FS from the SUP_STARTS best
+    sample points, refined to gradient stationarity SUP_GTOL; never claimed
+    to be the exact supremum.
 
     The ascent is scipy's L-BFGS-B.  ``scipy.optimize`` is imported on the
     first call, not with the module: it is about 0.6 s and 45 MB of a cold
@@ -188,14 +246,11 @@ def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0,
     ``import stablepairs.cli`` and every command that never reaches this
     function load numpy alone.
     """
-    P = P.to_float().require_nonzero()
-    nv = P.shape.nvars
-    Z = sample_points(nv, samples, seed)
-    Y = pointwise_log_fs(P, Z)
+    fn = MahlerSampleFunctional(P, 0.0, samples, seed)
+    nv, d = fn.shape.nvars, fn.degree
+    Y = fn.log_fs()
     order = np.argsort(Y)[::-1]
-    expo, coeffs = _terms_arrays(P)
-    grads = [_terms_arrays(P.derivative(v)) for v in range(nv)]
-    d = P.degree
+    expo, coeffs, grads = fn.expo, fn.coeffs, fn.dterms
 
     def objective(x):
         z = (x[:nv] + 1j * x[nv:]).reshape(1, nv)
@@ -216,11 +271,11 @@ def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0,
     from scipy.optimize import minimize
 
     best = float(np.max(Y))
-    for k in range(min(starts, samples)):
-        z0 = Z[order[k]]
+    for k in range(min(SUP_STARTS, samples)):
+        z0 = fn.Z[order[k]]
         x0 = np.concatenate([np.real(z0), np.imag(z0)])
         res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       options={"gtol": tol, "maxiter": 500})
+                       options={"gtol": SUP_GTOL, "maxiter": 500})
         if math.isfinite(res.fun):
             best = max(best, -float(res.fun))
     return math.exp(best)

@@ -217,44 +217,44 @@ def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
     return {"V": V, "mu": mu, "J": J, "F0": F0, "nu": nu, "gauss_bonnet_drift": drift}
 
 
-def curve_geometry_oracle(
-    sigma,
-    curve: RationalCurve,
-    n_r: int = 96,
-    n_th: int = 96,
-    t_nodes: int = 33,
-    tol: float = 1e-3,
-    max_refine: int = 2,
-) -> CurveGeometryReport:
+# Gauss-Legendre nodes in t, agreement required of successive grids, and
+# the number of 3/2 grid refinements tried
+T_NODES = 33
+REFINE_TOL = 1e-3
+MAX_REFINE = 2
+
+
+def curve_geometry_oracle(sigma, curve: RationalCurve, n_r: int = 96,
+                          n_th: int = 96) -> CurveGeometryReport:
     """Quadrature evaluation of V, mu, J, F0 and the K-energy of phi_sigma.
 
-    Successive grid refinements must agree to `tol` in every entry; failure
-    raises NonConvergenceError with the grid diagnostics attached.
+    Successive grid refinements must agree to REFINE_TOL in every entry;
+    failure raises NonConvergenceError with the grid diagnostics attached.
     """
     sigma = np.asarray(sigma, dtype=np.complex128)
     if sigma.shape != (curve.N + 1, curve.N + 1):
         raise PreconditionError("sigma must be (N+1) x (N+1)")
     charts = _CurveCharts(curve)
-    prev = _run_grid(charts, sigma, n_r, n_th, t_nodes)
+    prev = _run_grid(charts, sigma, n_r, n_th, T_NODES)
     history = [dict(prev, n_r=n_r, n_th=n_th)]
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         n_r = (3 * n_r) // 2
         n_th = (3 * n_th) // 2
-        cur = _run_grid(charts, sigma, n_r, n_th, t_nodes)
+        cur = _run_grid(charts, sigma, n_r, n_th, T_NODES)
         history.append(dict(cur, n_r=n_r, n_th=n_th))
         diff = max(abs(cur[k] - prev[k]) for k in ("V", "mu", "J", "F0", "nu"))
-        if diff < tol:
+        if diff < REFINE_TOL:
             return CurveGeometryReport(
                 volume=cur["V"],
                 mu=cur["mu"],
                 k_energy=cur["nu"],
                 aubin_j=cur["J"],
                 aubin_f0=cur["F0"],
-                diagnostics={"grids": history, "refinement_diff": diff, "t_nodes": t_nodes},
+                diagnostics={"grids": history, "refinement_diff": diff, "t_nodes": T_NODES},
             )
         prev = cur
     raise NonConvergenceError(
-        f"quadrature did not stabilize to {tol}; grids: "
+        f"quadrature did not stabilize to {REFINE_TOL}; grids: "
         + ", ".join(f"({h['n_r']}x{h['n_th']})" for h in history),
-        diagnostics={"grids": history, "t_nodes": t_nodes},
+        diagnostics={"grids": history, "t_nodes": T_NODES},
     )

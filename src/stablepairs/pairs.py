@@ -645,15 +645,20 @@ def _sigma_np(sigma, n: int) -> np.ndarray:
 class DescentOptions:
     restarts: int = 3
     max_iters: int = 500
-    eta0: float = 0.1
-    shrink: float = 0.5
-    grow: float = 1.2
-    eta_max: float = 10.0
-    armijo: float = 1e-4
     grad_tol: float = 1e-9
-    divergence_lognorm2: float = 40.0
-    divergence_run: int = 200
     seed: int = 0
+
+
+# line search of ``descend``: first step, backtracking and growth factors,
+# largest step and the Armijo sufficient-decrease constant
+ETA0 = 0.1
+SHRINK = 0.5
+GROW = 1.2
+ETA_MAX = 10.0
+ARMIJO = 1e-4
+# divergence: log ||sigma||_HS^2 threshold and the monotone-decrease window
+DIVERGENCE_LOGNORM2 = 40.0
+DIVERGENCE_RUN = 200
 
 
 def _expm_hermitian(h: np.ndarray) -> np.ndarray:
@@ -779,12 +784,13 @@ def descend(func: PairFunctional, opts: Optional[DescentOptions] = None) -> Stab
     """Multi-start retraction descent sigma <- exp(-eta grad) sigma.
 
     Backtracking Armijo line search.  A restart diverges when the value has
-    decreased strictly for `divergence_run` consecutive accepted steps while
-    log ||sigma||_HS^2 exceeds the threshold, or when the line search stalls
-    far out on such a trajectory.  A destabilizing 1-PSG is then extracted
-    from the log-spectrum of sigma and checked by ``_verify_destabilizer``:
-    a verified one ends the run as divergence-detected, a failed one goes to
-    `rejected_candidates` and the next restart runs.  A run that never
+    decreased strictly for DIVERGENCE_RUN consecutive accepted steps while
+    log ||sigma||_HS^2 exceeds DIVERGENCE_LOGNORM2, or when the line search
+    stalls far out on such a trajectory.  A destabilizing 1-PSG is then
+    extracted from the log-spectrum of sigma and checked by
+    ``_verify_destabilizer``: a verified one ends the run as
+    divergence-detected, a failed one goes to `rejected_candidates` and the
+    next restart runs.  A run that never
     verifies a witness yields no-divergence-observed: evidence, not a proof
     of semistability.
     """
@@ -812,7 +818,7 @@ def descend(func: PairFunctional, opts: Optional[DescentOptions] = None) -> Stab
         raw = np.eye(n, dtype=np.complex128) if restart == 0 else _random_float_conjugator(rng, n)
         sig_hat, log_scale = _scale_split(raw)
         start_value = value = func.value(sig_hat) + slope * log_scale
-        eta = opts.eta0
+        eta = ETA0
         decreasing_run = 0
         iters = 0
         final_grad = None  # stays null in the output when no gradient was computed
@@ -822,12 +828,12 @@ def descend(func: PairFunctional, opts: Optional[DescentOptions] = None) -> Stab
             try:
                 grad = func.gradient(sig_hat)
             except PreconditionError:
-                stalled_extreme = lognorm2 > opts.divergence_lognorm2
+                stalled_extreme = lognorm2 > DIVERGENCE_LOGNORM2
                 break
             gnorm2 = float(np.vdot(grad, grad).real)
             final_grad = math.sqrt(gnorm2)
             if not math.isfinite(gnorm2):
-                stalled_extreme = lognorm2 > opts.divergence_lognorm2
+                stalled_extreme = lognorm2 > DIVERGENCE_LOGNORM2
                 break
             if final_grad < opts.grad_tol:
                 break
@@ -836,10 +842,10 @@ def descend(func: PairFunctional, opts: Optional[DescentOptions] = None) -> Stab
                 cand_hat, dls = _scale_split(_expm_hermitian(-eta * grad) @ sig_hat)
                 cand_ls = log_scale + dls
                 cand_value = try_value(cand_hat, cand_ls)
-                if cand_value is not None and cand_value <= value - opts.armijo * eta * gnorm2:
+                if cand_value is not None and cand_value <= value - ARMIJO * eta * gnorm2:
                     accepted = True
                     break
-                eta *= opts.shrink
+                eta *= SHRINK
             if not accepted:
                 # float cancellation can stall the line search while the
                 # trajectory is running off to infinity; a permissive flag is
@@ -853,15 +859,15 @@ def descend(func: PairFunctional, opts: Optional[DescentOptions] = None) -> Stab
             sig_hat, log_scale, value = cand_hat, cand_ls, cand_value
             best_value = min(best_value, value)
             lognorm2 = 2.0 * log_scale + math.log(float(np.vdot(sig_hat, sig_hat).real))
-            if lognorm2 > opts.divergence_lognorm2:
+            if lognorm2 > DIVERGENCE_LOGNORM2:
                 # past the norm threshold: freeze step growth so the
                 # remaining confirmation window cannot underflow coefficients
-                eta = min(eta, opts.eta0)
-                if decreasing_run >= opts.divergence_run:
+                eta = min(eta, ETA0)
+                if decreasing_run >= DIVERGENCE_RUN:
                     diverged = True
                     break
             else:
-                eta = min(eta * opts.grow, opts.eta_max)
+                eta = min(eta * GROW, ETA_MAX)
         best_value = min(best_value, value)
         diagnostics["restarts"].append(
             {"iterations": iters, "final_value": value, "final_grad_norm": final_grad}

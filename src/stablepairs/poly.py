@@ -26,6 +26,7 @@ matrix.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
@@ -329,7 +330,7 @@ class GroupElement:
     Exact mode requires det == 1 exactly; float mode tolerates |det - 1| <= 1e-9.
     """
 
-    __slots__ = ("size", "entries", "mode", "_det", "_hs2")
+    __slots__ = ("size", "entries", "mode")
 
     DET_TOL = 1e-9
 
@@ -341,36 +342,19 @@ class GroupElement:
         self.size = n
         self.entries = rows
         self.mode = mode
-        self._det = mat_det(rows, mode)
+        det = mat_det(rows, mode)
         if mode == EXACT:
-            if self._det != QQi(1, 0):
+            if det != QQi(1, 0):
                 raise PreconditionError("exact group element must have det = 1")
         else:
-            if abs(self._det - 1.0) > self.DET_TOL:
+            if abs(det - 1.0) > self.DET_TOL:
                 raise PreconditionError(
-                    f"float group element det {self._det} not within 1e-9 of 1"
+                    f"float group element det {det} not within 1e-9 of 1"
                 )
-        self._hs2 = None
 
     @classmethod
     def identity(cls, n: int, mode: str = EXACT) -> "GroupElement":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], mode)
-
-    @property
-    def determinant(self):
-        return self._det
-
-    @property
-    def hs_norm2(self) -> float:
-        """Hilbert-Schmidt norm squared, Trace(sigma sigma*)."""
-        if self._hs2 is None:
-            total = 0.0
-            for row in self.entries:
-                for x in row:
-                    z = scalar_to_complex(x)
-                    total += z.real * z.real + z.imag * z.imag
-            self._hs2 = total
-        return self._hs2
 
     def to_numpy(self) -> np.ndarray:
         return np.array(
@@ -423,27 +407,41 @@ def mat_mul(a, b):
 
 
 def mat_det(rows, mode: str):
-    n = len(rows)
     if mode == FLOAT:
         arr = np.array([[scalar_to_complex(x) for x in r] for r in rows], dtype=complex)
         return complex(np.linalg.det(arr))
+    if not rows:
+        return QQi(1, 0)
+    det = _bareiss(rows, bool, operator.truediv)
+    return QQi(0, 0) if det is None else det
+
+
+def _bareiss(rows, nonzero, divexact):
+    """Determinant of a square matrix over an exact ring, fraction-free Bareiss.
+
+    ``nonzero`` tests an entry and ``divexact`` divides one entry by another.
+    Each intermediate division is by the previous pivot and is exact by the
+    Sylvester-identity invariant of the algorithm.  None when a column has
+    no pivot, i.e. the determinant is zero.
+    """
+    n = len(rows)
     m = [list(r) for r in rows]
-    det = QQi(1, 0)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if nonzero(m[r][k])), None)
         if piv is None:
-            return QQi(0, 0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv_rows = range(col + 1, n)
-        lead = m[col][col]
-        for r in inv_rows:
-            if m[r][col]:
-                factor = m[r][col] / lead
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
+            return None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                numer = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = divexact(numer, prev) if prev is not None else numer
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +587,16 @@ def _is_poly_seq(coeffs) -> bool:
     return any(isinstance(c, HomogeneousPolynomial) for c in coeffs)
 
 
-def _sylvester_rows(fc: List[object], gc: List[object], zero):
+def _sylvester_rows(fc: List[object], gc: List[object], zero, gzero=None):
+    """Sylvester matrix rows; the g-rows pad with ``gzero`` when it is given."""
+    gzero = zero if gzero is None else gzero
     p, q = len(fc) - 1, len(gc) - 1
     n = p + q
     rows = []
     for i in range(q):
         rows.append([zero] * i + list(fc) + [zero] * (n - p - 1 - i))
     for i in range(p):
-        rows.append([zero] * i + list(gc) + [zero] * (n - q - 1 - i))
+        rows.append([gzero] * i + list(gc) + [gzero] * (n - q - 1 - i))
     return rows
 
 
@@ -661,16 +661,9 @@ def _symbolic_resultant(fc, gc) -> HomogeneousPolynomial:
 
     fdeg = next((c.degree for c in fc if isinstance(c, HomogeneousPolynomial)), 0)
     gdeg = next((c.degree for c in gc if isinstance(c, HomogeneousPolynomial)), 0)
-    frows = [lift(c, fdeg) for c in fc]
-    grows = [lift(c, gdeg) for c in gc]
-    zero_f = HomogeneousPolynomial.zero(shape, fdeg, mode)
-    zero_g = HomogeneousPolynomial.zero(shape, gdeg, mode)
-    n = p + q
-    rows = []
-    for i in range(q):
-        rows.append([zero_f] * i + frows + [zero_f] * (n - p - 1 - i))
-    for i in range(p):
-        rows.append([zero_g] * i + grows + [zero_g] * (n - q - 1 - i))
+    zero = HomogeneousPolynomial.zero
+    rows = _sylvester_rows([lift(c, fdeg) for c in fc], [lift(c, gdeg) for c in gc],
+                           zero(shape, fdeg, mode), zero(shape, gdeg, mode))
     return bareiss_poly_det(rows)
 
 
@@ -710,32 +703,12 @@ def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> Hom
 
 
 def bareiss_poly_det(rows: List[List[HomogeneousPolynomial]]) -> HomogeneousPolynomial:
-    """Determinant of a matrix of exact polynomials, fraction-free Bareiss.
-
-    Each intermediate division is by the previous pivot and is exact by the
-    Sylvester-identity invariant of the algorithm.
-    """
-    n = len(rows)
-    shape, mode = rows[0][0].shape, rows[0][0].mode
-    m = [list(r) for r in rows]
-    sign = 1
-    prev: HomogeneousPolynomial | None = None
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if not m[r][k].is_zero), None)
-        if piv is None:
-            total_deg = sum(row[0].degree for row in rows)
-            return HomogeneousPolynomial.zero(shape, total_deg, mode)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                numer = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = poly_divexact(numer, prev) if prev is not None else numer
-            m[i][k] = HomogeneousPolynomial.zero(shape, m[i][k].degree, mode)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    """Determinant of a matrix of exact polynomials (``_bareiss``)."""
+    det = _bareiss(rows, lambda e: not e.is_zero, poly_divexact)
+    if det is None:
+        total_deg = sum(row[0].degree for row in rows)
+        return HomogeneousPolynomial.zero(rows[0][0].shape, total_deg, rows[0][0].mode)
+    return det
 
 
 def binary_discriminant(f):

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DimensionError, PreconditionError
 from .linprog import hull_membership
-from .poly import HomogeneousPolynomial, OnePSG, VariableShape, primitive_integer_vector
+from .poly import HomogeneousPolynomial, OnePSG, primitive_integer_vector
 from .scalars import EXACT, FLOAT, coerce_scalar, scalar_is_zero, scalar_to_complex
 
 
@@ -335,7 +335,7 @@ def scale(P: LatticePolytope, k: int) -> LatticePolytope:
     return LatticePolytope([p.scaled(k) for p in P.points])
 
 
-def rep_degree(obj, total_degree: Optional[int] = None) -> int:
+def rep_degree(obj) -> int:
     """Degree of the ambient polynomial representation.
 
     Every support character of a degree-D polynomial (or a tensor of total
@@ -346,10 +346,4 @@ def rep_degree(obj, total_degree: Optional[int] = None) -> int:
         return obj.degree
     if isinstance(obj, TensorVector):
         return obj.degree()
-    if isinstance(obj, VariableShape):
-        if total_degree is None:
-            raise PreconditionError("total degree required with a bare shape")
-        return int(total_degree)
-    if total_degree is not None:
-        return int(total_degree)
     raise PreconditionError("cannot infer representation degree")

@@ -295,6 +295,24 @@ class TestExitCodes:
         assert err.startswith("non-convergence:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["polytope"],
+        ["weight", "--lambda", "[1, -1]"],
+        ["xpair"],
+        ["distance"],
+        ["weight", "--poly", "{mono}", "--lambda", "abc"],
+        ["supnorm", "--poly", "{mono}", "--at", "[[1"],
+        ["chow", "--curve", "{conic}", "--at", "nope"],
+    ], ids=["polytope-no-input", "weight-no-input", "xpair-no-input", "distance-no-input",
+            "weight-bad-lambda", "supnorm-bad-at", "chow-bad-at"])
+    def test_malformed_invocation_exit_2(self, files, capsys, argv):
+        # a missing input flag or unparsable inline JSON is a schema error
+        assert main([a.format(**files) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("schema error:")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("samples", ["10", "0", "-5"])
     @pytest.mark.parametrize("argv", [
         ["mahler", "--poly", "{mono}"],

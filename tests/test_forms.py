@@ -191,7 +191,6 @@ class TestChowHypersurface:
 class TestXPair:
     def test_conic_exponents(self, conic_xpair):
         assert (conic_xpair.deg_r, conic_xpair.deg_delta) == (4, 2)
-        assert conic_xpair.pair_exponents == (2, 4)
 
     def test_cubic_degrees(self, cubic_xpair):
         assert (cubic_xpair.deg_r, cubic_xpair.deg_delta) == (6, 4)

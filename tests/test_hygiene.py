@@ -1,5 +1,6 @@
 """Source hygiene: every imported name in src/ and tests/ is read somewhere,
-and a cold start of the package and its CLI loads no scipy module."""
+the Monte-Carlo sampling pipeline has one home, and a cold start of the
+package and its CLI loads no scipy module."""
 
 import ast
 import os
@@ -32,6 +33,30 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def referenced_names(tree: ast.Module) -> set:
+    """Every name a module imports, reads, or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_sampling_pipeline_only_in_norms():
+    # drawing, moving and evaluating the samples is MahlerSampleFunctional's
+    # job; a second copy of that pipeline elsewhere in src/ must not return
+    pipeline = {"sample_points", "transform_points", "poly_log_abs"}
+    users = {
+        p.name for p in (ROOT / "src" / "stablepairs").glob("*.py")
+        if pipeline & referenced_names(ast.parse(p.read_text(), str(p)))
+    }
+    assert users == {"norms.py"}
 
 
 def test_cli_import_loads_no_scipy():

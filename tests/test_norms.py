@@ -7,6 +7,7 @@ import pytest
 
 from stablepairs.errors import PreconditionError
 from stablepairs.norms import (
+    MahlerSampleFunctional,
     arestov_check,
     conformal_theta,
     fs_pointwise,
@@ -45,6 +46,21 @@ class TestPointwise:
     def test_zero_point_rejected(self):
         with pytest.raises(PreconditionError):
             fs_pointwise(mono(3, (1, 1, 0)), [0, 0, 0])
+
+
+class TestOneSampleSet:
+    @pytest.mark.parametrize("p", [0.0, 2.0])
+    def test_estimators_agree_with_the_functional(self, p):
+        # lp_norm, log_ratio_sq and the descent objective read one seeded
+        # sample set, so they agree to rounding on the same (P, samples, seed)
+        rng = np.random.default_rng(4)
+        P = random_dense_poly(rng, 3, 3)
+        sigma = random_sl(rng, 3, spread=0.4)
+        f = MahlerSampleFunctional(P, p, 4000, 9)
+        identity = f.log_norm2(np.eye(3, dtype=complex))
+        ratio, _ = log_ratio_sq(P, sigma, p, 4000, 9)
+        assert ratio == pytest.approx(f.log_norm2(sigma) - identity, abs=1e-9)
+        assert 2 * lp_norm(P, p, 4000, 9).log_value == identity
 
 
 class TestLpNorm:

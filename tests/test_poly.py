@@ -403,10 +403,6 @@ class TestGroupElement:
         with pytest.raises(PreconditionError):
             GroupElement([[1.1, 0.0], [0.0, 1.0]], "float")
 
-    def test_hs_norm(self):
-        g = GroupElement.identity(3)
-        assert g.hs_norm2 == pytest.approx(3.0)
-
 
 class TestOnePSG:
     def test_sum_zero_enforced(self):

@@ -324,5 +324,4 @@ class TestTensorVector:
         assert rep_degree(pair.v) == 4
         assert rep_degree(pair.w) == 4
         assert rep_degree(binary_form(3, [1, 0, 0, 1])) == 3
-        assert rep_degree(VariableShape.matrix(2, 3), 6) == 6
         assert rep_degree(HomogeneousPolynomial.constant(V2, 5)) == 0
