@@ -209,8 +209,12 @@ def cmd_mahler(args):
 def cmd_supnorm(args):
     P = poly_from_json(_load(args.poly))
     if args.at:
-        z = [complex(v[0], v[1]) for v in _inline_json(args.at)]
-        return {"fs_pointwise_sq": fs_pointwise(P, z)}
+        at = _inline_json(args.at)
+        if not (isinstance(at, list) and all(
+                isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v)
+                for v in at)):
+            raise SchemaError(f"--at must be a JSON list of [re, im] number pairs, got {args.at}")
+        return {"fs_pointwise_sq": fs_pointwise(P, [complex(re, im) for re, im in at])}
     return {"sup_norm": sup_norm(P, samples=args.samples, seed=args.seed)}
 
 

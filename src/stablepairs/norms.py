@@ -30,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ._kernels import poly_log_abs, poly_values
 from .errors import PreconditionError
-from .poly import Exponent, HomogeneousPolynomial, VariableShape
+from .poly import HomogeneousPolynomial, VariableShape
 
 MIN_SAMPLES = 1_000
 
@@ -116,9 +116,11 @@ class MahlerSampleFunctional:
 
     def __init__(self, P: HomogeneousPolynomial, p: float = 0.0,
                  samples: int = 20_000, seed: int = 0):
+        self.p = float(p)
+        if not (math.isfinite(self.p) and self.p >= 0):
+            raise PreconditionError(f"p must be a finite number >= 0, got {p}")
         P = P.to_float().require_nonzero()
         self.P = P
-        self.p = float(p)
         self.shape = P.shape
         self.degree = P.degree
         self.expo, self.coeffs = _terms_arrays(P)
@@ -194,8 +196,6 @@ def fs_pointwise(P: HomogeneousPolynomial, z) -> float:
 def lp_norm(P: HomogeneousPolynomial, p: float, samples: int = 200_000,
             seed: int = 0) -> MahlerEstimate:
     """Monte-Carlo estimate of log ||P||_p (p = 0 is Mahler)."""
-    if p < 0:
-        raise PreconditionError("p must be >= 0")
     Y = MahlerSampleFunctional(P, p, samples, seed).log_fs()
     if p == 0:
         p, log_value = 0.0, float(np.mean(Y))
@@ -326,21 +326,13 @@ def jensen_check(P: HomogeneousPolynomial, p: float = 2.0,
     }
 
 
-def fs_log_masses(P: HomogeneousPolynomial) -> Dict[Exponent, float]:
-    """log |c_a|^2 ||z^a||^2 per monomial of P in the unit-volume Fubini-Study
-    L^2 Gram, which is diagonal with ||z^a||^2 = M! a! / (M+d)! on P^M."""
-    P = P.to_float()
-    m = P.shape.nvars - 1
-    base = math.lgamma(m + 1) - math.lgamma(m + P.degree + 1)
-    return {
-        exp: 2.0 * math.log(abs(c)) + base + sum(math.lgamma(e + 1) for e in exp)
-        for exp, c in P.terms.items()
-    }
-
-
 def l2_norm_log_exact(P: HomogeneousPolynomial) -> float:
-    """log ||P||_L2 from the exact monomial Gram (see ``fs_log_masses``)."""
-    logs = list(fs_log_masses(P.require_nonzero()).values())
+    """log ||P||_L2 from the exact monomial Gram: the unit-volume Fubini-Study
+    L^2 Gram is diagonal with ||z^a||^2 = M! a! / (M+d)! on P^M."""
+    P = P.require_nonzero().to_float()
+    base = math.lgamma(P.shape.nvars) - math.lgamma(P.shape.nvars + P.degree)
+    logs = [2.0 * math.log(abs(c)) + base + sum(math.lgamma(e + 1) for e in exp)
+            for exp, c in P.terms.items()]
     mx = max(logs)
     return 0.5 * (mx + math.log(sum(math.exp(x - mx) for x in logs)))
 

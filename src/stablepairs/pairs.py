@@ -40,17 +40,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .norms import fs_log_masses
 from .poly import (
     GroupElement,
     HomogeneousPolynomial,
     OnePSG,
+    _act_blocks,
+    _dense_blocks,
+    _row_axes,
+    _sym_basis,
+    _sym_step,
     act,
     binary_coeffs,
     primitive_integer_vector,
@@ -388,14 +391,6 @@ def randomized_torus_probe(pair, trials: int = 20, seed: int = 0) -> StabilityCe
 # (through exp(eps H) sigma) equal to 2 Re Tr(H m^T).  The gradient matrix is
 # then m^T + conj(m), projected to traceless Hermitian.
 
-# Cap on the entries of any dense array PolyL2Functional allocates: a tensor,
-# one S^d(sigma) or one moment gather.  The twisted cubic's Delta^6, one
-# Sym^24(C^4) axis, needs an 8.6 M-entry S^24; a degree-5 Chow form on P^4
-# (126^4 = 2.5e8 entries) is refused.
-DENSE_ENTRY_CAP = 10_000_000
-_RECURSION_CHUNK = 1 << 20  # entries of S^(d-1) read at a time
-
-
 def _scale_split(sigma: np.ndarray) -> Tuple[np.ndarray, float]:
     s = float(np.max(np.abs(sigma)))
     if s == 0.0:
@@ -403,138 +398,52 @@ def _scale_split(sigma: np.ndarray) -> Tuple[np.ndarray, float]:
     return sigma / s, math.log(s)
 
 
-def _sym_dim(n: int, d: int) -> int:
-    return math.comb(n + d - 1, d)
-
-
-@lru_cache(maxsize=None)
-def _sym_basis(n: int, d: int) -> Dict[Tuple[int, ...], int]:
-    """Positions of the degree-d monomials in n variables, descending lex order."""
-    if n == 1:
-        return {(d,): 0}
-    order = ((k,) + rest for k in range(d, -1, -1) for rest in _sym_basis(n - 1, d - k))
-    return {a: pos for pos, a in enumerate(order)}
-
-
-@lru_cache(maxsize=None)
-def _sym_step(n: int, d: int):
-    """Tables (up, root, cols, inv_lead) from Sym^(d-1) to Sym^d of C^n:
-    up[j, c] is the position of c + e_j and root[j, c] = sqrt(c_j + 1); the
-    a whose first variable is j fill cols[j], and inv_lead[a] = 1 / sqrt(a_j)."""
-    lower = np.array(list(_sym_basis(n, d - 1)))
-    pos = _sym_basis(n, d)
-    up = np.array([[pos[c] for c in map(tuple, (lower + e).tolist())]
-                   for e in np.eye(n, dtype=int)])
-    upper = np.array(list(pos))
-    cols = [slice(len(pos) - _sym_dim(n - j, d), len(pos) - _sym_dim(n - j - 1, d))
-            for j in range(n)]
-    lead = upper[np.arange(len(pos)), np.argmax(upper > 0, axis=1)]
-    return up, np.sqrt(lower.T + 1.0), cols, 1.0 / np.sqrt(lead)
-
-
-def _sym_powers(sigma: np.ndarray, degrees) -> Dict[int, np.ndarray]:
-    """S^d(sigma) for each d in degrees: S^0 = 1 and, for j the first variable of b,
-
-        S^d[a, b] = sum_i sigma[i, j] sqrt(a_i / b_j) S^(d-1)[a - e_i, b - e_j],
-
-    the rescaled coefficient of z^a in z^b under ``poly.act``'s substitution."""
-    n = sigma.shape[0]
-    powers = {0: np.ones((1, 1), dtype=np.complex128)}
-    prev = powers[0]
-    for d in range(1, max(degrees) + 1):
-        up, root, cols, inv_lead = _sym_step(n, d)
-        cur = np.zeros((len(inv_lead),) * 2, dtype=np.complex128)
-        step = max(1, _RECURSION_CHUNK // len(inv_lead))
-        for rows in (slice(lo, lo + step) for lo in range(0, len(prev), step)):
-            for i in range(n):
-                scaled = prev[rows] * root[i, rows, None]
-                for j, blk in enumerate(cols):
-                    # b - e_j runs in order over the last len(blk) monomials
-                    cur[up[i, rows], blk] += sigma[i, j] * scaled[:, blk.start - blk.stop:]
-        cur *= inv_lead
-        prev = cur
-        if d in degrees:
-            powers[d] = cur
-    return powers
-
-
-def _dense_blocks(n: int, amplitudes: dict) -> list:
-    """[(axis degrees, tensor)] from {per-axis exponents: amplitude}, one
-    tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation."""
-    profiles = sorted({tuple(map(sum, axes)) for axes in amplitudes})
-    for degs in profiles:
-        dims = [_sym_dim(n, d) for d in degs]
-        size = math.prod(dims)
-        largest = max([size] + [max(dim * dim, n * _sym_dim(n, d - 1) * size // dim)
-                                for d, dim in zip(degs, dims) if d > 0])
-        if largest > DENSE_ENTRY_CAP:
-            raise PreconditionError(
-                f"dense norm tensor of shape {tuple(dims)} needs an array of {largest} "
-                f"entries, above the cap of {DENSE_ENTRY_CAP}"
-            )
-    blocks = {degs: np.zeros(tuple(_sym_dim(n, d) for d in degs), dtype=np.complex128)
-              for degs in profiles}
-    for axes, z in amplitudes.items():
-        degs = tuple(map(sum, axes))
-        blocks[degs][tuple(_sym_basis(n, d)[a] for a, d in zip(axes, degs))] += z
-    return list(blocks.items())
-
-
 class PolyL2Functional:
     """log ||sigma . e||^2 of a polynomial e (L^2 norm of the unit-volume
     Fubini-Study measure) or a tensor vector e (Hermitian coordinate norm).
 
-    e is held as dense tensors, one per row-degree profile, with one axis per
-    polynomial row or tensor slot in orthonormal coordinates (c_a sqrt(a!) for
-    a polynomial), and one log constant: log M!/(M+d)! for a polynomial, 0 for
-    a tensor, plus the log of the scale that makes the largest entry 1.
+    e is held as the dense blocks of ``poly.act`` over its largest |coefficient|
+    and one log constant: log M!/(M+d)! for a polynomial, -log 2 per wedge
+    slot for a tensor (whose two axes hold c and -c), plus the log of that
+    scale squared.  Transformed blocks go to orthonormal coordinates
+    (c_a sqrt(a!)) by the diagonal ``orth[d]`` along each axis of degree d.
     """
 
     def __init__(self, e):
         if isinstance(e, HomogeneousPolynomial):
             P = e.to_float().require_nonzero()
-            n, self.degree = P.shape.cols, P.degree
-            masses = fs_log_masses(P)
-            self.log_const = max(masses.values())
-            amplitudes = {
-                tuple(a[r * n:(r + 1) * n] for r in range(P.shape.rows)):
-                    P.terms[a] / abs(P.terms[a]) * math.exp(0.5 * (m - self.log_const))
-                for a, m in masses.items()
-            }
+            n, self.degree, m = P.shape.cols, P.degree, P.shape.nvars - 1
+            log_const = math.lgamma(m + 1) - math.lgamma(m + self.degree + 1)
+            amplitudes = {_row_axes(a, n): c for a, c in P.terms.items()}
         elif isinstance(e, TensorVector):
-            n, self.degree, self.log_const = e.group_size, e.degree(), 0.0
-            unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-            r = 1.0 / math.sqrt(2.0)
-            amplitudes = {}
-            for idx, c in e.coords.items():
-                terms = [((), scalar_to_complex(c))]
-                for (kind, _), part in zip(e.slots, idx):
-                    # a wedge e_i ^ e_j is (e_i (x) e_j - e_j (x) e_i) / sqrt(2)
-                    pieces = [((part,), 1.0)] if kind == "vector" else [(part, r), (part[::-1], -r)]
-                    terms = [(axes + tuple(unit[k] for k in p), z * s)
-                             for axes, z in terms for p, s in pieces]
-                for axes, z in terms:
-                    amplitudes[axes] = amplitudes.get(axes, 0) + z
+            x = e.to_float()
+            n, self.degree = x.group_size, x.degree()
+            log_const = -math.log(2.0) * sum(kind == "wedge2" for kind, _ in x.slots)
+            amplitudes = x.dense_amplitudes()
         else:
             raise PreconditionError("no norm functional for this object")
+        top = max(abs(z) for z in amplitudes.values())
         self.n = n
-        self.blocks = _dense_blocks(n, amplitudes)
-        self._degrees = {d for degs, _ in self.blocks for d in degs}
+        self.log_const = log_const + 2.0 * math.log(top)
+        self.blocks = _dense_blocks(n, {axes: z / top for axes, z in amplitudes.items()})
+        # D = diag(sqrt(a!)) on Sym^d takes monomial to orthonormal coordinates
+        self.orth = {d: np.sqrt([float(math.prod(map(math.factorial, a)))
+                                 for a in _sym_basis(n, d)])
+                     for degs, _ in self.blocks for d in degs}
         self._last = None
 
     def _transformed(self, sigma: np.ndarray) -> Tuple[List[np.ndarray], float, float]:
-        """(blocks of sigma . e over their largest |entry|, their squared norm,
-        log ||sigma . e||^2), kept for the last sigma for its moment."""
+        """(orthonormal blocks of sigma . e over their largest |entry|, their
+        squared norm, log ||sigma . e||^2), kept for the last sigma for its moment."""
         sigma = np.asarray(sigma, dtype=np.complex128)
         key = (sigma.shape, sigma.tobytes())
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         sig_hat, logs = _scale_split(sigma)
-        powers = _sym_powers(sig_hat, self._degrees)
         ys = []
-        for degs, y in self.blocks:
+        for degs, y in _act_blocks(sig_hat, self.blocks):
             for axis, d in enumerate(degs):
-                y = np.moveaxis(np.tensordot(powers[d], y, axes=([1], [axis])), 0, axis)
+                y *= self.orth[d].reshape((-1,) + (1,) * (y.ndim - axis - 1))
             ys.append(y)
         top = max(float(np.max(np.abs(y))) for y in ys)
         if top == 0.0:
@@ -555,7 +464,7 @@ class PolyL2Functional:
             for axis, d in enumerate(degs):
                 if d == 0:
                     continue
-                up, root = _sym_step(self.n, d)[:2]
+                up, root, _ = _sym_step(self.n, d)
                 # E_ij acts by z_i d_j, so m is the Gram matrix of the partial
                 # derivatives d_j y along the axis (orthonormal coordinates)
                 g = np.take(y, up, axis=axis) * root.reshape(root.shape + (1,) * (y.ndim - axis - 1))

@@ -18,6 +18,11 @@ so a diagonal torus element multiplies a monomial by t^(column degrees),
 which is what the weight machinery in :mod:`stablepairs.weights` relies on.
 Composing two substitutions gives ``act(tau, act(sigma, P)) == act(tau @ sigma, P)``.
 
+There is one action of sigma, exact and float alike: dense tensors with one
+axis per polynomial row or tensor slot, S^d(sigma) applied along each axis
+(``_sym_powers``).  ``act``, ``weights.act_tensor`` and the Kempf-Ness
+functional of :mod:`stablepairs.pairs` all use it.
+
 Elimination primitives: Sylvester resultants of binary forms (with scalar or
 polynomial coefficients, the latter by fraction-free Bareiss elimination),
 the binary discriminant, and signed maximal minors of an (n+1) x (n+2)
@@ -26,9 +31,10 @@ matrix.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -138,6 +144,18 @@ class HomogeneousPolynomial:
         self.terms = clean
         self.mode = mode
 
+    @classmethod
+    def _trusted(cls, shape: VariableShape, degree: int, terms: Dict[Exponent, object],
+                 mode: str) -> "HomogeneousPolynomial":
+        """A polynomial from terms the library built itself: int exponent tuples
+        of the right length and degree, coefficients of the mode; the ones that
+        cancelled to zero are dropped.  ``__init__`` keeps every check for
+        input from outside."""
+        P = object.__new__(cls)
+        P.shape, P.degree, P.mode = shape, degree, mode
+        P.terms = {e: c for e, c in terms.items() if not scalar_is_zero(c)}
+        return P
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -208,7 +226,7 @@ class HomogeneousPolynomial:
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return HomogeneousPolynomial(self.shape, self.degree, out, self.mode)
+        return HomogeneousPolynomial._trusted(self.shape, self.degree, out, self.mode)
 
     def __neg__(self):
         return self.map_coefficients(lambda c: -c)
@@ -226,7 +244,7 @@ class HomogeneousPolynomial:
                     c = c1 * c2
                     s = out.get(e)
                     out[e] = c if s is None else s + c
-            return HomogeneousPolynomial(
+            return HomogeneousPolynomial._trusted(
                 self.shape, self.degree + other.degree, out, self.mode
             )
         c = coerce_scalar(other, self.mode)
@@ -276,7 +294,7 @@ class HomogeneousPolynomial:
             e2[var] = k - 1
             out[tuple(e2)] = c * k
         deg = self.degree - 1 if self.degree > 0 else 0
-        return HomogeneousPolynomial(self.shape, deg, out, self.mode)
+        return HomogeneousPolynomial._trusted(self.shape, deg, out, self.mode)
 
     # -- normalization -------------------------------------------------
 
@@ -311,11 +329,11 @@ def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:
     """
     den = 1
     for x in values:
-        den = den * x.denominator // gcd(den, x.denominator)
+        den = den * x.denominator // math.gcd(den, x.denominator)
     ints = [int(x * den) for x in values]
     g = 0
     for x in ints:
-        g = gcd(g, x)
+        g = math.gcd(g, x)
     return [x // g for x in ints] if g else ints
 
 
@@ -485,16 +503,125 @@ def evaluate(P: HomogeneousPolynomial, point) -> object:
     return total
 
 
-def _matrix_rows(sigma, mode: str):
+def _sigma_array(sigma, mode: str, n: int) -> np.ndarray:
+    """sigma, a GroupElement or a square matrix of scalars, as an n x n array:
+    QQi objects in exact mode (a float entry raises ExactnessError), complex128
+    in float mode."""
     if isinstance(sigma, GroupElement):
-        if sigma.mode != mode:
-            if sigma.mode == EXACT and mode == FLOAT:
-                return [[scalar_to_complex(x) for x in row] for row in sigma.entries]
-            raise PreconditionError("cannot use float group element on exact polynomial")
-        return sigma.entries
-    if isinstance(sigma, np.ndarray):
+        sigma = sigma.entries
+    elif isinstance(sigma, np.ndarray):
         sigma = sigma.tolist()
-    return [[coerce_scalar(x, mode) for x in row] for row in sigma]
+    if len(sigma) != n or any(len(r) != n for r in sigma):
+        raise DimensionError(f"group element size {len(sigma)} != column count {n}")
+    rows = [[coerce_scalar(x, mode) for x in row] for row in sigma]
+    return np.array(rows, dtype=object if mode == EXACT else np.complex128)
+
+
+# Cap on the entries of any dense array the action allocates, exact or float:
+# a tensor, one S^d(sigma) or one moment gather of the Kempf-Ness functional.
+# The twisted cubic's Delta^6, one Sym^24(C^4) axis, needs an 8.6 M-entry
+# S^24; a degree-5 Chow form on P^4 (126^4 = 2.5e8 entries) is refused.
+DENSE_ENTRY_CAP = 10_000_000
+_RECURSION_CHUNK = 1 << 20  # entries of S^(d-1) read at a time
+
+
+def _filled(shape, dtype, value) -> np.ndarray:
+    """An array of the mode's ``value``: QQi(value) in an object array."""
+    return np.full(shape, QQi(value) if dtype == object else value, dtype=dtype)
+
+
+def _sym_dim(n: int, d: int) -> int:
+    return math.comb(n + d - 1, d)
+
+
+@lru_cache(maxsize=None)
+def _sym_basis(n: int, d: int) -> Dict[Exponent, int]:
+    """Positions of the degree-d monomials in n variables, descending lex order."""
+    if n == 1:
+        return {(d,): 0}
+    order = ((k,) + rest for k in range(d, -1, -1) for rest in _sym_basis(n - 1, d - k))
+    return {a: pos for pos, a in enumerate(order)}
+
+
+@lru_cache(maxsize=None)
+def _sym_step(n: int, d: int):
+    """Tables (up, root, cols) from Sym^(d-1) to Sym^d of C^n: up[i, c] is the
+    position of c + e_i and root[i, c] = sqrt(c_i + 1); the b whose first
+    variable is j fill the slice cols[j]."""
+    lower = np.array(list(_sym_basis(n, d - 1)))
+    pos = _sym_basis(n, d)
+    up = np.array([[pos[c] for c in map(tuple, (lower + e).tolist())]
+                   for e in np.eye(n, dtype=int)])
+    cols = [slice(len(pos) - _sym_dim(n - j, d), len(pos) - _sym_dim(n - j - 1, d))
+            for j in range(n)]
+    return up, np.sqrt(lower.T + 1.0), cols
+
+
+def _sym_powers(sigma: np.ndarray, degrees) -> Dict[int, np.ndarray]:
+    """S^d(sigma) for each d in degrees: S^d[a, b] is the coefficient of z^a
+    in (z sigma)^b, S^0 = 1 and, for j the first variable of b,
+
+        S^d[a, b] = sum_i sigma[i, j] S^(d-1)[a - e_i, b - e_j].
+
+    No square roots enter, so one loop serves QQi objects and complex doubles.
+    """
+    n = sigma.shape[0]
+    powers = {0: _filled((1, 1), sigma.dtype, 1)}
+    prev = powers[0]
+    for d in range(1, max(degrees, default=0) + 1):
+        up, _, cols = _sym_step(n, d)
+        dim = _sym_dim(n, d)
+        cur = _filled((dim, dim), sigma.dtype, 0)
+        step = max(1, _RECURSION_CHUNK // dim)
+        for rows in (slice(lo, lo + step) for lo in range(0, len(prev), step)):
+            for i in range(n):
+                for j, blk in enumerate(cols):
+                    if sigma[i, j]:
+                        # b - e_j runs in order over the last len(blk) monomials;
+                        # the array goes first: QQi * ndarray is refused
+                        cur[up[i, rows], blk] += prev[rows, blk.start - blk.stop:] * sigma[i, j]
+        prev = cur
+        if d in degrees:
+            powers[d] = cur
+    return powers
+
+
+def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128) -> list:
+    """[(axis degrees, tensor)] from {per-axis exponents: amplitude}, one
+    tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation."""
+    profiles = sorted({tuple(map(sum, axes)) for axes in amplitudes})
+    for degs in profiles:
+        dims = [_sym_dim(n, d) for d in degs]
+        size = math.prod(dims)
+        largest = max([size] + [max(dim * dim, n * _sym_dim(n, d - 1) * size // dim)
+                                for d, dim in zip(degs, dims) if d > 0])
+        if largest > DENSE_ENTRY_CAP:
+            raise PreconditionError(
+                f"dense norm tensor of shape {tuple(dims)} needs an array of {largest} "
+                f"entries, above the cap of {DENSE_ENTRY_CAP}"
+            )
+    blocks = {degs: _filled(tuple(_sym_dim(n, d) for d in degs), dtype, 0) for degs in profiles}
+    for axes, z in amplitudes.items():
+        degs = tuple(map(sum, axes))
+        blocks[degs][tuple(_sym_basis(n, d)[a] for a, d in zip(axes, degs))] += z
+    return list(blocks.items())
+
+
+def _act_blocks(sigma: np.ndarray, blocks: list) -> list:
+    """[(axis degrees, tensor)] with S^d(sigma) applied along every axis."""
+    powers = _sym_powers(sigma, {d for degs, _ in blocks for d in degs})
+    out = []
+    for degs, y in blocks:
+        for axis, d in enumerate(degs):
+            y = np.moveaxis(np.tensordot(powers[d], y, axes=([1], [axis])), 0, axis)
+        out.append((degs, y))
+    return out
+
+
+def _nonzero_entries(y: np.ndarray):
+    """(index tuple, Python scalar) for every entry of y that is not exactly zero."""
+    nz = np.nonzero(y)
+    return zip(zip(*(i.tolist() for i in nz)), y[nz].tolist())
 
 
 def act(sigma, P: HomogeneousPolynomial) -> HomogeneousPolynomial:
@@ -505,65 +632,23 @@ def act(sigma, P: HomogeneousPolynomial) -> HomogeneousPolynomial:
     act(tau, act(sigma, P)) == act(tau @ sigma, P), and the degree is preserved.
     Scalar matrices are accepted too: containment and support tests are
     invariant under scaling, which keeps exact-mode probing in the rationals.
+    The terms go through the dense action, one axis per row, and the entries
+    that are not exactly zero come back as terms.
     """
-    rows = _matrix_rows(sigma, P.mode)
     n = P.shape.cols
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise DimensionError(f"group element size {len(rows)} != column count {n}")
-    zero = QQi(0, 0) if P.mode == EXACT else 0j
-    cols = P.shape.cols
+    sig = _sigma_array(sigma, P.mode, n)
+    blocks = _dense_blocks(n, {_row_axes(a, n): c for a, c in P.terms.items()}, sig.dtype)
+    terms: Dict[Exponent, object] = {}
+    for degs, y in _act_blocks(sig, blocks):
+        bases = [list(_sym_basis(n, d)) for d in degs]
+        for idx, c in _nonzero_entries(y):
+            terms[sum((b[i] for b, i in zip(bases, idx)), ())] = c
+    return HomogeneousPolynomial._trusted(P.shape, P.degree, terms, P.mode)
 
-    # variable (r, j) of A sigma is sum_i A[r, i] sigma[i][j]
-    lin: List[Dict[int, object]] = []
-    for v in range(P.shape.nvars):
-        r, j = divmod(v, cols)
-        lin.append(
-            {r * cols + i: rows[i][j] for i in range(n) if not scalar_is_zero(rows[i][j])}
-        )
 
-    # cache of expanded powers lin[v]^e, keyed by (v, e)
-    power_cache: Dict[Tuple[int, int], Dict[Exponent, object]] = {}
-
-    def linear_power(v: int, e: int) -> Dict[Exponent, object]:
-        key = (v, e)
-        cached = power_cache.get(key)
-        if cached is not None:
-            return cached
-        base_exp = (0,) * P.shape.nvars
-        acc: Dict[Exponent, object] = {base_exp: QQi(1, 0) if P.mode == EXACT else 1.0 + 0j}
-        for _ in range(e):
-            nxt: Dict[Exponent, object] = {}
-            for exp, c in acc.items():
-                for w, cw in lin[v].items():
-                    e2 = list(exp)
-                    e2[w] += 1
-                    k = tuple(e2)
-                    cv = c * cw
-                    s = nxt.get(k)
-                    nxt[k] = cv if s is None else s + cv
-            acc = {k: c for k, c in nxt.items() if not scalar_is_zero(c)}
-        power_cache[key] = acc
-        return acc
-
-    out: Dict[Exponent, object] = {}
-    for exp, coeff in P.terms.items():
-        partial: Dict[Exponent, object] = {(0,) * P.shape.nvars: coeff}
-        for v, e in enumerate(exp):
-            if e == 0:
-                continue
-            pw = linear_power(v, e)
-            nxt: Dict[Exponent, object] = {}
-            for e1, c1 in partial.items():
-                for e2, c2 in pw.items():
-                    k = tuple(a + b for a, b in zip(e1, e2))
-                    cv = c1 * c2
-                    s = nxt.get(k)
-                    nxt[k] = cv if s is None else s + cv
-            partial = nxt
-        for k, c in partial.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-    return HomogeneousPolynomial(P.shape, P.degree, out, P.mode)
+def _row_axes(exp: Exponent, n: int) -> Tuple[Exponent, ...]:
+    """A monomial's exponent split into its rows of n variables."""
+    return tuple(exp[r:r + n] for r in range(0, len(exp), n))
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +784,7 @@ def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> Hom
                 rem.pop(k, None)
             else:
                 rem[k] = v
-    return HomogeneousPolynomial(num.shape, num.degree - den.degree, qterms, num.mode)
+    return HomogeneousPolynomial._trusted(num.shape, num.degree - den.degree, qterms, num.mode)
 
 
 def bareiss_poly_det(rows: List[List[HomogeneousPolynomial]]) -> HomogeneousPolynomial:

@@ -19,7 +19,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DimensionError, PreconditionError
 from .linprog import hull_membership
-from .poly import HomogeneousPolynomial, OnePSG, primitive_integer_vector
+from .poly import (
+    HomogeneousPolynomial,
+    OnePSG,
+    _act_blocks,
+    _dense_blocks,
+    _nonzero_entries,
+    _sigma_array,
+    primitive_integer_vector,
+)
 from .scalars import EXACT, FLOAT, coerce_scalar, scalar_is_zero, scalar_to_complex
 
 
@@ -176,6 +184,22 @@ class TensorVector:
             total += z.real * z.real + z.imag * z.imag
         return total
 
+    def dense_amplitudes(self) -> Dict[tuple, object]:
+        """{per-axis exponents: coefficient} for the dense layout of
+        :mod:`stablepairs.poly`: one Sym^1 axis per vector slot and two per
+        wedge slot, where c e_i ^ e_j is laid out as T[i, j] = c, T[j, i] = -c."""
+        n = self.group_size
+        unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+        out: Dict[tuple, object] = {}
+        for idx, c in self.coords.items():
+            entries = [((), c)]
+            for (kind, _), part in zip(self.slots, idx):
+                pieces = [((part,), 1)] if kind == "vector" else [(part, 1), (part[::-1], -1)]
+                entries = [(axes + tuple(unit[k] for k in p), z if sign > 0 else -z)
+                           for axes, z in entries for p, sign in pieces]
+            out.update(entries)
+        return out
+
     def to_float(self) -> "TensorVector":
         if self.mode == FLOAT:
             return self
@@ -188,41 +212,23 @@ def act_tensor(sigma, x: TensorVector) -> TensorVector:
     """Slotwise left action: sigma on vectors, wedge-square of sigma on wedges.
 
     ``sigma`` is a square matrix of scalars (GroupElement, ndarray, or rows);
-    scalar multiples are fine for support purposes.
+    scalar multiples are fine for support purposes.  This is the dense action
+    of :mod:`stablepairs.poly` on Sym^1 axes, where the right substitution and
+    the left action are both sigma[a, b]; a wedge slot is two axes holding
+    T[i, j] = c, T[j, i] = -c, so e_k ^ e_l gets T[k, l], k < l, with no sqrt(2).
     """
-    from .poly import _matrix_rows
-
-    rows = _matrix_rows(sigma, x.mode)
     n = x.group_size
-    if len(rows) != n:
-        raise DimensionError("group element size != slot dimension")
-    out: Dict[tuple, object] = {}
-    for idx, c in x.coords.items():
-        expanded = [((), c)]
-        for (kind, d), part in zip(x.slots, idx):
-            nxt = []
-            if kind == "vector":
-                i = part
-                for k in range(n):
-                    v = rows[k][i]
-                    if scalar_is_zero(v):
-                        continue
-                    for prefix, cc in expanded:
-                        nxt.append((prefix + (k,), cc * v))
-            else:
-                i, j = part
-                for k in range(n):
-                    for l in range(k + 1, n):
-                        v = rows[k][i] * rows[l][j] - rows[l][i] * rows[k][j]
-                        if scalar_is_zero(v):
-                            continue
-                        for prefix, cc in expanded:
-                            nxt.append((prefix + ((k, l),), cc * v))
-            expanded = nxt
-        for key, cc in expanded:
-            s = out.get(key)
-            out[key] = cc if s is None else s + cc
-    out = {k: v for k, v in out.items() if not scalar_is_zero(v)}
+    sig = _sigma_array(sigma, x.mode, n)
+    ((_, y),) = _act_blocks(sig, _dense_blocks(n, x.dense_amplitudes(), sig.dtype))
+    wedge_basis = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    wedge = tuple(map(list, zip(*wedge_basis)))
+    for axis, (kind, _) in enumerate(x.slots):
+        if kind == "wedge2":
+            y = y[(slice(None),) * axis + wedge]  # axes (k, l) fold to k < l
+    out = {
+        tuple(i if kind == "vector" else wedge_basis[i] for (kind, _), i in zip(x.slots, idx)): c
+        for idx, c in _nonzero_entries(y)
+    }
     if not out:
         raise PreconditionError("tensor vector annihilated; matrix is singular")
     return TensorVector(x.slots, out, x.mode)

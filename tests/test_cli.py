@@ -10,7 +10,7 @@ import pytest
 
 from stablepairs.cli import HANDLERS, OPERATION_COMMANDS, build_parser, main
 from stablepairs.forms import build_x_pair
-from stablepairs.pairs import DENSE_ENTRY_CAP
+from stablepairs.poly import DENSE_ENTRY_CAP
 from stablepairs.serialize import curve_from_json, xpair_to_json
 
 POLY_V2 = {
@@ -293,6 +293,26 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("non-convergence:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["mahler", "--poly", "{mono}", "--p", "nan"],
+        ["distance", "--xpair", "{xpair}", "--p", "nan", "--samples", "1000"],
+        ["distance", "--xpair", "{xpair}", "--sigma", "{sigma}", "--p", "-1",
+         "--samples", "1000"],
+    ])
+    def test_invalid_p_exit_3(self, files, capsys, argv):
+        assert main([a.format(**files) for a in argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("precondition violated: p must be a finite number >= 0")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_supnorm_at_wrong_shape_exit_2(self, files, capsys):
+        assert main(["supnorm", "--poly", files["mono"], "--at", "[1, 2]"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("schema error: --at must be a JSON list of [re, im] number pairs")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [

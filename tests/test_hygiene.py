@@ -59,6 +59,18 @@ def test_sampling_pipeline_only_in_norms():
     assert users == {"norms.py"}
 
 
+def test_symmetric_power_action_only_in_poly():
+    # the one action of sigma on polynomials, tensors and the Kempf-Ness
+    # functional; a second copy of its S^d recursion must not return
+    names = {"_sym_powers", "_sym_step", "_dense_blocks"}
+    defined = {
+        (p.name, node.name) for p in (ROOT / "src" / "stablepairs").glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text(), str(p)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    }
+    assert defined == {("poly.py", name) for name in names}
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.optimize is most of a cold start; only sup_norm may load it
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from stablepairs import poly
 from stablepairs.errors import DimensionError, PreconditionError
 from stablepairs.poly import (
     GroupElement,
@@ -143,6 +145,24 @@ class TestAct:
         P = HomogeneousPolynomial(V3, 2, {(a, b, 2 - a - b): c for (a, b), c in coeffs.items()},
                                   "exact")
         assert act(tau, act(sigma, P)) == act(mat_mul(tau, sigma), P)
+
+    def test_exact_dense_block_above_cap_refused_before_allocation(self, monkeypatch):
+        # x0^12 on C^4 needs S^12 with 455^2 = 207 025 entries; under a cap
+        # of 10 000 the exact action refuses it before building any array
+        monkeypatch.setattr(poly, "DENSE_ENTRY_CAP", 10_000)
+        V4 = VariableShape.vector(4)
+        sig = [[QQi(int(i == j)) for j in range(4)] for i in range(4)]
+        small = HomogeneousPolynomial(V4, 2, {(2, 0, 0, 0): 1}, "exact")
+        assert act(sig, small) == small
+        big = HomogeneousPolynomial(V4, 12, {(12, 0, 0, 0): 1}, "exact")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="above the cap of 10000"):
+                act(sig, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one 455 x 455 object array alone is 1.6 MB
 
     def test_matrix_shape_substitution(self, rng):
         shape = VariableShape.matrix(2, 2)

@@ -11,7 +11,13 @@ from scipy.optimize import linprog
 from stablepairs import verify, weights
 from stablepairs.errors import PreconditionError
 from stablepairs.linprog import hull_membership
-from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape, primitive_integer_vector
+from stablepairs.poly import (
+    HomogeneousPolynomial,
+    OnePSG,
+    VariableShape,
+    mat_mul,
+    primitive_integer_vector,
+)
 from stablepairs.scalars import QQi
 from stablepairs.weights import (
     LatticePolytope,
@@ -308,6 +314,18 @@ class TestWeylEquivariance:
         assert {c.raw for c in support(moved)} == expected
 
 
+@st.composite
+def mixed_tensors(draw, n=3):
+    """Exact tensors on C^n with at least one vector and one wedge slot."""
+    kinds = draw(st.permutations(
+        ["vector", "wedge2"] + draw(st.lists(st.sampled_from(["vector", "wedge2"]), max_size=1))))
+    wedge = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = st.tuples(*(st.integers(0, n - 1) if k == "vector" else st.sampled_from(wedge)
+                        for k in kinds))
+    coords = draw(st.dictionaries(index, st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    return TensorVector([(k, n) for k in kinds], {i: QQi(c) for i, c in coords.items()}, "exact")
+
+
 class TestTensorVector:
     def test_wedge_index_validation(self):
         with pytest.raises(Exception):
@@ -318,6 +336,28 @@ class TestTensorVector:
         sig = [[QQi(1), QQi(1), QQi(0)], [QQi(0), QQi(1), QQi(0)], [QQi(0), QQi(0), QQi(1)]]
         moved = act_tensor(sig, w)
         assert (2, 2, 0) in {c.raw for c in support(moved)}
+
+    @given(mixed_tensors(), st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+           st.lists(st.integers(-2, 2), min_size=9, max_size=9))
+    def test_act_tensor_composition_law(self, x, s, t):
+        # the left action composes: tau . (sigma . x) == (tau sigma) . x, on
+        # any integer matrices, singular ones included (both sides annihilate)
+        sigma = [[QQi(v) for v in s[i:i + 3]] for i in (0, 3, 6)]
+        tau = [[QQi(v) for v in t[i:i + 3]] for i in (0, 3, 6)]
+
+        def moved(m, y):
+            try:
+                return act_tensor(m, y)
+            except PreconditionError:
+                return None
+
+        once = moved(sigma, x)
+        twice = None if once is None else moved(tau, once)
+        product = moved(mat_mul(tau, sigma), x)
+        assert (twice is None) == (product is None)
+        if product is not None:
+            assert twice.slots == product.slots
+            assert twice.coords == product.coords
 
     def test_rep_degree(self):
         pair = blowup_pair()
