@@ -30,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ._kernels import poly_log_abs, poly_values
 from .errors import PreconditionError
-from .poly import HomogeneousPolynomial, VariableShape
+from .poly import HomogeneousPolynomial
 
 MIN_SAMPLES = 1_000
 
@@ -86,11 +86,11 @@ def sample_points(nvars: int, samples: int, seed: int) -> np.ndarray:
     ) / math.sqrt(2.0)
 
 
-def transform_points(Z: np.ndarray, sigma: np.ndarray, shape: VariableShape) -> np.ndarray:
-    """Row-substitution z -> z sigma applied per matrix row of each sample."""
-    S = Z.shape[0]
-    W = Z.reshape(S, shape.rows, shape.cols) @ sigma
-    return W.reshape(S, shape.nvars)
+def transform_points(Z: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Row-substitution z -> z sigma on every matrix row of every sample.
+
+    The rows of all samples are stacked, so this is one GEMM."""
+    return (Z.reshape(-1, sigma.shape[0]) @ sigma).reshape(Z.shape)
 
 
 def _log_mean_exp(X: np.ndarray) -> Tuple[float, float]:
@@ -106,12 +106,15 @@ class MahlerSampleFunctional:
     """The seeded Fubini-Study sample set of P, and log ||sigma . P||_p^2 on it.
 
     Holds Z = ``sample_points(nvars, samples, seed)`` and the float terms of
-    P; log ||z||^2 and the partial-derivative tables are built on first
-    read, so ``log_ratio_sq`` at p = 0 (normalisers cancel) never builds
-    them.  sigma = s sigma_hat with s its largest entry modulus, so far out
-    on a diverging descent log |P(z sigma)| = log |P(z sigma_hat)| + d log s
-    cannot overflow.  p = 0 averages the log; p > 0 uses the softmax weights
-    of the p-th power.
+    P.  Two tables are built on first read: log ||z||^2, and the ``jet`` --
+    the union of the monomials of P and of every dP/dz_v, with one row of
+    coefficients per polynomial -- so ``moment`` and the sup-norm ascent get
+    P and its gradient from one kernel call.  ``log_ratio_sq`` at p = 0
+    (normalisers cancel) builds neither.  sigma = s sigma_hat with s its
+    largest entry modulus, so far out on a diverging descent
+    log |P(z sigma)| = log |P(z sigma_hat)| + d log s cannot overflow.
+    p = 0 averages the log; p > 0 uses the softmax weights of the p-th
+    power.
     """
 
     def __init__(self, P: HomogeneousPolynomial, p: float = 0.0,
@@ -131,14 +134,26 @@ class MahlerSampleFunctional:
         return np.log(np.sum(np.abs(self.Z) ** 2, axis=1))
 
     @cached_property
-    def dterms(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        return [_terms_arrays(self.P.derivative(v)) for v in range(self.shape.nvars)]
+    def jet(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(monomials, coefficient matrix): the union of the monomials of P and
+        its first partials, and one row of coefficients for P, dP/dz_0, ..."""
+        polys = [self.P] + [self.P.derivative(v) for v in range(self.shape.nvars)]
+        index = {}
+        for Q in polys:
+            for e, _ in Q.sorted_terms():
+                index.setdefault(e, len(index))
+        expo = np.array(list(index), dtype=np.int64).reshape(len(index), self.shape.nvars)
+        coeffs = np.zeros((len(polys), len(index)), dtype=np.complex128)
+        for k, Q in enumerate(polys):
+            for e, c in Q.terms.items():
+                coeffs[k, index[e]] = complex(c)
+        return expo, coeffs
 
     def _moved(self, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
         """(z sigma_hat per sample, sigma_hat, d log s)."""
         s = float(np.max(np.abs(sigma)))
         sig_hat = sigma / s
-        return transform_points(self.Z, sig_hat, self.shape), sig_hat, self.degree * math.log(s)
+        return transform_points(self.Z, sig_hat), sig_hat, self.degree * math.log(s)
 
     def log_abs(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
         """log |P(z sigma)| per sample; None is the identity, with no transform."""
@@ -159,15 +174,9 @@ class MahlerSampleFunctional:
 
     def moment(self, sigma: np.ndarray) -> np.ndarray:
         pts, sig_hat, _ = self._moved(sigma)
-        vals = poly_values(self.expo, self.coeffs, pts)
+        jet = poly_values(*self.jet, pts)
+        vals = jet[0]
         S = self.Z.shape[0]
-        rows, cols = self.shape.rows, self.shape.cols
-        grad = np.zeros((S, rows * cols), dtype=np.complex128)
-        for v, (dexpo, dcoeffs) in enumerate(self.dterms):
-            if dcoeffs.size:
-                grad[:, v] = poly_values(dexpo, dcoeffs, pts)
-        Wm = self.Z.reshape(S, rows, cols)
-        Gm = (grad / vals[:, None]).reshape(S, rows, cols)
         if self.p == 0:
             weights = np.full(S, 1.0 / S)
         else:
@@ -175,9 +184,12 @@ class MahlerSampleFunctional:
             X = 0.5 * self.p * lv
             w = np.exp(X - np.max(X))
             weights = w / np.sum(w)
-        # m = E_w [ W^T (grad/val) sig_hat^T ]; holomorphic chain rule, the
-        # conjugate half is supplied by the 2 Re Tr(H m^T) wrapper
-        contrib = np.einsum("s,sri,srj->ij", weights, Wm, Gm)
+        # m = E_w [ W^T (grad/val) sig_hat^T ] over the matrix rows of every
+        # sample, one GEMM; holomorphic chain rule, the conjugate half is
+        # supplied by the 2 Re Tr(H m^T) wrapper
+        G = (jet[1:] * (weights / vals)).T
+        cols = self.shape.cols
+        contrib = self.Z.reshape(-1, cols).T @ G.reshape(-1, cols)
         return contrib @ sig_hat.T
 
 
@@ -250,18 +262,16 @@ def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0) -> 
     nv, d = fn.shape.nvars, fn.degree
     Y = fn.log_fs()
     order = np.argsort(Y)[::-1]
-    expo, coeffs, grads = fn.expo, fn.coeffs, fn.dterms
+    expo, coeffs = fn.jet
 
     def objective(x):
         z = (x[:nv] + 1j * x[nv:]).reshape(1, nv)
-        val = poly_values(expo, coeffs, z)[0]
+        jet = poly_values(expo, coeffs, z)[:, 0]
+        val = jet[0]
         z2 = float(np.sum(np.abs(z) ** 2))
         if val == 0 or z2 == 0:
             return 1e6, np.zeros(2 * nv)
-        g = np.array(
-            [poly_values(ge, gc, z)[0] if ge.size else 0.0 for ge, gc in grads]
-        )
-        ratio = g / val
+        ratio = jet[1:] / val
         f = -(math.log(abs(val)) - 0.5 * d * math.log(z2))
         zz = z.ravel()
         grad_re = -(np.real(ratio) - d * np.real(zz) / z2)

@@ -127,6 +127,9 @@ class TensorVector:
                 raise PreconditionError(f"unknown slot kind {kind!r}")
             if d < 2:
                 raise PreconditionError("slot dimension must be >= 2")
+        if len({d for _, d in self.slots}) > 1:
+            # sigma acts on every slot at once: one group size
+            raise DimensionError(f"tensor slots of different dims {[d for _, d in self.slots]}")
         clean: Dict[tuple, object] = {}
         for idx, c in coords.items():
             key = self._check_index(idx)

@@ -277,6 +277,24 @@ class TestExitCodes:
             assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "torus-fail"
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flags", [["--trials", "3"], ["--descend"]])
+    def test_tensor_slots_of_different_dims_exit_3(self, tmp_path, capsys, flags):
+        # sigma acts on every slot, so a vector-2 slot beside a vector-3 slot
+        # has no group; the pair file is refused on reading
+        def tensor(*idxs):
+            return {"schema": "v1", "mode": "exact",
+                    "slots": [{"kind": "vector", "dim": 2}, {"kind": "vector", "dim": 3}],
+                    "coords": [{"idx": list(i), "re": "1", "im": "0"} for i in idxs]}
+
+        path = tmp_path / "mixed_pair.json"
+        path.write_text(json.dumps({"schema": "v1", "v": tensor((0, 0), (1, 2)),
+                                    "w": tensor((0, 1))}))
+        assert main(["pair-check", "--pair", str(path), *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("precondition violated: tensor slots of different dims [2, 3]")
+        assert len(err.strip().splitlines()) == 1
+
     def test_removed_mode_flag_exit_2(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["pair-check", "--pair", files["pair"], "--mode", "exact"])

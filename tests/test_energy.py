@@ -235,11 +235,17 @@ class TestOrbitDistance:
         self._planted(self._mahler_norm)
 
     def test_planted_mahler_parts_witness_is_exact(self):
-        # the descent ends on a phased permutation frame, which snaps exactly
+        # the descent ends on a phased permutation frame, which snaps exactly;
+        # which unit phases it ends on is set by float rounding over the
+        # 1500 steps, so only the shape of the frame is pinned
         cert = self._planted(self._mahler_norm)
         assert cert.witness["verification"] == "exact"
         assert cert.witness["lambda"] == [1, -1]
-        assert cert.witness["conjugator"] == [["-1", "0"], ["0", "0+-1i"]]
+        conj = cert.witness["conjugator"]
+        support = [[x != "0" for x in row] for row in conj]
+        assert all(sum(row) == 1 for row in support)
+        assert all(sum(col) == 1 for col in zip(*support))
+        assert {x for row in conj for x in row} - {"0"} <= {"1", "-1", "0+1i", "0+-1i"}
 
 
 class TestAsymptoticReport:

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stablepairs import norms
 from stablepairs._kernels import _CHUNK, poly_log_abs, poly_values
 from stablepairs.forms import chow_form_curve
-from stablepairs.norms import _terms_arrays, sample_points
+from stablepairs.norms import (
+    MIN_SAMPLES,
+    MahlerSampleFunctional,
+    _terms_arrays,
+    sample_points,
+    sup_norm,
+    transform_points,
+)
 from stablepairs.poly import HomogeneousPolynomial, VariableShape, evaluate
 from stablepairs.scalars import FLOAT
 from stablepairs.verify import rational_normal_curve
@@ -23,10 +31,13 @@ def reference(P: HomogeneousPolynomial, Z: np.ndarray) -> np.ndarray:
 def sparse_polynomials(draw):
     """A homogeneous polynomial with mostly-zero exponents, and sample rows.
 
-    Degree 0 gives constants; rows lie in the closed unit polydisk (the torus
-    the Mahler measure integrates over) with some coordinates exactly 0.
+    The shape is a vector or a 2-row matrix; degree 0 gives constants; rows
+    lie in the closed unit polydisk (the torus the Mahler measure integrates
+    over) with some coordinates exactly 0.
     """
-    nvars = draw(st.integers(2, 5))
+    shape = draw(st.one_of(st.builds(VariableShape.vector, st.integers(2, 5)),
+                           st.builds(VariableShape.matrix, st.just(2), st.integers(2, 3))))
+    nvars = shape.nvars
     degree = draw(st.integers(0, 6))
     part = st.one_of(st.just(0), st.integers(0, degree))
     terms = {}
@@ -39,7 +50,7 @@ def sparse_polynomials(draw):
         perm = draw(st.permutations(range(nvars)))
         terms.setdefault(tuple(exp[i] for i in perm), complex(
             draw(st.floats(-2, 2)), draw(st.floats(-2, 2))))
-    P = HomogeneousPolynomial(VariableShape.vector(nvars), degree, terms, FLOAT)
+    P = HomogeneousPolynomial(shape, degree, terms, FLOAT)
     rows = draw(st.sampled_from([1, 5, _CHUNK + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     Z = rng.uniform(0, 1, (rows, nvars)) * np.exp(2j * np.pi * rng.uniform(0, 1, (rows, nvars)))
@@ -79,3 +90,80 @@ class TestBackendAgreement:
         coeffs = np.array([1.0 + 0j])
         Z = np.array([[0.0 + 0j, 2.0 + 0j]])
         assert poly_values(expo, coeffs, Z)[0] == pytest.approx(4.0)
+
+
+class TestCoefficientMatrix:
+    """k polynomials on one monomial list: P and its partials in one pass."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_polynomials(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matrix_rows_match_one_call_each(self, case, k, seed):
+        P, Z = case
+        expo, _ = _terms_arrays(P)
+        rng = np.random.default_rng(seed)
+        C = rng.standard_normal((k, len(expo))) + 1j * rng.standard_normal((k, len(expo)))
+        out = poly_values(expo, C, Z)
+        assert out.shape == (k, Z.shape[0])
+        for row, c in zip(out, C):
+            assert np.allclose(row, poly_values(expo, c, Z), rtol=RTOL, atol=ATOL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_polynomials())
+    def test_jet_rows_are_p_and_its_partials(self, case):
+        P, Z = case
+        assume(not P.is_zero)
+        jet = poly_values(*MahlerSampleFunctional(P, samples=MIN_SAMPLES).jet, Z)
+        assert jet.shape == (1 + P.shape.nvars, Z.shape[0])
+        assert np.allclose(jet[0], reference(P, Z), rtol=RTOL, atol=ATOL)
+        for v in range(P.shape.nvars):
+            assert np.allclose(jet[1 + v], reference(P.derivative(v), Z), rtol=RTOL, atol=ATOL)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_transform_points_is_per_row_substitution(rows):
+    rng = np.random.default_rng(rows)
+    Z = rng.standard_normal((7, 3 * rows)) + 1j * rng.standard_normal((7, 3 * rows))
+    sigma = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    want = np.array([np.concatenate([z_row @ sigma for z_row in z.reshape(rows, 3)])
+                     for z in Z])
+    assert np.allclose(transform_points(Z, sigma), want, rtol=1e-14, atol=1e-14)
+
+
+class TestOneKernelCall:
+    """The descent's moment and each sup-norm objective evaluation read P and
+    its gradient from one kernel call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return poly_values(*args)
+
+        monkeypatch.setattr(norms, "poly_values", counted)
+        return seen
+
+    def test_moment(self, calls):
+        P = chow_form_curve(rational_normal_curve(2)).to_float()
+        f = MahlerSampleFunctional(P, samples=MIN_SAMPLES, seed=0)
+        f.moment(np.diag([2.0, 1.0, 0.5]).astype(np.complex128))
+        assert len(calls) == 1
+
+    def test_sup_norm_objective(self, calls, monkeypatch):
+        import scipy.optimize
+
+        minimize, evals = scipy.optimize.minimize, []
+
+        def counting(fun, x0, **kwargs):
+            def counted(x):
+                evals.append(x)
+                return fun(x)
+
+            return minimize(counted, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        P = HomogeneousPolynomial(VariableShape.vector(3), 2,
+                                  {(1, 1, 0): 1.0, (0, 0, 2): 0.5j}, FLOAT)
+        sup_norm(P, samples=MIN_SAMPLES, seed=0)
+        assert evals and len(calls) == len(evals)

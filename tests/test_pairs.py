@@ -475,7 +475,13 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 
 class TestDenseFunctional:
-    """The dense symmetric-power functional against independent sparse code."""
+    """The dense symmetric-power functional against the sparse ``act`` and
+    ``act_tensor``, and its moment against central differences.
+
+    ``act`` and ``act_tensor`` run the same ``_sym_powers`` recursion as the
+    functional, so the value checks cover its orthonormal scaling, block
+    layout and log constants; the recursion itself is checked against the
+    term-by-term evaluator in ``test_poly.TestAct``."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

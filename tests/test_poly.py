@@ -8,11 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablepairs import poly
+from stablepairs._kernels import poly_log_abs
 from stablepairs.errors import DimensionError, PreconditionError
+from stablepairs.norms import MIN_SAMPLES, MahlerSampleFunctional, _terms_arrays
 from stablepairs.poly import (
     GroupElement,
     HomogeneousPolynomial,
@@ -106,7 +108,52 @@ class TestEvaluate:
             evaluate(P, [1, 2, 3])
 
 
+@st.composite
+def float_substitutions(draw):
+    """A float polynomial on a vector or 2-row matrix shape (rows of mixed
+    degrees), a complex matrix sigma and a point z, some of whose
+    coordinates are exactly 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3))
+    rows = draw(st.sampled_from([1, 2]))
+    shape = VariableShape.vector(n) if rows == 1 else VariableShape.matrix(2, n)
+    d = draw(st.integers(1, 4))
+    terms = {tuple(int(e) for e in rng.multinomial(d, [1 / shape.nvars] * shape.nvars)):
+             complex(*rng.standard_normal(2)) for _ in range(int(rng.integers(1, 7)))}
+    P = HomogeneousPolynomial(shape, d, terms, "float")
+    sigma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    z[rng.uniform(size=z.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    return P, sigma, z
+
+
 class TestAct:
+    @settings(max_examples=80, deadline=None)
+    @given(float_substitutions())
+    def test_float_action_is_substitution(self, case):
+        # (sigma . P)(z) = P(z sigma) in float mode, against the term-by-term
+        # evaluator; the bound is sum |c| (max_row |z|_1 max |sigma|)^d
+        P, sigma, z = case
+        scale = sum(abs(c) for c in P.terms.values()) * (
+            np.abs(z).sum(axis=1).max() * np.abs(sigma).max()) ** P.degree
+        got = complex(evaluate(act(sigma, P), z))
+        want = complex(evaluate(P, z @ sigma))
+        assert abs(got - want) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(float_substitutions())
+    def test_sample_transform_matches_action(self, case):
+        # the sample set's z -> z sigma (one GEMM over all rows) against the
+        # action's coefficients, evaluated on the same unmoved samples
+        P, sigma, _ = case
+        f = MahlerSampleFunctional(P, samples=MIN_SAMPLES, seed=0)
+        moved = np.exp(f.log_abs(sigma))
+        acted = np.exp(poly_log_abs(*_terms_arrays(act(sigma, P)), f.Z))
+        rows = f.Z.reshape(MIN_SAMPLES, -1, sigma.shape[0])
+        scale = sum(abs(c) for c in P.terms.values()) * (
+            np.abs(rows).sum(axis=2).max(axis=1) * np.abs(sigma).max()) ** P.degree
+        assert np.all(np.abs(moved - acted) <= 1e-12 * scale)
+
     def test_identity(self, rng):
         P = rand_poly(rng, V3, 2)
         assert act(GroupElement.identity(3), P) == P
