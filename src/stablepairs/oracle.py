@@ -37,12 +37,14 @@ terms.  The t-independent weights are computed once per grid, so each
 t-node (t = 0 for V and mu, t = 1 for phi_sigma, J and F0, and the
 Gauss-Legendre nodes) costs a few real matrix-vector products.  Every node
 also yields the integral of g_w,t, which equals 2d - 2 exactly; the largest
-deviation over the t-nodes is reported per grid as `gauss_bonnet_drift`, a
-diagnostic of under-resolved curvature that no gate reads.
+deviation over the t-nodes is reported per grid as `gauss_bonnet_drift`.
+It tracks the error of nu on under-resolved curvature, so it is a stopping
+condition of the refinement alongside the agreement of successive grids.
 
 P^1 is tiled exactly by the closed unit disks of the two standard charts;
 each disk carries a Gauss-Legendre (radius) x trapezoid (angle) polar grid,
-refined until successive grids agree to tolerance.
+started coarse and refined until successive grids agree and the drift is
+small, within a budget of grid points (`curve_geometry_oracle`).
 """
 
 from __future__ import annotations
@@ -217,44 +219,61 @@ def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
     return {"V": V, "mu": mu, "J": J, "F0": F0, "nu": nu, "gauss_bonnet_drift": drift}
 
 
-# Gauss-Legendre nodes in t, agreement required of successive grids, and
-# the number of 3/2 grid refinements tried
+# Gauss-Legendre nodes in t; the agreement required of successive grids,
+# which also bounds the newer grid's Gauss-Bonnet drift; and the most grid
+# points, summed n_r * n_th over the grids run, that one call may spend.
+# The budget covers 96^2 + 144^2 + 216^2 and the 24^2 ... 271^2 schedule
+# (132 192 points) of a twisted-cubic sigma of condition number 117.
 T_NODES = 33
 REFINE_TOL = 1e-3
-MAX_REFINE = 2
+GRID_POINT_BUDGET = 200_000
 
 
-def curve_geometry_oracle(sigma, curve: RationalCurve, n_r: int = 96,
-                          n_th: int = 96) -> CurveGeometryReport:
+def curve_geometry_oracle(sigma, curve: RationalCurve, n_r: int = 24,
+                          n_th: int = 24) -> CurveGeometryReport:
     """Quadrature evaluation of V, mu, J, F0 and the K-energy of phi_sigma.
 
-    Successive grid refinements must agree to REFINE_TOL in every entry;
-    failure raises NonConvergenceError with the grid diagnostics attached.
+    Starts on an n_r x n_th polar grid per chart and refines both by 3/2
+    until two conditions hold: successive grids agree to REFINE_TOL in V,
+    mu, J, F0 and nu, and the newer grid's `gauss_bonnet_drift` is at most
+    REFINE_TOL.  The newer grid is reported.  A grid is run only while the
+    points spent, summed n_r * n_th over the grids run, stay within
+    GRID_POINT_BUDGET.  Running out of budget, or a grid with a non-finite
+    entry (an overflowing sigma), raises NonConvergenceError at once with
+    every grid run so far in its diagnostics.
     """
     sigma = np.asarray(sigma, dtype=np.complex128)
     if sigma.shape != (curve.N + 1, curve.N + 1):
         raise PreconditionError("sigma must be (N+1) x (N+1)")
     charts = _CurveCharts(curve)
-    prev = _run_grid(charts, sigma, n_r, n_th, T_NODES)
-    history = [dict(prev, n_r=n_r, n_th=n_th)]
-    for _ in range(MAX_REFINE):
+    history: List[dict] = []
+    spent = 0
+    while spent + n_r * n_th <= GRID_POINT_BUDGET:
+        spent += n_r * n_th
+        # an overflowing sigma shows as non-finite entries, reported below
+        with np.errstate(all="ignore"):
+            cur = _run_grid(charts, sigma, n_r, n_th, T_NODES)
+        history.append(dict(cur, n_r=n_r, n_th=n_th))
+        if not all(math.isfinite(v) for v in cur.values()):
+            raise NonConvergenceError(
+                f"non-finite quadrature on the {n_r}x{n_th} grid",
+                diagnostics={"grids": history, "t_nodes": T_NODES},
+            )
+        if len(history) > 1:
+            diff = max(abs(cur[k] - history[-2][k]) for k in ("V", "mu", "J", "F0", "nu"))
+            if diff < REFINE_TOL and cur["gauss_bonnet_drift"] <= REFINE_TOL:
+                return CurveGeometryReport(
+                    volume=cur["V"],
+                    mu=cur["mu"],
+                    k_energy=cur["nu"],
+                    aubin_j=cur["J"],
+                    aubin_f0=cur["F0"],
+                    diagnostics={"grids": history, "refinement_diff": diff, "t_nodes": T_NODES},
+                )
         n_r = (3 * n_r) // 2
         n_th = (3 * n_th) // 2
-        cur = _run_grid(charts, sigma, n_r, n_th, T_NODES)
-        history.append(dict(cur, n_r=n_r, n_th=n_th))
-        diff = max(abs(cur[k] - prev[k]) for k in ("V", "mu", "J", "F0", "nu"))
-        if diff < REFINE_TOL:
-            return CurveGeometryReport(
-                volume=cur["V"],
-                mu=cur["mu"],
-                k_energy=cur["nu"],
-                aubin_j=cur["J"],
-                aubin_f0=cur["F0"],
-                diagnostics={"grids": history, "refinement_diff": diff, "t_nodes": T_NODES},
-            )
-        prev = cur
     raise NonConvergenceError(
-        f"quadrature did not stabilize to {REFINE_TOL}; grids: "
-        + ", ".join(f"({h['n_r']}x{h['n_th']})" for h in history),
+        f"quadrature did not stabilize to {REFINE_TOL} within {GRID_POINT_BUDGET} grid "
+        "points; grids: " + ", ".join(f"({h['n_r']}x{h['n_th']})" for h in history),
         diagnostics={"grids": history, "t_nodes": T_NODES},
     )

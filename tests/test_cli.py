@@ -333,6 +333,19 @@ class TestExitCodes:
         assert err.startswith("schema error: --at must be a JSON list of [re, im] number pairs")
         assert len(err.strip().splitlines()) == 1
 
+    def test_oracle_overflowing_sigma_exit_4(self, files, tmp_path):
+        # exp(2t lam) overflows on the first grid; a child process, so that
+        # numpy's RuntimeWarnings would reach its stderr uncaptured
+        entries = [[0.0, 0.0]] * 9
+        entries[0], entries[4], entries[8] = [1e200, 0.0], [1e-200, 0.0], [1.0, 0.0]
+        sigma = tmp_path / "huge_sigma.json"
+        sigma.write_text(json.dumps(dict(SIGMA_ID3, entries=entries)))
+        out = run_cli(["oracle", "--curve", files["conic"], "--sigma", str(sigma)], check=False)
+        assert out.returncode == 4
+        assert out.stdout == ""
+        assert out.stderr.startswith("non-convergence: non-finite quadrature on the 24x24 grid")
+        assert len(out.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["polytope"],
         ["weight", "--lambda", "[1, -1]"],

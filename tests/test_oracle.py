@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from stablepairs.errors import NonConvergenceError, PreconditionError
-from stablepairs.oracle import _CurveCharts, _run_grid, curve_geometry_oracle, wedge_square_matrix
+from stablepairs import oracle
+from stablepairs.oracle import (
+    GRID_POINT_BUDGET,
+    REFINE_TOL,
+    _CurveCharts,
+    _run_grid,
+    curve_geometry_oracle,
+    wedge_square_matrix,
+)
 from stablepairs.verify import random_sl
 
 ORACLE_KEYS = ("V", "mu", "J", "F0", "nu", "gauss_bonnet_drift")
@@ -124,31 +132,61 @@ class TestSpectralGrid:
                 assert abs(res[key] - ref[key]) < 1e-12, key
 
     def test_gauss_bonnet_drift_healthy(self, conic_curve, cubic_curve, rng):
+        # the sentinel is at rounding level on resolved grids, whatever
+        # grids the oracle's schedule runs, and the oracle reports values
+        # as good as a resolved grid's
         for curve in (conic_curve, cubic_curve):
             sig = random_sl(rng, curve.N + 1, spread=0.3)
-            rep = curve_geometry_oracle(sig, curve)
-            assert all(h["gauss_bonnet_drift"] < 1e-10 for h in rep.diagnostics["grids"])
+            charts = _CurveCharts(curve)
+            coarse, fine = (_run_grid(charts, sig, n, n, 33) for n in (96, 144))
+            assert coarse["gauss_bonnet_drift"] < 1e-10
+            assert fine["gauss_bonnet_drift"] < 1e-10
+            reported = curve_geometry_oracle(sig, curve).diagnostics["grids"][-1]
+            for key in ("V", "mu", "J", "F0", "nu"):
+                assert abs(reported[key] - fine[key]) < REFINE_TOL, key
 
     def test_gauss_bonnet_drift_flags_unresolved_curvature(self, cubic_curve):
-        # spread 1.0 on the twisted cubic: nu does not converge on 96/144/216
-        # grids, while V = 3 and J, F0 do; the sentinel sees it and falls
-        # as the grid refines
+        # spread 1.0 on the twisted cubic: nu is not resolved on 96/144
+        # grids, while V = 3 is; the sentinel sees it and falls as the grid
+        # refines
         sig = random_sl(np.random.default_rng(1), 4, spread=1.0)
         charts = _CurveCharts(cubic_curve)
         coarse, fine = (_run_grid(charts, sig, n, n, 33) for n in (96, 144))
         assert abs(coarse["V"] - 3.0) < 1e-10
         assert coarse["gauss_bonnet_drift"] > 0.05
         assert 1e-3 < fine["gauss_bonnet_drift"] < coarse["gauss_bonnet_drift"]
+        # refining until the sentinel also settles, within the budget, the
+        # oracle reaches the nu of a 324^2 grid
+        rep = curve_geometry_oracle(sig, cubic_curve)
+        grids = rep.diagnostics["grids"]
+        assert sum(g["n_r"] * g["n_th"] for g in grids) <= GRID_POINT_BUDGET
+        assert grids[-1]["gauss_bonnet_drift"] <= REFINE_TOL
+        assert abs(rep.k_energy - _run_grid(charts, sig, 324, 324, 33)["nu"]) < REFINE_TOL
+        assert rep.diagnostics["t_nodes"] == 33
+
+    def test_budget_exhausted(self, cubic_curve, monkeypatch):
+        # the sigma above needs 132 192 grid points from 24^2; with fewer
+        # the error carries every grid's results, not only their sizes
+        run = []
+        monkeypatch.setattr(oracle, "GRID_POINT_BUDGET", 50_000)
+        monkeypatch.setattr(oracle, "_run_grid", lambda *a: run.append(a[2:4]) or _run_grid(*a))
+        sig = random_sl(np.random.default_rng(1), 4, spread=1.0)
         with pytest.raises(NonConvergenceError) as exc:
             curve_geometry_oracle(sig, cubic_curve)
-        # the error carries every grid's results, not only their sizes: the
-        # drift (0.13, 1.8e-2, 9.1e-4) stays far above the healthy 1e-14 on
-        # every grid, and nu is the entry that does not settle
         grids = exc.value.diagnostics["grids"]
-        assert [(g["n_r"], g["n_th"]) for g in grids] == [(96, 96), (144, 144), (216, 216)]
-        assert all(g["gauss_bonnet_drift"] > 1e-4 for g in grids)
-        assert abs(grids[1]["nu"] - grids[0]["nu"]) > 1e-3
+        assert len(run) > 1
+        assert [(g["n_r"], g["n_th"]) for g in grids] == run
+        assert all(all(k in g for k in ORACLE_KEYS) for g in grids)
+        assert sum(g["n_r"] * g["n_th"] for g in grids) <= 50_000
         assert exc.value.diagnostics["t_nodes"] == 33
+
+    def test_non_finite_grid_stops_at_once(self, conic_curve):
+        # exp(2t lam) overflows: no later grid can mend the first
+        with pytest.raises(NonConvergenceError) as exc:
+            curve_geometry_oracle(np.diag([1e200, 1e-200, 1.0]), conic_curve)
+        grids = exc.value.diagnostics["grids"]
+        assert [(g["n_r"], g["n_th"]) for g in grids] == [(24, 24)]
+        assert not all(np.isfinite(grids[0][k]) for k in ORACLE_KEYS)
 
 
 class TestWedgeMatrix:
