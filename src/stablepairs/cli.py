@@ -181,11 +181,11 @@ def cmd_pair_check(args):
 
 def cmd_stable_check(args):
     pair = pair_from_json(_load(args.pair))
-    tp = build_stable_test_pair(pair, args.m)
     if args.descend or args.trials > 1:
         cert = stable_probe(pair, args.m, trials=max(args.trials, 1), seed=args.seed,
                             opts=_descent_opts(args))
         return cert.to_json()
+    tp = build_stable_test_pair(pair, args.m)
     ok, lam = torus_semistable(tp)
     left, right = polytope_sides(tp.parts)
     return {
@@ -221,7 +221,7 @@ def cmd_supnorm(args):
 def cmd_arestov(args):
     P = poly_from_json(_load(args.poly))
     if args.jensen:
-        return jensen_check(P, args.p if args.p > 0 else 2.0, samples=args.samples, seed=args.seed)
+        return jensen_check(P, args.p, samples=args.samples, seed=args.seed)
     return arestov_check(P, samples=args.samples, seed=args.seed)
 
 
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arestov", help="Arestov sandwich; --jensen for the L^p ordering")
     p.add_argument("--poly", required=True)
-    p.add_argument("--p", type=float, default=0.0)
+    p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--jensen", action="store_true")
     common(p)
 

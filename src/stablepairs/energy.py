@@ -28,9 +28,9 @@ through the Hilbert-Schmidt norm of sigma on the identity factor:
             - q log||sigma||_HS^2 - (km-1) degDelta log||sigma.R||_0^2 ].
 
 All Mahler quantities are common-random-number Monte-Carlo ratios with
-propagated standard errors.  The descent objective (``xpair_functional``)
-runs on ``norms.MahlerSampleFunctional``, the same seeded sample set that
-``norms.log_ratio_sq`` estimates from; it is re-exported here.
+propagated standard errors.  Every X-pair quantity, the descent objective
+``xpair_functional`` included, samples R on ``seed`` and Delta on ``seed + 1``
+(``norms.MahlerSampleFunctional``, re-exported here).
 """
 
 from __future__ import annotations
@@ -46,13 +46,17 @@ from .norms import MahlerSampleFunctional, log_ratio_sq
 from .pairs import DescentOptions, PairFunctional, StabilityCertificate, _sigma_np, descend
 
 
+def _log_ratios(sig: np.ndarray, xp: XPair, p: float, samples: int, seed: int) -> tuple:
+    """(dr, err_r, dd, err_d): ``log_ratio_sq`` of R on seed and of Delta on seed + 1."""
+    return (*log_ratio_sq(xp.resultant, sig, p, samples=samples, seed=seed),
+            *log_ratio_sq(xp.hyperdiscriminant, sig, p, samples=samples, seed=seed + 1))
+
+
 def log_tan_dist_p(sigma, xp: XPair, p: float = 0.0, samples: int = 200_000,
                    seed: int = 0) -> dict:
     """log tan^2 distance at sigma between the pair point and the R-point."""
     xp.require_delta()
-    sig = _sigma_np(sigma, xp.N + 1)
-    dr, err_r = log_ratio_sq(xp.resultant, sig, p, samples=samples, seed=seed)
-    dd, err_d = log_ratio_sq(xp.hyperdiscriminant, sig, p, samples=samples, seed=seed + 1)
+    dr, err_r, dd, err_d = _log_ratios(_sigma_np(sigma, xp.N + 1), xp, p, samples, seed)
     value = xp.deg_r * dd - xp.deg_delta * dr
     stderr = xp.deg_r * err_d + xp.deg_delta * err_r
     return {
@@ -103,8 +107,7 @@ def coercivity_value(sigma, xp: XPair, m: int, k: int = 1,
     if m < 1 or k < 1:
         raise PreconditionError("need m >= 1 and k >= 1")
     sig = _sigma_np(sigma, xp.N + 1)
-    dr, err_r = log_ratio_sq(xp.resultant, sig, 0.0, samples=samples, seed=seed)
-    dd, err_d = log_ratio_sq(xp.hyperdiscriminant, sig, 0.0, samples=samples, seed=seed + 1)
+    dr, err_r, dd, err_d = _log_ratios(sig, xp, 0.0, samples, seed)
     q = xp.deg_r * xp.deg_delta
     hs2 = float(np.vdot(sig, sig).real)
     log_w_sq = k * m * xp.deg_r * dd
@@ -138,8 +141,8 @@ def xpair_functional(xp: XPair, p: float = 0.0, samples: int = 20_000,
     return PairFunctional(
         [(xp.deg_r, xp.hyperdiscriminant), (-xp.deg_delta, xp.resultant)],
         n,
-        [MahlerSampleFunctional(xp.hyperdiscriminant, p, samples, seed),
-         MahlerSampleFunctional(xp.resultant, p, samples, seed + 1)],
+        [MahlerSampleFunctional(xp.hyperdiscriminant, p, samples, seed + 1),
+         MahlerSampleFunctional(xp.resultant, p, samples, seed)],
     )
 
 

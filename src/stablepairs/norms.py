@@ -14,8 +14,8 @@ the exact monomial moments used as oracles in the tests:
 so log ||z^a||_0 = -(d/2) H_M for every degree-d monomial.
 
 Every Monte-Carlo estimate here and the X-pair descent objective in
-``energy`` read one seeded sample set, ``MahlerSampleFunctional``, which
-builds the log ||z||^2 normaliser only when an estimator reads it.
+``energy`` read one seeded sample set, ``MahlerSampleFunctional``, and one
+reduction of its per-sample logs, ``MahlerSampleFunctional.reduce``.
 
 All estimates are seeded and reproducible; Monte-Carlo results carry their
 sample standard error.  ``lp_norm(...).log_value`` is the log of the norm
@@ -28,7 +28,7 @@ it enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -57,13 +57,7 @@ class MahlerEstimate:
     p: float
 
     def to_json(self) -> dict:
-        return {
-            "log_value": self.log_value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "p": self.p,
-        }
+        return asdict(self)
 
 
 def _terms_arrays(P: HomogeneousPolynomial) -> Tuple[np.ndarray, np.ndarray]:
@@ -93,15 +87,6 @@ def transform_points(Z: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (Z.reshape(-1, sigma.shape[0]) @ sigma).reshape(Z.shape)
 
 
-def _log_mean_exp(X: np.ndarray) -> Tuple[float, float]:
-    """(log mean exp(X), its standard error), shifted by max(X) against overflow."""
-    mx = float(np.max(X))
-    w = np.exp(X - mx)
-    m = float(np.mean(w))
-    se = float(np.std(w, ddof=1) / math.sqrt(X.size))
-    return mx + math.log(m), se / m
-
-
 class MahlerSampleFunctional:
     """The seeded Fubini-Study sample set of P, and log ||sigma . P||_p^2 on it.
 
@@ -113,8 +98,8 @@ class MahlerSampleFunctional:
     (normalisers cancel) builds neither.  sigma = s sigma_hat with s its
     largest entry modulus, so far out on a diverging descent
     log |P(z sigma)| = log |P(z sigma_hat)| + d log s cannot overflow.
-    p = 0 averages the log; p > 0 uses the softmax weights of the p-th
-    power.
+    ``reduce`` alone turns per-sample logs into an estimate; ``moment``
+    weights p > 0 by the softmax of the p-th power.
     """
 
     def __init__(self, P: HomogeneousPolynomial, p: float = 0.0,
@@ -162,15 +147,37 @@ class MahlerSampleFunctional:
         pts, _, log_scale = self._moved(sigma)
         return poly_log_abs(self.expo, self.coeffs, pts) + log_scale
 
-    def log_fs(self) -> np.ndarray:
-        """log |P|_FS per sample: log |P(z)| - (d/2) log ||z||^2."""
-        return self.log_abs() - 0.5 * self.degree * self.logz2
+    def log_fs2(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
+        """log |sigma.P|_FS^2 per sample: 2 log |P(z sigma)| - d log ||z||^2."""
+        return 2.0 * self.log_abs(sigma) - self.degree * self.logz2
+
+    def reduce(self, lv: np.ndarray, p: Optional[float] = None) -> Tuple[float, float]:
+        """(log ||.||_p^2, stderr) from per-sample logs lv of |.|_FS^2 at p (default
+        the functional's): mean(lv) at p = 0, else (2/p) log mean exp(p lv / 2)."""
+        p = self.p if p is None else p
+        if p == 0:
+            return float(np.mean(lv)), float(np.std(lv, ddof=1) / math.sqrt(lv.size))
+        X = 0.5 * p * lv
+        mx = float(np.max(X))
+        w = np.exp(X - mx)
+        m = float(np.mean(w))
+        rel_err = float(np.std(w, ddof=1) / math.sqrt(lv.size)) / m
+        return 2.0 * (mx + math.log(m)) / p, 2.0 * rel_err / p
 
     def log_norm2(self, sigma: np.ndarray) -> float:
-        lv = 2.0 * self.log_abs(sigma) - self.degree * self.logz2
+        return self.reduce(self.log_fs2(sigma))[0]
+
+    def log_ratio_sq(self, sigma: np.ndarray) -> Tuple[float, float]:
+        """(log ||sigma.P||_p^2 - log ||P||_p^2, stderr), common random numbers.
+
+        At p = 0 the FS normalisers cancel pointwise: the paired mean of
+        2(log|P(z sigma)| - log|P(z)|) has small variance near the unitaries."""
+        moved, base = self.log_abs(sigma), self.log_abs()
         if self.p == 0:
-            return float(np.mean(lv))
-        return (2.0 / self.p) * _log_mean_exp(0.5 * self.p * lv)[0]
+            return self.reduce(2.0 * (moved - base))
+        z2 = self.degree * self.logz2
+        (v_moved, e_moved), (v_base, e_base) = (self.reduce(2.0 * x - z2) for x in (moved, base))
+        return v_moved - v_base, e_moved + e_base
 
     def moment(self, sigma: np.ndarray) -> np.ndarray:
         pts, sig_hat, _ = self._moved(sigma)
@@ -205,39 +212,23 @@ def fs_pointwise(P: HomogeneousPolynomial, z) -> float:
     return float(np.exp(2.0 * y[0]))
 
 
+def _estimate(reduced: Tuple[float, float], samples: int, seed: int, p: float) -> MahlerEstimate:
+    """The single-bar estimate of log ||.||_p from ``reduce``'s squared one."""
+    log_value2, stderr2 = reduced
+    return MahlerEstimate(0.5 * log_value2, 0.5 * stderr2, samples, seed, float(p))
+
+
 def lp_norm(P: HomogeneousPolynomial, p: float, samples: int = 200_000,
             seed: int = 0) -> MahlerEstimate:
     """Monte-Carlo estimate of log ||P||_p (p = 0 is Mahler)."""
-    Y = MahlerSampleFunctional(P, p, samples, seed).log_fs()
-    if p == 0:
-        p, log_value = 0.0, float(np.mean(Y))
-        stderr = float(np.std(Y, ddof=1) / math.sqrt(samples))
-    else:
-        log_mean, rel_err = _log_mean_exp(p * Y)
-        log_value, stderr = log_mean / p, rel_err / p
-    return MahlerEstimate(log_value, stderr, samples, seed, float(p))
+    f = MahlerSampleFunctional(P, p, samples, seed)
+    return _estimate(f.reduce(f.log_fs2()), samples, seed, p)
 
 
 def log_ratio_sq(P: HomogeneousPolynomial, sigma: np.ndarray, p: float,
                  samples: int = 200_000, seed: int = 0) -> Tuple[float, float]:
-    """(log ||sigma.P||_p^2 - log ||P||_p^2, stderr), common random numbers.
-
-    For p = 0 the FS normalizers cancel pointwise, so the estimator is the
-    mean of 2(log|P(z sigma)| - log|P(z)|), which has small variance for
-    sigma near the unitaries.
-    """
-    f = MahlerSampleFunctional(P, p, samples, seed)
-    moved = f.log_abs(sigma)
-    base = f.log_abs()
-    if p == 0:
-        D = 2.0 * (moved - base)
-        return float(np.mean(D)), float(np.std(D, ddof=1) / math.sqrt(samples))
-    z2 = 0.5 * f.degree * f.logz2
-    est_moved = _log_mean_exp(p * (moved - z2))
-    est_base = _log_mean_exp(p * (base - z2))
-    val = 2.0 * (est_moved[0] - est_base[0]) / p
-    err = 2.0 * (est_moved[1] + est_base[1]) / p
-    return val, err
+    """``MahlerSampleFunctional.log_ratio_sq`` on the seeded sample set of P."""
+    return MahlerSampleFunctional(P, p, samples, seed).log_ratio_sq(sigma)
 
 
 # multi-start ascent of ``sup_norm``: start points and gradient stationarity
@@ -260,7 +251,7 @@ def sup_norm(P: HomogeneousPolynomial, samples: int = 20_000, seed: int = 0) -> 
     """
     fn = MahlerSampleFunctional(P, 0.0, samples, seed)
     nv, d = fn.shape.nvars, fn.degree
-    Y = fn.log_fs()
+    Y = 0.5 * fn.log_fs2()
     order = np.argsort(Y)[::-1]
     expo, coeffs = fn.jet
 
@@ -319,11 +310,14 @@ def arestov_check(P: HomogeneousPolynomial, samples: int = 200_000, seed: int = 
 
 def jensen_check(P: HomogeneousPolynomial, p: float = 2.0,
                  samples: int = 200_000, seed: int = 0) -> dict:
-    """log ||P||_0 <= log ||P||_p, within combined 3-sigma slack."""
-    if p <= 0:
-        raise PreconditionError("jensen comparison needs p > 0")
-    est0 = lp_norm(P, 0, samples=samples, seed=seed)
-    estp = lp_norm(P, p, samples=samples, seed=seed)
+    """log ||P||_0 <= log ||P||_p, within combined 3-sigma slack; both sides
+    reduce one per-sample vector of one seeded sample set."""
+    if not (math.isfinite(p) and p > 0):
+        raise PreconditionError(f"jensen comparison needs a finite p > 0, got {p}")
+    f = MahlerSampleFunctional(P, 0.0, samples, seed)
+    lv = f.log_fs2()
+    est0 = _estimate(f.reduce(lv, 0.0), samples, seed, 0.0)
+    estp = _estimate(f.reduce(lv, p), samples, seed, p)
     margin = estp.log_value - est0.log_value
     slack = 3.0 * (est0.stderr + estp.stderr)
     return {

@@ -801,7 +801,6 @@ def binary_discriminant(f):
 
     Defined as Res(df/dx, df/dy) divided by d^(d-2); vanishes iff f has a
     repeated projective root, and has degree 2d-2 in the coefficients of f.
-    The divisor is recorded in DISCRIMINANT_DIVISOR_RULE for output metadata.
     """
     if isinstance(f, HomogeneousPolynomial):
         coeffs = binary_coeffs(f)
@@ -821,9 +820,6 @@ def binary_discriminant(f):
     if isinstance(res, QQi):
         return res * QQi(Fraction(1, divisor), 0)
     return res / divisor
-
-
-DISCRIMINANT_DIVISOR_RULE = "res(df/dx, df/dy) / d^(d-2)"
 
 
 def maximal_minors(A) -> List[object]:

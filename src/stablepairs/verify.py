@@ -446,12 +446,15 @@ def slope_signs(*, curve_degrees: Sequence[int], count: int, seed: int) -> Check
 # the `verify` suites: the checks above at small sizes, plus their own records
 # ---------------------------------------------------------------------------
 
+# Monte-Carlo samples per estimate in the norms and energy suites
+SUITE_SAMPLES = 50_000
 
-def suite_norms(samples: int = 50_000, seed: int = 0) -> List[dict]:
-    out = monomial_mahler(cases=((2, 2), (3, 4)), per_case=1, samples=samples, seed=seed)[0]
-    out += arestov(count=6, nvars=(2, 4), degrees=(1, 5), samples=samples, seed=seed,
-                   sample_seed=seed + 10, witnesses=(), witness_samples=samples)[0]
-    out += jensen(count=6, nvars=(2, 4), degrees=(1, 5), samples=samples, seed=seed,
+
+def suite_norms(seed: int = 0) -> List[dict]:
+    out = monomial_mahler(cases=((2, 2), (3, 4)), per_case=1, samples=SUITE_SAMPLES, seed=seed)[0]
+    out += arestov(count=6, nvars=(2, 4), degrees=(1, 5), samples=SUITE_SAMPLES, seed=seed,
+                   sample_seed=seed + 10, witnesses=(), witness_samples=SUITE_SAMPLES)[0]
+    out += jensen(count=6, nvars=(2, 4), degrees=(1, 5), samples=SUITE_SAMPLES, seed=seed,
                   sample_seed=seed + 20)[0]
     shape = VariableShape.vector(3)
     z0d = HomogeneousPolynomial.monomial(shape, (3, 0, 0), 1, EXACT)
@@ -508,7 +511,7 @@ def suite_pairs(seed: int = 0) -> List[dict]:
     return out
 
 
-def suite_energy(samples: int = 50_000, seed: int = 0) -> List[dict]:
+def suite_energy(seed: int = 0) -> List[dict]:
     out, figures = curve_geometry(curve_degrees=(2,), grid=48)
     rep = figures["reports"][2]
     out.append(
@@ -517,9 +520,10 @@ def suite_energy(samples: int = 50_000, seed: int = 0) -> List[dict]:
             abs(rep.k_energy) <= 1e-9 and abs(rep.aubin_j) <= 1e-9 and abs(rep.aubin_f0) <= 1e-9,
         )
     )
-    out += kenergy_vs_oracle(curve_degrees=(2,), count=1, samples=samples, grid=48, seed=seed,
-                             sample_seed=seed + 5)[0]
-    out += phillipon_soule(count=1, samples=samples, grid=48, seed=seed, sample_seed=seed + 6)[0]
+    out += kenergy_vs_oracle(curve_degrees=(2,), count=1, samples=SUITE_SAMPLES, grid=48,
+                             seed=seed, sample_seed=seed + 5)[0]
+    out += phillipon_soule(count=1, samples=SUITE_SAMPLES, grid=48, seed=seed,
+                           sample_seed=seed + 6)[0]
     out += slope_signs(curve_degrees=(2,), count=10, seed=seed)[0]
     return out
 

@@ -326,6 +326,15 @@ class TestExitCodes:
         assert err.startswith("precondition violated: p must be a finite number >= 0")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("p", ["-3", "nan"])
+    def test_jensen_invalid_p_exit_3(self, files, capsys, p):
+        # an invalid --p is refused, not replaced by the default 2
+        assert main(["arestov", "--poly", files["mono"], "--jensen", "--p", p]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("precondition violated: jensen comparison needs a finite p > 0")
+        assert len(err.strip().splitlines()) == 1
+
     def test_supnorm_at_wrong_shape_exit_2(self, files, capsys):
         assert main(["supnorm", "--poly", files["mono"], "--at", "[1, 2]"]) == 2
         out, err = capsys.readouterr()

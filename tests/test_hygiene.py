@@ -1,6 +1,6 @@
-"""Source hygiene: every imported name in src/ and tests/ is read somewhere,
-the Monte-Carlo sampling pipeline has one home, and a cold start of the
-package and its CLI loads no scipy module."""
+"""Source hygiene: every imported name and every module constant in src/ and
+tests/ is read somewhere, the Monte-Carlo sampling pipeline has one home, and
+a cold start of the package and its CLI loads no scipy module."""
 
 import ast
 import os
@@ -39,13 +39,34 @@ def referenced_names(tree: ast.Module) -> set:
     """Every name a module imports, reads, or reads as an attribute."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
     return names
+
+
+def module_constants(tree: ast.Module) -> set:
+    """The ALL_CAPS names a module assigns at its top level."""
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and n.id.isupper()}
+
+
+def test_every_module_constant_is_read():
+    # a constant that nothing in src/ or tests/ reads is a value set and
+    # never used; its assignment is a store, not a read
+    trees = [ast.parse(p.read_text(), str(p)) for d in ("src", "tests")
+             for p in (ROOT / d).rglob("*.py")]
+    read = set().union(*map(referenced_names, trees))
+    unread = {
+        (p.name, name) for p in (ROOT / "src" / "stablepairs").glob("*.py")
+        for name in module_constants(ast.parse(p.read_text(), str(p))) if name not in read
+    }
+    assert unread == set()
 
 
 def test_sampling_pipeline_only_in_norms():

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from stablepairs import norms
+from stablepairs.energy import log_tan_dist_p, xpair_functional
 from stablepairs.errors import PreconditionError
 from stablepairs.norms import (
     MahlerSampleFunctional,
@@ -61,6 +63,29 @@ class TestOneSampleSet:
         ratio, _ = log_ratio_sq(P, sigma, p, 4000, 9)
         assert ratio == pytest.approx(f.log_norm2(sigma) - identity, abs=1e-9)
         assert 2 * lp_norm(P, p, 4000, 9).log_value == identity
+
+    @pytest.mark.parametrize("p", [0.0, 2.0])
+    def test_descent_objective_is_the_point_estimate(self, conic_xpair, p):
+        # the X-pair descent and log_tan_dist_p both sample R on seed and
+        # Delta on seed + 1, so the in-sample difference is the distance
+        sigma = random_sl(np.random.default_rng(3), 3, 0.3)
+        func = xpair_functional(conic_xpair, p, 5000, 7)
+        moved = func.value(sigma) - func.value(np.eye(3, dtype=complex))
+        rep = log_tan_dist_p(sigma, conic_xpair, p, 5000, 7)
+        assert moved == pytest.approx(rep["log_tan_sq_dist"], abs=1e-9)
+
+    def test_jensen_draws_once(self, monkeypatch):
+        # both sides reduce one draw, to the bits of two lp_norm calls
+        P = random_dense_poly(np.random.default_rng(6), 3, 4)
+        ref0, refp = lp_norm(P, 0, 4000, 5), lp_norm(P, 3.0, 4000, 5)
+        calls = []
+        draw = norms.sample_points
+        monkeypatch.setattr(norms, "sample_points", lambda *a: calls.append(a) or draw(*a))
+        rep = jensen_check(P, 3.0, 4000, 5)
+        assert len(calls) == 1
+        assert rep["log_l0"] == ref0.to_json() and rep["log_lp"] == refp.to_json()
+        assert rep["margin"] == refp.log_value - ref0.log_value
+        assert rep["slack"] == 3.0 * (ref0.stderr + refp.stderr)
 
 
 class TestLpNorm:
