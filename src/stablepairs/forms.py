@@ -17,7 +17,9 @@ Both constructions certify their degrees after the fact (a silent degree
 drop means the parametrization was degenerate) and emit forms with content
 cleared and the lexicographically leading coefficient positive real, so
 cross-construction ratio tests are deterministic.  The polynomials are only
-canonical up to that declared scalar.
+canonical up to that declared scalar.  Curve forms exist only as these
+symbolic polynomials, so a curve beyond the degree and ambient caps below
+has no R or Delta at all.
 
 The normalized variety pair (R^deg(Delta), Delta^deg(R)) is never expanded:
 XPair keeps both factors with their exponents, and all downstream norms are
@@ -40,8 +42,8 @@ from .poly import (
 )
 from .scalars import EXACT, QQi
 
-# Symbolic curve constructions beyond this degree are refused; numeric
-# evaluation of R(A) and Delta(B) stays available at any degree.
+# Symbolic curve constructions beyond this degree or ambient dimension are
+# refused, and nothing else evaluates R(A) or Delta(B) there.
 CURVE_DEGREE_CAP = 5
 CURVE_AMBIENT_CAP = 5
 
@@ -121,26 +123,6 @@ class RationalCurve:
         self.d = d
         self.gamma = list(gamma)
 
-    # -- numeric evaluation (available at any degree) -------------------
-
-    def _row_form(self, row: Sequence) -> List:
-        """Coefficients (descending s-power) of sum_i row[i] gamma_i."""
-        out = None
-        for i, gm in enumerate(self.gamma):
-            coeffs = binary_coeffs(gm)
-            if out is None:
-                out = [row[i] * c for c in coeffs]
-            else:
-                out = [acc + row[i] * c for acc, c in zip(out, coeffs)]
-        return out
-
-    def chow_at(self, A) -> object:
-        """R(A) for a numeric 2 x (N+1) matrix, via the scalar resultant."""
-        rows = [list(r) for r in A]
-        if len(rows) != 2 or any(len(r) != self.N + 1 for r in rows):
-            raise PreconditionError("chow evaluation needs a 2 x (N+1) matrix")
-        return sylvester_resultant(self._row_form(rows[0]), self._row_form(rows[1]))
-
 
 class HypersurfaceVariety:
     """Hypersurface {F = 0} in P^(n+1); irreducibility is assumed, not checked."""
@@ -165,7 +147,7 @@ def _check_symbolic_caps(curve: RationalCurve):
     if curve.d > CURVE_DEGREE_CAP or curve.N > CURVE_AMBIENT_CAP:
         raise PreconditionError(
             f"symbolic construction capped at d <= {CURVE_DEGREE_CAP}, "
-            f"N <= {CURVE_AMBIENT_CAP}; numeric evaluation remains available"
+            f"N <= {CURVE_AMBIENT_CAP}"
         )
 
 
@@ -263,10 +245,6 @@ class XPair:
     curve: Optional[RationalCurve] = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def complete(self) -> bool:
-        return self.hyperdiscriminant is not None
-
     def require_delta(self):
         if self.hyperdiscriminant is None:
             raise PreconditionError(
@@ -278,8 +256,8 @@ class XPair:
 def build_x_pair(obj) -> XPair:
     """Construct the variety pair for a curve or a hypersurface.
 
-    Exact and deterministic; hypersurfaces get a resultant-only pair, flagged
-    through ``complete``/``require_delta``.
+    Exact and deterministic; hypersurfaces get a resultant-only pair, whose
+    ``hyperdiscriminant`` is None and whose ``require_delta`` raises.
     """
     if isinstance(obj, RationalCurve):
         R = chow_form_curve(obj)

@@ -833,13 +833,6 @@ class TensoredPair:
     def functional(self) -> PairFunctional:
         return PairFunctional(self.parts, self.group_size)
 
-    def log_norm2_sides(self, sigma) -> Tuple[float, float]:
-        """(log ||sigma.(I^q x v^m)||^2, log ||sigma.w^(m+1)||^2), additively."""
-        sig = _sigma_np(sigma, self.group_size)
-        func = self.functional()
-        logs = [(c, c * f.log_norm2(sig)) for (c, _), f in zip(func.parts, func.norms)]
-        return -sum(x for c, x in logs if c < 0), sum(x for c, x in logs if c > 0)
-
 
 def build_stable_test_pair(pair: Pair, m: int) -> TensoredPair:
     """The q = deg(V) tensored pair whose semistability defines stability."""

@@ -170,12 +170,6 @@ class HomogeneousPolynomial:
     def monomial(cls, shape: VariableShape, exp: Exponent, coeff=1, mode: str = EXACT):
         return cls(shape, sum(exp), {tuple(exp): coeff}, mode)
 
-    @classmethod
-    def variable(cls, shape: VariableShape, index: int, mode: str = EXACT):
-        exp = [0] * shape.nvars
-        exp[index] = 1
-        return cls(shape, 1, {tuple(exp): 1}, mode)
-
     # -- basics -------------------------------------------------------
 
     @property
@@ -370,10 +364,6 @@ class GroupElement:
                     f"float group element det {det} not within 1e-9 of 1"
                 )
 
-    @classmethod
-    def identity(cls, n: int, mode: str = EXACT) -> "GroupElement":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], mode)
-
     def to_numpy(self) -> np.ndarray:
         return np.array(
             [[scalar_to_complex(x) for x in row] for row in self.entries],
@@ -401,27 +391,10 @@ class OnePSG:
     def __repr__(self):
         return f"OnePSG({list(self.exponents)})"
 
-    def matrix(self, t: complex) -> np.ndarray:
-        return np.diag([complex(t) ** a for a in self.exponents]).astype(np.complex128)
-
 
 # ---------------------------------------------------------------------------
 # scalar matrix helpers (exact Gaussian elimination over the QQi field)
 # ---------------------------------------------------------------------------
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b[0]), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for k in range(1, p):
-                s = s + a[i][k] * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def mat_det(rows, mode: str):

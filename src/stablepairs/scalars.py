@@ -103,13 +103,6 @@ class QQi:
     def __repr__(self):
         return f"QQi({self.re!s}, {self.im!s})"
 
-    def conjugate(self):
-        return _qqi(self.re, -self.im)
-
-    def abs2(self):
-        """|z|^2 as an exact rational (int or Fraction)."""
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 

@@ -15,7 +15,7 @@ from .forms import HypersurfaceVariety, RationalCurve, XPair
 from .norms import MahlerEstimate
 from .pairs import Pair
 from .poly import GroupElement, HomogeneousPolynomial, OnePSG, VariableShape
-from .scalars import EXACT, FLOAT, QQi, format_fraction, parse_fraction
+from .scalars import EXACT, FLOAT, QQi, format_fraction
 from .weights import LatticePolytope, TensorVector
 
 SCHEMA = "v1"
@@ -33,6 +33,26 @@ def _need(d: dict, key: str, kind=None):
     if kind is not None and not isinstance(val, kind):
         raise SchemaError(f"field {key!r} has wrong type {type(val).__name__}")
     return val
+
+
+def _int(x, what: str) -> int:
+    """``x`` as an integer; a value int() refuses is a schema error."""
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+
+
+def _need_int(d: dict, key: str) -> int:
+    return _int(_need(d, key), f"field {key!r}")
+
+
+def _fraction(x, what: str) -> Fraction:
+    """An int, float or "p/q" string as a Fraction; anything else is a schema error."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise SchemaError(f"{what} must be a number or 'p/q' string, got {x!r}")
 
 
 def _check_schema(d: dict):
@@ -53,9 +73,11 @@ def _scalar_from_json(d: dict, mode: str):
     if mode == EXACT:
         if isinstance(re, float) or isinstance(im, float):
             raise SchemaError("exact mode requires 'p/q' strings or integers")
-        return QQi(parse_fraction(re), parse_fraction(im))
+        return QQi(_fraction(re, "re"), _fraction(im, "im"))
     if isinstance(re, str) or isinstance(im, str):
-        return complex(float(Fraction(re)), float(Fraction(im)))
+        return complex(float(_fraction(re, "re")), float(_fraction(im, "im")))
+    if not all(isinstance(x, (int, float)) for x in (re, im)):
+        raise SchemaError(f"float scalar needs numbers, got re {re!r}, im {im!r}")
     return complex(re, im)
 
 
@@ -74,15 +96,15 @@ def poly_to_json(P: HomogeneousPolynomial) -> dict:
 def poly_from_json(d: dict) -> HomogeneousPolynomial:
     _check_schema(d)
     sh = _need(d, "shape", dict)
-    shape = VariableShape(_need(sh, "kind", str), int(_need(sh, "rows")), int(_need(sh, "cols")))
+    shape = VariableShape(_need(sh, "kind", str), _need_int(sh, "rows"), _need_int(sh, "cols"))
     mode = _need(d, "mode", str)
     if mode not in (EXACT, FLOAT):
         raise SchemaError(f"unknown mode {mode!r}")
     terms = {}
     for t in _need(d, "terms", list):
-        exp = tuple(int(x) for x in _need(t, "exp", list))
+        exp = tuple(_int(x, "exponent") for x in _need(t, "exp", list))
         terms[exp] = _scalar_from_json(t, mode)
-    return HomogeneousPolynomial(shape, int(_need(d, "degree")), terms, mode)
+    return HomogeneousPolynomial(shape, _need_int(d, "degree"), terms, mode)
 
 
 def tensor_to_json(x: TensorVector) -> dict:
@@ -100,22 +122,31 @@ def tensor_to_json(x: TensorVector) -> dict:
 
 def tensor_from_json(d: dict) -> TensorVector:
     _check_schema(d)
-    slots = [(_need(s, "kind", str), int(_need(s, "dim"))) for s in _need(d, "slots", list)]
+    slots = [(_need(s, "kind", str), _need_int(s, "dim")) for s in _need(d, "slots", list)]
     mode = _need(d, "mode", str)
     coords = {}
     for entry in _need(d, "coords", list):
-        idx = tuple(
-            tuple(p) if isinstance(p, list) else int(p) for p in _need(entry, "idx", list)
-        )
+        parts = _need(entry, "idx", list)
+        if len(parts) != len(slots):
+            raise SchemaError(f"index {parts!r} has {len(parts)} parts for {len(slots)} slots")
+        idx = tuple(_index_part(kind, p) for (kind, _), p in zip(slots, parts))
         coords[idx] = _scalar_from_json(entry, mode)
     return TensorVector(slots, coords, mode)
 
 
+def _index_part(kind: str, part):
+    """One slot's part of a tensor index: an int, or [i, j] in a wedge slot."""
+    pair = isinstance(part, list)
+    if pair != (kind == "wedge2") or (pair and len(part) != 2):
+        raise SchemaError(f"index part {part!r} does not fit a {kind} slot")
+    return tuple(_int(x, "index") for x in part) if pair else _int(part, "index")
+
+
 def vector_from_json(d: dict):
     """Polymorphic: polynomial or tensor, keyed by the fields present."""
-    if "terms" in d:
+    if isinstance(d, dict) and "terms" in d:
         return poly_from_json(d)
-    if "coords" in d:
+    if isinstance(d, dict) and "coords" in d:
         return tensor_from_json(d)
     raise SchemaError("expected a polynomial ('terms') or tensor ('coords') object")
 
@@ -127,11 +158,13 @@ def vector_to_json(e) -> dict:
 def sigma_from_json(d: dict):
     """Group element (validated) in exact mode, raw matrix in float mode."""
     _check_schema(d)
-    size = int(_need(d, "size"))
+    size = _need_int(d, "size")
     mode = _need(d, "mode", str)
     entries = _need(d, "entries", list)
     if len(entries) != size * size:
         raise SchemaError("entry count != size^2")
+    if not all(isinstance(e, list) and len(e) == 2 for e in entries):
+        raise SchemaError("sigma entries must be [re, im] pairs")
     scalars = [
         _scalar_from_json({"re": e[0], "im": e[1]}, mode) for e in entries
     ]
@@ -170,13 +203,13 @@ def pair_to_json(p: Pair) -> dict:
 
 def curve_from_json(d: dict) -> RationalCurve:
     _check_schema(d)
-    N, deg = int(_need(d, "N")), int(_need(d, "d"))
+    N, deg = _need_int(d, "N"), _need_int(d, "d")
     shape = VariableShape.vector(2)
     gamma = []
     for comp in _need(d, "gamma", list):
         terms = {}
         for t in _need(comp, "terms", list):
-            exp = tuple(int(x) for x in _need(t, "exp", list))
+            exp = tuple(_int(x, "exponent") for x in _need(t, "exp", list))
             if len(exp) != 2:
                 raise SchemaError("curve components are binary forms: exp length 2")
             terms[exp] = _scalar_from_json(t, EXACT)
@@ -198,7 +231,7 @@ def curve_to_json(c: RationalCurve) -> dict:
 
 def hypersurface_from_json(d: dict) -> HypersurfaceVariety:
     _check_schema(d)
-    return HypersurfaceVariety(int(_need(d, "n")), poly_from_json(_need(d, "F", dict)))
+    return HypersurfaceVariety(_need_int(d, "n"), poly_from_json(_need(d, "F", dict)))
 
 
 def polytope_to_json(P: LatticePolytope) -> dict:
@@ -239,11 +272,11 @@ def xpair_from_json(d: dict) -> XPair:
     return XPair(
         resultant=poly_from_json(_need(d, "resultant", dict)),
         hyperdiscriminant=poly_from_json(delta) if delta else None,
-        n=int(_need(d, "n")),
-        N=int(_need(d, "N")),
-        d=int(_need(d, "d")),
-        deg_r=int(_need(d, "deg_r")),
-        deg_delta=int(d["deg_delta"]) if d.get("deg_delta") is not None else None,
+        n=_need_int(d, "n"),
+        N=_need_int(d, "N"),
+        d=_need_int(d, "d"),
+        deg_r=_need_int(d, "deg_r"),
+        deg_delta=_need_int(d, "deg_delta") if d.get("deg_delta") is not None else None,
         curve=curve_from_json(d["curve"]) if d.get("curve") else None,
         meta=d.get("meta", {}),
     )

@@ -180,13 +180,6 @@ class TensorVector:
     def support_characters(self) -> Set[Tuple[int, ...]]:
         return {self.character_of(idx) for idx in self.coords}
 
-    def hermitian_norm2(self) -> float:
-        total = 0.0
-        for c in self.coords.values():
-            z = scalar_to_complex(c)
-            total += z.real * z.real + z.imag * z.imag
-        return total
-
     def dense_amplitudes(self) -> Dict[tuple, object]:
         """{per-axis exponents: coefficient} for the dense layout of
         :mod:`stablepairs.poly`: one Sym^1 axis per vector slot and two per

@@ -328,8 +328,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("p", ["-3", "nan"])
     def test_jensen_invalid_p_exit_3(self, files, capsys, p):
-        # an invalid --p is refused, not replaced by the default 2
-        assert main(["arestov", "--poly", files["mono"], "--jensen", "--p", p]) == 3
+        # an invalid P is refused, not replaced by the default 2
+        assert main(["arestov", "--poly", files["mono"], "--jensen", p]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("precondition violated: jensen comparison needs a finite p > 0")
@@ -390,6 +390,95 @@ class TestExitCodes:
         assert err.startswith("precondition violated: need at least 1000 samples")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command, payload", [
+        ("asymptotic", {"entries": [{"curve": CONIC}]}),
+        ("asymptotic", [{"k": 1, "curve": CONIC}]),
+        ("asymptotic", {"entries": 5}),
+        ("asymptotic", {"entries": [{"k": "x", "curve": CONIC}]}),
+        ("chow", dict(CONIC, gamma=[{"terms": [{"exp": [2, 0], "re": "a", "im": "0"}]}]
+                      + CONIC["gamma"][1:])),
+        ("chow", dict(CONIC, gamma=[{"terms": [{"exp": ["x", 0], "re": "1", "im": "0"}]}]
+                      + CONIC["gamma"][1:])),
+        ("polytope", dict(POLY_X2, degree="x")),
+        ("polytope", 5),
+        ("polytope", {"schema": "v1", "mode": "exact", "slots": [{"kind": "vector", "dim": 2}],
+                      "coords": [{"idx": [[0, 1]], "re": "1", "im": "0"}]}),
+    ], ids=["entry-without-k", "entries-file-is-list", "entries-not-list", "k-not-int",
+            "curve-re-not-number", "curve-exp-not-int", "poly-degree-not-int",
+            "poly-file-not-object", "tensor-pair-on-vector-slot"])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, command, payload):
+        # a malformed value in an input file is a schema error, not a traceback
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        flag = {"asymptotic": "--entries", "chow": "--curve", "polytope": "--poly"}[command]
+        assert main([command, flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("schema error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_theta_with_p_exit_2(self, files, capsys):
+        # the conformal factor has no p; a --p it would ignore is refused
+        assert main(["mahler", "--poly", files["mono"], "--theta", "--p", "3",
+                     "--samples", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("schema error: --theta takes no --p")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestFlagSurface:
+    """Each subcommand takes only the flags its handler reads."""
+
+    # the required flags of each subcommand; argparse refuses an unknown flag
+    # before any input file is opened, so the paths need not exist
+    REQUIRED = {
+        "polytope": [], "weight": ["--lambda", "[1,-1]"], "pair-check": ["--pair", "p"],
+        "stable-check": ["--pair", "p", "--m", "1"], "mahler": ["--poly", "p"],
+        "supnorm": ["--poly", "p"], "arestov": ["--poly", "p"], "chow": ["--curve", "c"],
+        "hurwitz": ["--curve", "c"], "chow-hyp": ["--hyp", "h"], "xpair": [],
+        "distance": [], "kenergy": ["--xpair", "x"], "aubin": ["--xpair", "x"],
+        "coercivity": ["--xpair", "x", "--m", "1"], "oracle": ["--curve", "c"],
+        "asymptotic": ["--entries", "e"], "verify": [],
+    }
+
+    def refused(self, capsys, command, *flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.REQUIRED[command], *flag])
+        err = capsys.readouterr().err
+        return exc.value.code == 2 and f"unrecognized arguments: {flag[0]}" in err
+
+    def test_required_table_covers_every_subcommand(self):
+        assert set(self.REQUIRED) == set(HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(HANDLERS))
+    def test_verbose_flag_removed(self, capsys, command):
+        assert self.refused(capsys, command, "-v")
+
+    @pytest.mark.parametrize("command", [
+        "polytope", "weight", "pair-check", "stable-check", "chow", "hurwitz", "chow-hyp",
+        "oracle", "verify",
+    ])
+    def test_samples_only_where_read(self, capsys, command):
+        assert self.refused(capsys, command, "--samples", "1000")
+
+    @pytest.mark.parametrize("command", ["polytope", "weight"])
+    def test_seed_only_where_read(self, capsys, command):
+        assert self.refused(capsys, command, "--seed", "1")
+
+    def test_arestov_jensen_takes_p(self, files, capsys):
+        base = ["arestov", "--poly", files["mono"], "--samples", "1000", "--seed", "3"]
+        results = []
+        for extra in ([], ["--jensen"], ["--jensen", "2"], ["--jensen", "5"]):
+            assert main(base + extra) == 0
+            results.append(json.loads(capsys.readouterr().out)["result"])
+        plain, jensen, jensen_2, jensen_5 = results
+        assert jensen == jensen_2 != plain
+        assert jensen_5 != jensen
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--p", "5"])
+        assert exc.value.code == 2
+
 
 class TestOutputAsInput:
     """A command's --output file (the envelope) reads back as its bare result."""
@@ -413,9 +502,15 @@ class TestOutputAsInput:
 
 class TestDeterminism:
     def test_config_is_seed_and_samples(self, files, capsys):
-        assert main(["pair-check", "--pair", files["pair"], "--seed", "4", "--samples", "9"]) == 0
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert config == {"samples": 9, "seed": 4}
+        # config echoes the --seed and --samples a subcommand takes, and only those
+        for argv, config in (
+            (["mahler", "--poly", files["mono"], "--seed", "4", "--samples", "1000"],
+             {"samples": 1000, "seed": 4}),
+            (["pair-check", "--pair", files["pair"], "--seed", "4"], {"seed": 4}),
+            (["polytope", "--poly", files["mono"]], {}),
+        ):
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["config"] == config
 
     def test_byte_identical_reruns(self, files):
         a = run_cli(["mahler", "--poly", files["mono"], "--samples", "5000", "--seed", "3"])

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name and every module constant in src/ and
-tests/ is read somewhere, the Monte-Carlo sampling pipeline has one home, and
-a cold start of the package and its CLI loads no scipy module."""
+tests/ is read somewhere, every definition in src/ is read outside the tests,
+the Monte-Carlo sampling pipeline has one home, and a cold start of the
+package and its CLI loads no scipy module."""
 
 import ast
 import os
@@ -65,6 +66,22 @@ def test_every_module_constant_is_read():
     unread = {
         (p.name, name) for p in (ROOT / "src" / "stablepairs").glob("*.py")
         for name in module_constants(ast.parse(p.read_text(), str(p))) if name not in read
+    }
+    assert unread == set()
+
+
+def test_every_definition_is_read():
+    # a function, class or method that nothing in src/ or perfbench/ reads by
+    # name is API kept only for tests; __init__ re-exports count as reads
+    trees = {p: ast.parse(p.read_text(), str(p)) for d in ("src", "perfbench")
+             for p in (ROOT / d).rglob("*.py")}
+    read = set().union(*map(referenced_names, trees.values()))
+    unread = {
+        (p.name, node.name) for p, tree in trees.items() if p.is_relative_to(ROOT / "src")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
     }
     assert unread == set()
 

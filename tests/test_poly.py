@@ -24,7 +24,6 @@ from stablepairs.poly import (
     bareiss_poly_det,
     binary_discriminant,
     evaluate,
-    mat_mul,
     maximal_minors,
     poly_divexact,
     primitive_integer_vector,
@@ -39,6 +38,16 @@ V3 = VariableShape.vector(3)
 # projective roots (a:b) of 1 to 3 small integer linear binary factors
 LINEAR_ROOTS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
                         min_size=1, max_size=3)
+
+
+def exact_product(a, b):
+    """Exact matrix product of nested lists of QQi, on object arrays."""
+    return (np.array(a, dtype=object) @ np.array(b, dtype=object)).tolist()
+
+
+def variable(shape, index):
+    """The linear form x_index on ``shape``."""
+    return HomogeneousPolynomial.monomial(shape, [int(k == index) for k in range(shape.nvars)])
 
 
 def rand_qqi_matrix(rng, n, lo=-4, hi=5):
@@ -156,7 +165,8 @@ class TestAct:
 
     def test_identity(self, rng):
         P = rand_poly(rng, V3, 2)
-        assert act(GroupElement.identity(3), P) == P
+        identity = GroupElement([[int(i == j) for j in range(3)] for i in range(3)], "exact")
+        assert act(identity, P) == P
 
     def test_diagonal_weight(self):
         x2 = HomogeneousPolynomial(V2, 2, {(2, 0): 1}, "exact")
@@ -174,7 +184,7 @@ class TestAct:
         for _ in range(5):
             P = rand_poly(rng, V3, 2)
             s1, s2 = rand_qqi_matrix(rng, 3), rand_qqi_matrix(rng, 3)
-            assert act(s2, act(s1, P)) == act(mat_mul(s2, s1), P)
+            assert act(s2, act(s1, P)) == act(exact_product(s2, s1), P)
 
     @given(
         st.lists(st.integers(-3, 3), min_size=9, max_size=9),
@@ -191,7 +201,7 @@ class TestAct:
         tau = [[QQi(x) for x in t[i:i + 3]] for i in (0, 3, 6)]
         P = HomogeneousPolynomial(V3, 2, {(a, b, 2 - a - b): c for (a, b), c in coeffs.items()},
                                   "exact")
-        assert act(tau, act(sigma, P)) == act(mat_mul(tau, sigma), P)
+        assert act(tau, act(sigma, P)) == act(exact_product(tau, sigma), P)
 
     def test_exact_dense_block_above_cap_refused_before_allocation(self, monkeypatch):
         # x0^12 on C^4 needs S^12 with 455^2 = 207 025 entries; under a cap
@@ -216,7 +226,7 @@ class TestAct:
         P = rand_poly(rng, shape, 2)
         sig = rand_qqi_matrix(rng, 2)
         pt = [[QQi(1), QQi(2)], [QQi(-1), QQi(3)]]
-        moved = mat_mul(pt, sig)
+        moved = exact_product(pt, sig)
         assert evaluate(act(sig, P), pt) == evaluate(P, moved)
 
 
@@ -268,7 +278,7 @@ class TestSylvester:
 
     def test_res_linear_symbolic(self):
         sh = VariableShape.matrix(2, 2)
-        a0, a1, b0, b1 = (HomogeneousPolynomial.variable(sh, i) for i in range(4))
+        a0, a1, b0, b1 = (variable(sh, i) for i in range(4))
         r = sylvester_resultant([a0, a1], [b0, b1])
         assert r.terms == {(1, 0, 0, 1): QQi(1), (0, 1, 1, 0): QQi(-1)}
 
@@ -348,7 +358,7 @@ class TestSylvester:
 class TestDiscriminant:
     def test_quadratic(self):
         sh = VariableShape.matrix(1, 3)
-        b0, b1, b2 = (HomogeneousPolynomial.variable(sh, i) for i in range(3))
+        b0, b1, b2 = (variable(sh, i) for i in range(3))
         disc = binary_discriminant([b0, b1, b2])
         # b1^2 - 4 b0 b2 up to the declared constant (here -1)
         assert disc.terms == {(1, 0, 1): QQi(4), (0, 2, 0): QQi(-1)}
@@ -419,9 +429,7 @@ class TestMaximalMinors:
             for r in range(n1):
                 total = HomogeneousPolynomial.zero(shape, n1 + 1, "exact")
                 for j, m in enumerate(minors):
-                    total = total + HomogeneousPolynomial.variable(
-                        shape, r * (n1 + 1) + j
-                    ) * m
+                    total = total + variable(shape, r * (n1 + 1) + j) * m
                 assert total.is_zero
 
     def test_wrong_shape(self):
@@ -475,8 +483,3 @@ class TestOnePSG:
     def test_sum_zero_enforced(self):
         with pytest.raises(PreconditionError):
             OnePSG([1, 1])
-
-    def test_matrix(self):
-        lam = OnePSG([1, -1])
-        m = lam.matrix(0.5)
-        assert m[0, 0] == pytest.approx(0.5) and m[1, 1] == pytest.approx(2.0)

@@ -15,7 +15,6 @@ from stablepairs.poly import (
     HomogeneousPolynomial,
     OnePSG,
     VariableShape,
-    mat_mul,
     primitive_integer_vector,
 )
 from stablepairs.scalars import QQi
@@ -353,7 +352,7 @@ class TestTensorVector:
 
         once = moved(sigma, x)
         twice = None if once is None else moved(tau, once)
-        product = moved(mat_mul(tau, sigma), x)
+        product = moved((np.array(tau, dtype=object) @ np.array(sigma, dtype=object)).tolist(), x)
         assert (twice is None) == (product is None)
         if product is not None:
             assert twice.slots == product.slots
