@@ -18,9 +18,16 @@ its partials, say -- from one power table and one gather, so one call
 replaces 1 + nvars.  Products of powers are exact at zero (0^0 = 1,
 0^e = 0), so no logarithm and no floor enters the values; only
 ``poly_log_abs`` floors log |P| where P vanishes.
+
+A matrix ``sigma`` evaluates P(z sigma), with z -> z sigma substituted on
+every matrix row of every sample.  The substitution is made chunk by chunk
+inside the loop, so a moved copy of the whole sample array never exists:
+a call holds the samples, its output and one chunk's tables.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -36,11 +43,14 @@ def backend_name() -> str:
     return "numpy-power-table"
 
 
-def poly_values(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """P(z) for every sample row z, with P = sum coeffs * z^expo.
+def poly_values(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray,
+                sigma: Optional[np.ndarray] = None) -> np.ndarray:
+    """P(z) -- or P(z sigma) -- for every sample row z, with P = sum coeffs * z^expo.
 
     ``coeffs`` is a (terms,) vector, giving (S,) values, or a (k, terms)
     matrix of k polynomials on the same monomials, giving (k, S) values.
+    ``sigma`` (cols, cols) acts on each matrix row of a sample: the row
+    z_r becomes z_r sigma, one GEMM per chunk.
     """
     expo = np.asarray(expo, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -49,16 +59,19 @@ def poly_values(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarr
     used = np.flatnonzero(expo.max(axis=0)) if expo.any() else np.arange(1)
     E = expo[:, used]
     top = int(E.max(initial=0))
-    Zt = Z.T[used]  # (used variables, rows), one contiguous copy
     S = Z.shape[0]
     out = np.empty(coeffs.shape[:-1] + (S,), np.complex128)
     chunk = max(1, min(_CHUNK, _TABLE // max(1, E.shape[0])))
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
+        Zc = Z[lo:hi]
+        if sigma is not None:
+            Zc = (Zc.reshape(-1, sigma.shape[0]) @ sigma).reshape(Zc.shape)
+        Zt = Zc.T[used]  # (used variables, rows), this chunk only
         pows = np.empty((top + 1, used.size, hi - lo), np.complex128)
         pows[0] = 1.0
         for e in range(1, top + 1):
-            np.multiply(pows[e - 1], Zt[:, lo:hi], out=pows[e])
+            np.multiply(pows[e - 1], Zt, out=pows[e])
         mono = pows[E[:, 0], 0]
         for v in range(1, used.size):
             mono *= pows[E[:, v], v]
@@ -66,8 +79,13 @@ def poly_values(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarr
     return out
 
 
-def poly_log_abs(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """log |P(z)| per sample, floored at the smallest representable double."""
-    vals = poly_values(expo, coeffs, Z)
-    mag = np.abs(vals)
-    return np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), _LOG_FLOOR)
+def poly_log_abs(expo: np.ndarray, coeffs: np.ndarray, Z: np.ndarray,
+                 sigma: Optional[np.ndarray] = None) -> np.ndarray:
+    """log |P(z sigma)| per sample (sigma None: log |P(z)|), floored at the
+    smallest representable double."""
+    mag = np.abs(poly_values(expo, coeffs, Z, sigma))
+    zero = ~(mag > 0)
+    mag[zero] = 1.0
+    np.log(mag, out=mag)
+    mag[zero] = _LOG_FLOOR
+    return mag

@@ -13,6 +13,7 @@ compact JSON only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -333,7 +334,10 @@ HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``parse_args`` returns a fresh
+    namespace each call and leaves the parser as it was."""
     ap = argparse.ArgumentParser(
         prog="stablepairs",
         description="Stability of pairs: forms, norms, weights, descent, energies.",

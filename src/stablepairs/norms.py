@@ -39,6 +39,7 @@ from .errors import PreconditionError
 from .poly import HomogeneousPolynomial
 
 MIN_SAMPLES = 1_000
+DRAW_ROWS = 4_096  # sample rows per draw and per log ||z||^2 block
 
 
 def harmonic(N: int) -> float:
@@ -71,35 +72,44 @@ def _terms_arrays(P: HomogeneousPolynomial) -> Tuple[np.ndarray, np.ndarray]:
 def sample_points(nvars: int, samples: int, seed: int) -> np.ndarray:
     """Standard complex Gaussian rows; projectively uniform on P^(nvars-1).
 
+    The stream is (re + 1j im) / sqrt(2) with re, then im, drawn as one
+    (samples, nvars) normal array each.  Both halves are drawn DRAW_ROWS rows
+    at a time through one small buffer straight into the complex result, and
+    scaled by the reciprocal of sqrt(2), which is the multiplication numpy's
+    complex division by a real makes: the bits are those of the one-shot
+    draw, and no full-size temporary exists.
+
     Every estimator draws here, so this is where fewer than MIN_SAMPLES fail."""
     if samples < MIN_SAMPLES:
         raise PreconditionError(f"need at least {MIN_SAMPLES} samples")
     rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal((samples, nvars)) + 1j * rng.standard_normal((samples, nvars))
-    ) / math.sqrt(2.0)
-
-
-def transform_points(Z: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Row-substitution z -> z sigma on every matrix row of every sample.
-
-    The rows of all samples are stacked, so this is one GEMM."""
-    return (Z.reshape(-1, sigma.shape[0]) @ sigma).reshape(Z.shape)
+    Z = np.empty((samples, nvars), np.complex128)
+    buf = np.empty((min(DRAW_ROWS, samples), nvars))
+    scale = 1.0 / math.sqrt(2.0)
+    for half in (Z.real, Z.imag):
+        for lo in range(0, samples, DRAW_ROWS):
+            block = buf[: min(DRAW_ROWS, samples - lo)]
+            rng.standard_normal(out=block)
+            np.multiply(block, scale, out=half[lo:lo + block.shape[0]])
+    return Z
 
 
 class MahlerSampleFunctional:
     """The seeded Fubini-Study sample set of P, and log ||sigma . P||_p^2 on it.
 
     Holds Z = ``sample_points(nvars, samples, seed)`` and the float terms of
-    P.  Two tables are built on first read: log ||z||^2, and the ``jet`` --
-    the union of the monomials of P and of every dP/dz_v, with one row of
-    coefficients per polynomial -- so ``moment`` and the sup-norm ascent get
-    P and its gradient from one kernel call.  ``log_ratio_sq`` at p = 0
-    (normalisers cancel) builds neither.  sigma = s sigma_hat with s its
-    largest entry modulus, so far out on a diverging descent
-    log |P(z sigma)| = log |P(z sigma_hat)| + d log s cannot overflow.
-    ``reduce`` alone turns per-sample logs into an estimate; ``moment``
-    weights p > 0 by the softmax of the p-th power.
+    P.  Two tables are built on first read: log ||z||^2, summed DRAW_ROWS
+    rows at a time, and the ``jet`` -- the union of the monomials of P and
+    of every dP/dz_v, with one row of coefficients per polynomial -- so
+    ``moment`` and the sup-norm ascent get P and its gradient from one
+    kernel call.  ``log_ratio_sq`` at p = 0 (normalisers cancel) builds
+    neither.  sigma = s sigma_hat with s its largest entry modulus, so far
+    out on a diverging descent log |P(z sigma)| = log |P(z sigma_hat)| +
+    d log s cannot overflow.  sigma_hat goes to the kernel, which moves the
+    samples chunk by chunk: Z is the one full-size point array a pass holds,
+    and every other per-sample array is one value per sample.  ``reduce``
+    alone turns per-sample logs into an estimate; ``moment`` weights p > 0
+    by the softmax of the p-th power.
     """
 
     def __init__(self, P: HomogeneousPolynomial, p: float = 0.0,
@@ -116,7 +126,11 @@ class MahlerSampleFunctional:
 
     @cached_property
     def logz2(self) -> np.ndarray:
-        return np.log(np.sum(np.abs(self.Z) ** 2, axis=1))
+        out = np.empty(self.Z.shape[0])
+        for lo in range(0, out.size, DRAW_ROWS):
+            block = self.Z[lo:lo + DRAW_ROWS]
+            out[lo:lo + block.shape[0]] = np.log(np.sum(np.abs(block) ** 2, axis=1))
+        return out
 
     @cached_property
     def jet(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -134,18 +148,14 @@ class MahlerSampleFunctional:
                 coeffs[k, index[e]] = complex(c)
         return expo, coeffs
 
-    def _moved(self, sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
-        """(z sigma_hat per sample, sigma_hat, d log s)."""
-        s = float(np.max(np.abs(sigma)))
-        sig_hat = sigma / s
-        return transform_points(self.Z, sig_hat), sig_hat, self.degree * math.log(s)
-
     def log_abs(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
         """log |P(z sigma)| per sample; None is the identity, with no transform."""
         if sigma is None:
             return poly_log_abs(self.expo, self.coeffs, self.Z)
-        pts, _, log_scale = self._moved(sigma)
-        return poly_log_abs(self.expo, self.coeffs, pts) + log_scale
+        s = float(np.max(np.abs(sigma)))
+        out = poly_log_abs(self.expo, self.coeffs, self.Z, sigma / s)
+        out += self.degree * math.log(s)
+        return out
 
     def log_fs2(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
         """log |sigma.P|_FS^2 per sample: 2 log |P(z sigma)| - d log ||z||^2."""
@@ -180,8 +190,8 @@ class MahlerSampleFunctional:
         return v_moved - v_base, e_moved + e_base
 
     def moment(self, sigma: np.ndarray) -> np.ndarray:
-        pts, sig_hat, _ = self._moved(sigma)
-        jet = poly_values(*self.jet, pts)
+        sig_hat = sigma / float(np.max(np.abs(sigma)))
+        jet = poly_values(*self.jet, self.Z, sig_hat)
         vals = jet[0]
         S = self.Z.shape[0]
         if self.p == 0:
@@ -194,7 +204,8 @@ class MahlerSampleFunctional:
         # m = E_w [ W^T (grad/val) sig_hat^T ] over the matrix rows of every
         # sample, one GEMM; holomorphic chain rule, the conjugate half is
         # supplied by the 2 Re Tr(H m^T) wrapper
-        G = (jet[1:] * (weights / vals)).T
+        jet[1:] *= weights / vals
+        G = jet[1:].T
         cols = self.shape.cols
         contrib = self.Z.reshape(-1, cols).T @ G.reshape(-1, cols)
         return contrib @ sig_hat.T

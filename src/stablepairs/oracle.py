@@ -30,16 +30,25 @@ scale by exp(t lam2_a) for the pair sums lam2_a = lam_i + lam_j (i < j),
     |v_t|^2        = sum_k exp(2t lam_k) |y_k|^2,
     <H v_t, v_t>   = sum_k lam_k exp(2t lam_k) |y_k|^2,
     |w_t|^2        = sum_a exp(2t lam2_a) |y~_a|^2,
-    |w_t ^ w_t'|^2 = sum_(a<b) exp(2t (lam2_a + lam2_b)) |y~_a y~'_b - y~_b y~'_a|^2,
+    |w_t'|^2       = sum_a exp(2t lam2_a) |y~'_a|^2,
+    <w_t', w_t>    = sum_a exp(2t lam2_a) y~'_a conj(y~_a),
+    |w_t ^ w_t'|^2 = |w_t|^2 |w_t'|^2 - |<w_t', w_t>|^2      (Lagrange),
 
-the last being |w|^2 |w'|^2 - |<w', w>|^2 (Lagrange) as a sum of positive
-terms.  The t-independent weights are computed once per grid, so each
-t-node (t = 0 for V and mu, t = 1 for phi_sigma, J and F0, and the
-Gauss-Legendre nodes) costs a few real matrix-vector products.  Every node
-also yields the integral of g_w,t, which equals 2d - 2 exactly; the largest
-deviation over the t-nodes is reported per grid as `gauss_bonnet_drift`.
-It tracks the error of nu on under-resolved curvature, so it is a stopping
-condition of the refinement alongside the agreement of successive grids.
+so the t-independent weights are a few rows per coordinate of v and of w,
+never one row per pair of wedge coordinates.  Each t-node (t = 0 for V and
+mu, t = 1 for phi_sigma, J and F0, and the Gauss-Legendre nodes) costs a
+few matrix-vector products.  Every result is formed from sums over the grid
+points: V, the mu numerator, J, the F0 log term, and per t-node the
+integrals of phidot g_t, phidot g_w,t and g_w,t.  nu = -(1/V) sum_t w_t
+[(2 - mu) int phidot g_t - int phidot g_w,t] is linear in them, so a grid
+is reduced over chunks of POINT_CHUNK points in one pass, and its memory
+stays bounded whatever its size.
+
+Every t-node also yields the integral of g_w,t, which equals 2d - 2
+exactly; the largest deviation over the t-nodes is reported per grid as
+`gauss_bonnet_drift`.  It tracks the error of nu on under-resolved
+curvature, so it is a stopping condition of the refinement alongside the
+agreement of successive grids.
 
 P^1 is tiled exactly by the closed unit disks of the two standard charts;
 each disk carries a Gauss-Legendre (radius) x trapezoid (angle) polar grid,
@@ -121,13 +130,8 @@ def _wedge_coeff_rows(z: np.ndarray) -> np.ndarray:
 
 def wedge_square_matrix(A: np.ndarray) -> np.ndarray:
     """Matrix of /\\^2 A on the ordered basis e_i ^ e_j, i < j."""
-    n = A.shape[0]
-    pairs = list(combinations(range(n), 2))
-    out = np.empty((len(pairs), len(pairs)), dtype=np.complex128)
-    for r, (k, l) in enumerate(pairs):
-        for c, (i, j) in enumerate(pairs):
-            out[r, c] = A[k, i] * A[l, j] - A[k, j] * A[l, i]
-    return out
+    k, l = np.triu_indices(A.shape[0], 1)
+    return A[np.ix_(k, k)] * A[np.ix_(l, l)] - A[np.ix_(k, l)] * A[np.ix_(l, k)]
 
 
 class _CurveCharts:
@@ -146,8 +150,7 @@ class _CurveCharts:
         r = 0.5 * (nodes + 1.0)
         wr = 0.5 * wts
         th = 2.0 * math.pi * np.arange(n_th) / n_th
-        R, TH = np.meshgrid(r, th, indexing="ij")
-        pts = (R * np.exp(1j * TH)).ravel()
+        pts = np.outer(r, np.exp(1j * th)).ravel()
         W = (np.outer(wr * r, np.full(n_th, 2.0 / n_th))).ravel()
         return pts, W
 
@@ -166,10 +169,54 @@ class _CurveCharts:
         )
 
 
+def _chunk_sums(charts: _CurveCharts, Uh: np.ndarray, lam: np.ndarray, lam2: np.ndarray,
+                pts: np.ndarray, W: np.ndarray, t_nodes: np.ndarray) -> np.ndarray:
+    """The sums over one chunk of grid points behind one grid's results.
+
+    In order: V, the mu numerator int (2 g - g_w), 2 V J = int |dphi|^2, the
+    F0 log term int log(|v_1|^2 / |v_0|^2) g, and per t-node int phidot g_t,
+    int phidot g_w,t and int g_w,t.
+    """
+    Wq = np.tile(W, 2)
+    y, yp, wy, wyp = charts.chart_values(pts, Uh)
+    v_wt = np.abs(y) ** 2
+    cross_wt = yp * y.conj()
+    w_wt = np.abs(wy) ** 2
+    wp_wt = np.abs(wyp) ** 2
+    wcross_wt = wyp * wy.conj()
+
+    def at(t: float):
+        """(|v_t|^2, g_t, g_w,t, phidot_t) at every point, v_t = exp(tH) gamma."""
+        ev = np.exp(2.0 * t * lam)
+        v2 = ev @ v_wt
+        ew = np.exp(2.0 * t * lam2)
+        w2 = ew @ w_wt
+        # |w_t ^ w_t'|^2 = |w_t|^2 |w_t'|^2 - |<w_t', w_t>|^2 (Lagrange)
+        g_w = (w2 * (ew @ wp_wt) - np.abs(ew @ wcross_wt) ** 2) / w2**2
+        return v2, w2 / v2**2, g_w, 2.0 * ((lam * ev) @ v_wt) / v2
+
+    v2_ref, g_ref, g_w_ref, _ = at(0.0)
+    # phi_sigma and the Aubin functionals see sigma only through
+    # sigma^* sigma = exp(2H), so they are the t = 1 values
+    v2_s = at(1.0)[0]
+    dphi = (np.exp(2.0 * lam) @ cross_wt) / v2_s - cross_wt.sum(axis=0) / v2_ref
+    sums = [g_ref @ Wq, (2.0 * g_ref - g_w_ref) @ Wq, np.abs(dphi) ** 2 @ Wq,
+            (np.log(v2_s) - np.log(v2_ref)) * g_ref @ Wq]
+    per_t = np.empty((3, t_nodes.size))
+    for k, tv in enumerate(t_nodes):
+        _, g_t, g_w_t, phidot = at(tv)
+        per_t[:, k] = (phidot * g_t) @ Wq, (phidot * g_w_t) @ Wq, g_w_t @ Wq
+    return np.concatenate([sums, per_t.ravel()])
+
+
+# grid points per chunk of the point sums: bounds the per-point tables, so
+# one grid's memory does not grow with its size
+POINT_CHUNK = 4_096
+
+
 def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
               t_nodes: int) -> dict:
-    pts, Wq = charts.grids(n_r, n_th)
-    Wq = np.tile(Wq, 2)
+    pts, W = charts.grids(n_r, n_th)
 
     # sigma = u exp(H) with H = U diag(lam) U^*; in the eigenbasis every
     # squared norm along exp(tH) is a sum of exponentials in t (module doc).
@@ -178,44 +225,20 @@ def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
     lam = 0.5 * np.log(vals)
     i, j = np.triu_indices(lam.size, 1)
     lam2 = lam[i] + lam[j]
-    a, b = np.triu_indices(lam2.size, 1)
-    y, yp, wy, wyp = charts.chart_values(pts, U.conj().T)
-    v_wt = np.abs(y) ** 2
-    cross_wt = yp * y.conj()
-    w_wt = np.abs(wy) ** 2
-    gw_wt = np.array([np.abs(wy[p] * wyp[q] - wy[q] * wyp[p]) ** 2 for p, q in zip(a, b)])
-
-    def at(t: float):
-        """(|v_t|^2, g_t, g_w,t, phidot_t) at every point, v_t = exp(tH) gamma."""
-        ev = np.exp(2.0 * t * lam)
-        v2 = ev @ v_wt
-        w2 = np.exp(2.0 * t * lam2) @ w_wt
-        g_w = (np.exp(2.0 * t * (lam2[a] + lam2[b])) @ gw_wt) / w2**2
-        return v2, w2 / v2**2, g_w, 2.0 * ((lam * ev) @ v_wt) / v2
-
-    # reference geometry: V, mu
-    v2_ref, g_ref, g_w_ref, _ = at(0.0)
-    V = float(g_ref @ Wq)
-    mu = float((2.0 * g_ref - g_w_ref) @ Wq) / V
-
-    # potential phi_sigma and the Aubin functionals: they see sigma only
-    # through sigma^* sigma = exp(2H), so they are the t = 1 values
-    v2_s = at(1.0)[0]
-    dphi = (np.exp(2.0 * lam) @ cross_wt) / v2_s - cross_wt.sum(axis=0) / v2_ref
-    J = float(np.abs(dphi) ** 2 @ Wq) / (2.0 * V)
-    F0 = J - float((np.log(v2_s) - np.log(v2_ref)) * g_ref @ Wq) / V
-
-    # K-energy along exp(tH), Gauss-Legendre in t, and the Gauss-Bonnet
-    # sentinel: g_w,t integrates to 2d - 2 at every t
     tn, tw = np.polynomial.legendre.leggauss(t_nodes)
-    nu = 0.0
-    drift = 0.0
-    for tv, wt in zip(0.5 * (tn + 1.0), 0.5 * tw):
-        _, g_t, g_w_t, phidot = at(tv)
-        nu += wt * float(phidot * ((2.0 - mu) * g_t - g_w_t) @ Wq)
-        drift = max(drift, abs(float(g_w_t @ Wq) - (2 * charts.curve.d - 2)))
-    nu = -nu / V
-
+    tn, tw = 0.5 * (tn + 1.0), 0.5 * tw
+    sums = sum(_chunk_sums(charts, U.conj().T, lam, lam2, pts[lo:lo + POINT_CHUNK],
+                           W[lo:lo + POINT_CHUNK], tn)
+               for lo in range(0, pts.size, POINT_CHUNK))
+    V, mu_num, j2v, log_term = (float(x) for x in sums[:4])
+    phidot_g, phidot_gw, gw = sums[4:].reshape(3, t_nodes)
+    mu = mu_num / V
+    J = j2v / (2.0 * V)
+    F0 = J - log_term / V
+    # K-energy along exp(tH), Gauss-Legendre in t, linear in the per-node
+    # sums; and the Gauss-Bonnet sentinel: g_w,t integrates to 2d - 2 at every t
+    nu = -float(tw @ ((2.0 - mu) * phidot_g - phidot_gw)) / V
+    drift = float(np.max(np.abs(gw - (2 * charts.curve.d - 2))))
     return {"V": V, "mu": mu, "J": J, "F0": F0, "nu": nu, "gauss_bonnet_drift": drift}
 
 

@@ -512,6 +512,16 @@ class TestDeterminism:
             assert main(argv) == 0
             assert json.loads(capsys.readouterr().out)["config"] == config
 
+    def test_parser_built_once_per_process(self, files, capsys):
+        # in-process calls share one parser, and no call's flags leak into
+        # the next one's namespace
+        build_parser.cache_clear()
+        argv = ["mahler", "--poly", files["mono"], "--samples", "1000"]
+        for extra, seed in ((["--seed", "4"], 4), ([], 0)):
+            assert main(argv + extra) == 0
+            assert json.loads(capsys.readouterr().out)["config"]["seed"] == seed
+        assert build_parser.cache_info().misses == 1
+
     def test_byte_identical_reruns(self, files):
         a = run_cli(["mahler", "--poly", files["mono"], "--samples", "5000", "--seed", "3"])
         b = run_cli(["mahler", "--poly", files["mono"], "--samples", "5000", "--seed", "3"])

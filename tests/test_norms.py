@@ -1,6 +1,7 @@
 """Mahler and L^p norms, the inequality suite, the conformal factor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from stablepairs import norms
 from stablepairs.energy import log_tan_dist_p, xpair_functional
 from stablepairs.errors import PreconditionError
 from stablepairs.norms import (
+    DRAW_ROWS,
+    MIN_SAMPLES,
     MahlerSampleFunctional,
     arestov_check,
     conformal_theta,
@@ -18,6 +21,7 @@ from stablepairs.norms import (
     l2_norm_log_exact,
     log_ratio_sq,
     lp_norm,
+    sample_points,
     sup_norm,
 )
 from stablepairs.poly import HomogeneousPolynomial, VariableShape
@@ -86,6 +90,32 @@ class TestOneSampleSet:
         assert rep["log_l0"] == ref0.to_json() and rep["log_lp"] == refp.to_json()
         assert rep["margin"] == refp.log_value - ref0.log_value
         assert rep["slack"] == 3.0 * (ref0.stderr + refp.stderr)
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("nvars", [3, 8])
+    @pytest.mark.parametrize("samples", [MIN_SAMPLES, 2 * DRAW_ROWS + 5])
+    def test_stream_is_the_one_shot_draw(self, nvars, samples):
+        # the blocked draw keeps every seed's samples: the bits of the
+        # one-shot draw, for a vector (nvars 3) and a 2 x 4 matrix (nvars 8)
+        rng = np.random.default_rng(41)
+        want = (rng.standard_normal((samples, nvars))
+                + 1j * rng.standard_normal((samples, nvars))) / math.sqrt(2.0)
+        got = sample_points(nvars, samples, 41)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+    def test_log_ratio_holds_one_point_array(self, cubic_xpair):
+        # the samples are the one full-size array: the kernel moves them
+        # chunk by chunk, and the rest is one value per sample
+        sigma = random_sl(np.random.default_rng(4), 4, spread=0.3)
+        tracemalloc.start()
+        try:
+            f = MahlerSampleFunctional(cubic_xpair.resultant, 0.0, 100_000, 7)
+            f.log_ratio_sq(sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * f.Z.nbytes
 
 
 class TestLpNorm:

@@ -1,5 +1,7 @@
 """Quadrature oracle: reference geometry and internal consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,22 @@ class TestSpectralGrid:
         assert grids[-1]["gauss_bonnet_drift"] <= REFINE_TOL
         assert abs(rep.k_energy - _run_grid(charts, sig, 324, 324, 33)["nu"]) < REFINE_TOL
         assert rep.diagnostics["t_nodes"] == 33
+
+    def test_grid_memory_is_bounded(self, cubic_curve):
+        # a grid is reduced over chunks of points with no table per pair of
+        # wedge coordinates, so nine times the points of the pinned hard
+        # sigma's 96^2 grid cost little more memory than it
+        charts = _CurveCharts(cubic_curve)
+        sig = random_sl(np.random.default_rng(1), 4, spread=1.0)
+        peaks = []
+        for n in (96, 288):
+            tracemalloc.start()
+            try:
+                _run_grid(charts, sig, n, n, 33)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_budget_exhausted(self, cubic_curve, monkeypatch):
         # the sigma above needs 132 192 grid points from 24^2; with fewer
