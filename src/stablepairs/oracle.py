@@ -225,9 +225,10 @@ def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
     lam = 0.5 * np.log(vals)
     i, j = np.triu_indices(lam.size, 1)
     lam2 = lam[i] + lam[j]
+    Uh = U.conj().T
     tn, tw = np.polynomial.legendre.leggauss(t_nodes)
     tn, tw = 0.5 * (tn + 1.0), 0.5 * tw
-    sums = sum(_chunk_sums(charts, U.conj().T, lam, lam2, pts[lo:lo + POINT_CHUNK],
+    sums = sum(_chunk_sums(charts, Uh, lam, lam2, pts[lo:lo + POINT_CHUNK],
                            W[lo:lo + POINT_CHUNK], tn)
                for lo in range(0, pts.size, POINT_CHUNK))
     V, mu_num, j2v, log_term = (float(x) for x in sums[:4])
