@@ -144,14 +144,15 @@ class _CurveCharts:
         self.w_coeffs = [_wedge_coeff_rows(c) for c in self.z_coeffs]
         self.wp_coeffs = [_polyder_rows(c) for c in self.w_coeffs]
 
-    def grids(self, n_r: int, n_th: int):
-        """Polar grid of the closed unit disk with (1/pi) dx dy weights."""
-        nodes, wts = np.polynomial.legendre.leggauss(n_r)
+    def grids(self, n: int):
+        """n x n polar grid of the closed unit disk (n radii, n angles) with
+        (1/pi) dx dy weights."""
+        nodes, wts = np.polynomial.legendre.leggauss(n)
         r = 0.5 * (nodes + 1.0)
         wr = 0.5 * wts
-        th = 2.0 * math.pi * np.arange(n_th) / n_th
+        th = 2.0 * math.pi * np.arange(n) / n
         pts = np.outer(r, np.exp(1j * th)).ravel()
-        W = (np.outer(wr * r, np.full(n_th, 2.0 / n_th))).ravel()
+        W = (np.outer(wr * r, np.full(n, 2.0 / n))).ravel()
         return pts, W
 
     def chart_values(self, pts: np.ndarray, A: np.ndarray):
@@ -214,9 +215,8 @@ def _chunk_sums(charts: _CurveCharts, Uh: np.ndarray, lam: np.ndarray, lam2: np.
 POINT_CHUNK = 4_096
 
 
-def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
-              t_nodes: int) -> dict:
-    pts, W = charts.grids(n_r, n_th)
+def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n: int, t_nodes: int) -> dict:
+    pts, W = charts.grids(n)
 
     # sigma = u exp(H) with H = U diag(lam) U^*; in the eigenbasis every
     # squared norm along exp(tH) is a sum of exponentials in t (module doc).
@@ -245,7 +245,7 @@ def _run_grid(charts: _CurveCharts, sigma: np.ndarray, n_r: int, n_th: int,
 
 # Gauss-Legendre nodes in t; the agreement required of successive grids,
 # which also bounds the newer grid's Gauss-Bonnet drift; and the most grid
-# points, summed n_r * n_th over the grids run, that one call may spend.
+# points, summed n^2 over the n x n grids run, that one call may spend.
 # The budget covers 96^2 + 144^2 + 216^2 and the 24^2 ... 271^2 schedule
 # (132 192 points) of a twisted-cubic sigma of condition number 117.
 T_NODES = 33
@@ -253,16 +253,16 @@ REFINE_TOL = 1e-3
 GRID_POINT_BUDGET = 200_000
 
 
-def curve_geometry_oracle(sigma, curve: RationalCurve, n_r: int = 24,
-                          n_th: int = 24) -> CurveGeometryReport:
+def curve_geometry_oracle(sigma, curve: RationalCurve, grid: int = 24) -> CurveGeometryReport:
     """Quadrature evaluation of V, mu, J, F0 and the K-energy of phi_sigma.
 
-    Starts on an n_r x n_th polar grid per chart and refines both by 3/2
+    Starts on a grid x grid polar grid per chart and refines it by 3/2
     until two conditions hold: successive grids agree to REFINE_TOL in V,
     mu, J, F0 and nu, and the newer grid's `gauss_bonnet_drift` is at most
     REFINE_TOL.  The newer grid is reported.  A grid is run only while the
-    points spent, summed n_r * n_th over the grids run, stay within
-    GRID_POINT_BUDGET.  Running out of budget, or a grid with a non-finite
+    points spent, summed n^2 over the n x n grids run, stay within
+    GRID_POINT_BUDGET.  Each grid's diagnostics record n as `n_r` (radii)
+    and `n_th` (angles).  Running out of budget, or a grid with a non-finite
     entry (an overflowing sigma), raises NonConvergenceError at once with
     every grid run so far in its diagnostics.
     """
@@ -272,15 +272,15 @@ def curve_geometry_oracle(sigma, curve: RationalCurve, n_r: int = 24,
     charts = _CurveCharts(curve)
     history: List[dict] = []
     spent = 0
-    while spent + n_r * n_th <= GRID_POINT_BUDGET:
-        spent += n_r * n_th
+    while spent + grid * grid <= GRID_POINT_BUDGET:
+        spent += grid * grid
         # an overflowing sigma shows as non-finite entries, reported below
         with np.errstate(all="ignore"):
-            cur = _run_grid(charts, sigma, n_r, n_th, T_NODES)
-        history.append(dict(cur, n_r=n_r, n_th=n_th))
+            cur = _run_grid(charts, sigma, grid, T_NODES)
+        history.append(dict(cur, n_r=grid, n_th=grid))
         if not all(math.isfinite(v) for v in cur.values()):
             raise NonConvergenceError(
-                f"non-finite quadrature on the {n_r}x{n_th} grid",
+                f"non-finite quadrature on the {grid}x{grid} grid",
                 diagnostics={"grids": history, "t_nodes": T_NODES},
             )
         if len(history) > 1:
@@ -294,8 +294,7 @@ def curve_geometry_oracle(sigma, curve: RationalCurve, n_r: int = 24,
                     aubin_f0=cur["F0"],
                     diagnostics={"grids": history, "refinement_diff": diff, "t_nodes": T_NODES},
                 )
-        n_r = (3 * n_r) // 2
-        n_th = (3 * n_th) // 2
+        grid = (3 * grid) // 2
     raise NonConvergenceError(
         f"quadrature did not stabilize to {REFINE_TOL} within {GRID_POINT_BUDGET} grid "
         "points; grids: " + ", ".join(f"({h['n_r']}x{h['n_th']})" for h in history),

@@ -51,15 +51,15 @@ from .poly import (
     OnePSG,
     _act_blocks,
     _dense_blocks,
-    _row_axes,
     _sym_basis,
     _sym_step,
     act,
     binary_coeffs,
     primitive_integer_vector,
 )
-from .scalars import EXACT, FLOAT, QQi, scalar_to_complex
+from .scalars import EXACT, QQi
 from .weights import (
+    SUPPORT_FLOAT_TOL,
     LatticePolytope,
     TensorVector,
     act_tensor,
@@ -81,14 +81,6 @@ Part = Tuple[int, object]
 # ---------------------------------------------------------------------------
 
 
-def _group_size(e) -> int:
-    if isinstance(e, HomogeneousPolynomial):
-        return e.shape.cols
-    if isinstance(e, TensorVector):
-        return e.group_size
-    raise PreconditionError(f"not a representation vector: {type(e).__name__}")
-
-
 class Pair:
     """Two nonzero vectors in representations of the same SL(N+1)."""
 
@@ -97,14 +89,14 @@ class Pair:
             v.require_nonzero("pair component v")
         if isinstance(w, HomogeneousPolynomial):
             w.require_nonzero("pair component w")
-        if _group_size(v) != _group_size(w):
+        if v.group_size != w.group_size:
             raise DimensionError("pair components live under different groups")
         self.v = v
         self.w = w
 
     @property
     def group_size(self) -> int:
-        return _group_size(self.v)
+        return self.v.group_size
 
     @property
     def norm_choice(self) -> str:
@@ -171,9 +163,11 @@ class StabilityCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _side_weights(lam: OnePSG, parts: Sequence[Part]) -> Tuple[int, int]:
-    """(w_lambda(left), w_lambda(right)): sum |c_k| w_lambda(e_k) over c_k < 0, c_k > 0."""
-    weights = [c * psg_weight(lam, e) for c, e in parts]
+def _side_weights(lam: OnePSG, parts: Sequence[Part],
+                  tol: float = SUPPORT_FLOAT_TOL) -> Tuple[int, int]:
+    """(w_lambda(left), w_lambda(right)): sum |c_k| w_lambda(e_k) over c_k < 0,
+    c_k > 0, on supports thresholded at ``tol``."""
+    weights = [c * psg_weight(lam, e, tol) for c, e in parts]
     return (-sum(x for (c, _), x in zip(parts, weights) if c < 0),
             sum(x for (c, _), x in zip(parts, weights) if c > 0))
 
@@ -410,20 +404,16 @@ class PolyL2Functional:
     """
 
     def __init__(self, e):
+        e = e.to_float()
         if isinstance(e, HomogeneousPolynomial):
-            P = e.to_float().require_nonzero()
-            n, self.degree, m = P.shape.cols, P.degree, P.shape.nvars - 1
-            log_const = math.lgamma(m + 1) - math.lgamma(m + self.degree + 1)
-            amplitudes = {_row_axes(a, n): c for a, c in P.terms.items()}
-        elif isinstance(e, TensorVector):
-            x = e.to_float()
-            n, self.degree = x.group_size, x.degree()
-            log_const = -math.log(2.0) * sum(kind == "wedge2" for kind, _ in x.slots)
-            amplitudes = x.dense_amplitudes()
+            m = e.require_nonzero().shape.nvars - 1
+            log_const = math.lgamma(m + 1) - math.lgamma(m + e.degree + 1)
         else:
-            raise PreconditionError("no norm functional for this object")
+            log_const = -math.log(2.0) * sum(kind == "wedge2" for kind, _ in e.slots)
+        self.n = n = e.group_size
+        self.degree = e.degree
+        amplitudes = e.dense_amplitudes()
         top = max(abs(z) for z in amplitudes.values())
-        self.n = n
         self.log_const = log_const + 2.0 * math.log(top)
         self.blocks = _dense_blocks(n, {axes: z / top for axes, z in amplitudes.items()})
         # D = diag(sqrt(a!)) on Sym^d takes monomial to orthonormal coordinates
@@ -624,23 +614,9 @@ def _snap_to_signed_permutation(u: np.ndarray, tol: float = 1e-6):
     return snapped
 
 
+# float supports of parts moved by a numerical frame drop coefficients at most
+# this relative size: an ill-conditioned frame leaves residues SUPPORT_FLOAT_TOL keeps
 WITNESS_SUPPORT_TOL = 1e-6
-
-
-def _thresholded(e, tol: float):
-    """Drop float coefficients below tol relative to the largest one."""
-    if isinstance(e, HomogeneousPolynomial):
-        mx = max(abs(c) for c in e.terms.values())
-        return HomogeneousPolynomial(
-            e.shape, e.degree,
-            {k: c for k, c in e.terms.items() if abs(c) > tol * mx}, FLOAT,
-        )
-    mx = max(abs(scalar_to_complex(c)) for c in e.coords.values())
-    return TensorVector(
-        e.slots,
-        {k: c for k, c in e.coords.items() if abs(scalar_to_complex(c)) > tol * mx},
-        FLOAT,
-    )
 
 
 def _verify_destabilizer(func: PairFunctional, lam: OnePSG, frame: np.ndarray) -> Optional[dict]:
@@ -664,10 +640,9 @@ def _verify_destabilizer(func: PairFunctional, lam: OnePSG, frame: np.ndarray) -
             "verification": "exact",
             "weights": {"v": wv, "w": ww},
         }
-    parts = [(c, e if isinstance(e, LatticePolytope)
-              else _thresholded(_act_any(frame, e.to_float()), WITNESS_SUPPORT_TOL))
+    parts = [(c, e if isinstance(e, LatticePolytope) else _act_any(frame, e.to_float()))
              for c, e in func.parts]
-    wv, ww = _side_weights(lam, parts)
+    wv, ww = _side_weights(lam, parts, WITNESS_SUPPORT_TOL)
     if ww <= wv:
         return None
     # slope cross-check along diag(t^lambda) @ frame

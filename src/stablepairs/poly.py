@@ -181,9 +181,21 @@ class HomogeneousPolynomial:
             raise PreconditionError(f"zero {what} is not allowed here")
         return self
 
-    def support_characters(self) -> set:
-        """Raw torus characters (column-degree vectors) of the monomials."""
-        return {self.shape.column_degrees(exp) for exp in self.terms}
+    @property
+    def group_size(self) -> int:
+        """N+1, the size of the matrices sigma that act on the columns."""
+        return self.shape.cols
+
+    def character_terms(self):
+        """(raw torus character, coefficient) per monomial; the character is
+        the column-degree vector."""
+        return ((self.shape.column_degrees(exp), c) for exp, c in self.terms.items())
+
+    def dense_amplitudes(self) -> Dict[tuple, object]:
+        """{per-axis exponents: coefficient} for the dense layout of ``act``:
+        one axis per row, holding that row's N+1 exponents."""
+        n = self.shape.cols
+        return {tuple(a[r:r + n] for r in range(0, len(a), n)): c for a, c in self.terms.items()}
 
     def sorted_terms(self) -> List[Tuple[Exponent, object]]:
         """Terms in descending lexicographic exponent order (deterministic)."""
@@ -608,20 +620,15 @@ def act(sigma, P: HomogeneousPolynomial) -> HomogeneousPolynomial:
     The terms go through the dense action, one axis per row, and the entries
     that are not exactly zero come back as terms.
     """
-    n = P.shape.cols
+    n = P.group_size
     sig = _sigma_array(sigma, P.mode, n)
-    blocks = _dense_blocks(n, {_row_axes(a, n): c for a, c in P.terms.items()}, sig.dtype)
+    blocks = _dense_blocks(n, P.dense_amplitudes(), sig.dtype)
     terms: Dict[Exponent, object] = {}
     for degs, y in _act_blocks(sig, blocks):
         bases = [list(_sym_basis(n, d)) for d in degs]
         for idx, c in _nonzero_entries(y):
             terms[sum((b[i] for b, i in zip(bases, idx)), ())] = c
     return HomogeneousPolynomial._trusted(P.shape, P.degree, terms, P.mode)
-
-
-def _row_axes(exp: Exponent, n: int) -> Tuple[Exponent, ...]:
-    """A monomial's exponent split into its rows of n variables."""
-    return tuple(exp[r:r + n] for r in range(0, len(exp), n))
 
 
 # ---------------------------------------------------------------------------

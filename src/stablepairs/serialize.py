@@ -81,15 +81,27 @@ def _scalar_from_json(d: dict, mode: str):
     return complex(re, im)
 
 
+def _terms_to_json(P: HomogeneousPolynomial) -> list:
+    """The "terms" list of a polynomial, in ``sorted_terms`` order."""
+    return [dict(scalar_to_json(c), exp=list(e)) for e, c in P.sorted_terms()]
+
+
+def _terms_from_json(d: dict, mode: str) -> dict:
+    """{exponent: scalar} from the "terms" list of ``d``."""
+    terms = {}
+    for t in _need(d, "terms", list):
+        exp = tuple(_int(x, "exponent") for x in _need(t, "exp", list))
+        terms[exp] = _scalar_from_json(t, mode)
+    return terms
+
+
 def poly_to_json(P: HomogeneousPolynomial) -> dict:
     return {
         "schema": SCHEMA,
         "shape": {"kind": P.shape.kind, "rows": P.shape.rows, "cols": P.shape.cols},
         "degree": P.degree,
         "mode": P.mode,
-        "terms": [
-            dict(scalar_to_json(c), exp=list(e)) for e, c in P.sorted_terms()
-        ],
+        "terms": _terms_to_json(P),
     }
 
 
@@ -100,11 +112,7 @@ def poly_from_json(d: dict) -> HomogeneousPolynomial:
     mode = _need(d, "mode", str)
     if mode not in (EXACT, FLOAT):
         raise SchemaError(f"unknown mode {mode!r}")
-    terms = {}
-    for t in _need(d, "terms", list):
-        exp = tuple(_int(x, "exponent") for x in _need(t, "exp", list))
-        terms[exp] = _scalar_from_json(t, mode)
-    return HomogeneousPolynomial(shape, _need_int(d, "degree"), terms, mode)
+    return HomogeneousPolynomial(shape, _need_int(d, "degree"), _terms_from_json(d, mode), mode)
 
 
 def tensor_to_json(x: TensorVector) -> dict:
@@ -207,12 +215,9 @@ def curve_from_json(d: dict) -> RationalCurve:
     shape = VariableShape.vector(2)
     gamma = []
     for comp in _need(d, "gamma", list):
-        terms = {}
-        for t in _need(comp, "terms", list):
-            exp = tuple(_int(x, "exponent") for x in _need(t, "exp", list))
-            if len(exp) != 2:
-                raise SchemaError("curve components are binary forms: exp length 2")
-            terms[exp] = _scalar_from_json(t, EXACT)
+        terms = _terms_from_json(comp, EXACT)
+        if any(len(exp) != 2 for exp in terms):
+            raise SchemaError("curve components are binary forms: exp length 2")
         gamma.append(HomogeneousPolynomial(shape, deg, terms, EXACT))
     return RationalCurve(N, deg, gamma)
 
@@ -222,10 +227,7 @@ def curve_to_json(c: RationalCurve) -> dict:
         "schema": SCHEMA,
         "N": c.N,
         "d": c.d,
-        "gamma": [
-            {"terms": [dict(scalar_to_json(cf), exp=list(e)) for e, cf in gm.sorted_terms()]}
-            for gm in c.gamma
-        ],
+        "gamma": [{"terms": _terms_to_json(gm)} for gm in c.gamma],
     }
 
 

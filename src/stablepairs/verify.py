@@ -365,7 +365,7 @@ def kenergy_vs_oracle(*, curve_degrees: Sequence[int], count: int, samples: int,
         xp = build_x_pair(curve)
         for i in range(count):
             sig = random_sl(rng, curve.N + 1, spread=0.3)
-            orc = curve_geometry_oracle(sig, curve, n_r=grid, n_th=grid)
+            orc = curve_geometry_oracle(sig, curve, grid)
             alg = k_energy_algebraic(sig, xp, samples=samples, seed=sample_seed + i)
             diff = abs(orc.k_energy - alg["k_energy"])
             tol = max(0.02 * abs(orc.k_energy), 1e-2)
@@ -389,7 +389,7 @@ def phillipon_soule(*, count: int, samples: int, grid: int, seed: int,
     worst = {"diff_tol": 0.0}
     for i in range(count):
         sig = random_sl(rng, 3, spread=0.3)
-        orc = curve_geometry_oracle(sig, conic, n_r=grid, n_th=grid)
+        orc = curve_geometry_oracle(sig, conic, grid)
         dr, err = log_ratio_sq(xp.resultant, sig, 0.0, samples=samples, seed=sample_seed + i)
         lhs = -xp.deg_r * orc.aubin_f0
         tol = 3.0 * (err + xp.deg_r * 1e-3)
@@ -407,7 +407,7 @@ def curve_geometry(*, curve_degrees: Sequence[int], grid: int) -> Checked:
     out = []
     reports = {}
     for d in curve_degrees:
-        rep = curve_geometry_oracle(np.eye(d + 1), rational_normal_curve(d), n_r=grid, n_th=grid)
+        rep = curve_geometry_oracle(np.eye(d + 1), rational_normal_curve(d), grid)
         reports[d] = rep
         out.append(_check(
             f"oracle V=d, mu=2/d d={d}",

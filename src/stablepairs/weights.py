@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .errors import DimensionError, PreconditionError
 from .linprog import hull_membership
 from .poly import (
-    HomogeneousPolynomial,
     OnePSG,
     _act_blocks,
     _dense_blocks,
@@ -160,25 +159,25 @@ class TensorVector:
 
     @property
     def group_size(self) -> int:
+        """N+1, the common dimension of the slots that sigma acts on."""
         return self.slots[0][1]
 
+    @property
     def degree(self) -> int:
         """Total polynomial degree: 1 per vector slot, 2 per wedge slot."""
         return sum(1 if kind == "vector" else 2 for kind, _ in self.slots)
 
-    def character_of(self, idx) -> Tuple[int, ...]:
+    def character_terms(self):
+        """(raw torus character, coefficient) per coordinate; the character
+        is the sum of the basis characters of the slots, eps_i + eps_j for a
+        wedge slot e_i ^ e_j."""
         n = self.group_size
-        char = [0] * n
-        for (kind, _), part in zip(self.slots, idx):
-            if kind == "vector":
-                char[part] += 1
-            else:
-                char[part[0]] += 1
-                char[part[1]] += 1
-        return tuple(char)
-
-    def support_characters(self) -> Set[Tuple[int, ...]]:
-        return {self.character_of(idx) for idx in self.coords}
+        for idx, c in self.coords.items():
+            char = [0] * n
+            for (kind, _), part in zip(self.slots, idx):
+                for i in (part,) if kind == "vector" else part:
+                    char[i] += 1
+            yield tuple(char), c
 
     def dense_amplitudes(self) -> Dict[tuple, object]:
         """{per-axis exponents: coefficient} for the dense layout of
@@ -237,36 +236,22 @@ def act_tensor(sigma, x: TensorVector) -> TensorVector:
 SUPPORT_FLOAT_TOL = 1e-9
 
 
-def support(e) -> Set[WeightCharacter]:
+def support(e, tol: float = SUPPORT_FLOAT_TOL) -> Set[WeightCharacter]:
     """T-support of a nonzero polynomial or tensor vector.
 
-    Float-mode coefficients below SUPPORT_FLOAT_TOL times the largest one are
-    treated as exact-cancellation residue and dropped.
+    Float-mode coefficients at most tol times the largest one are treated as
+    cancellation residue and dropped; exact coefficients are all kept.  The
+    default SUPPORT_FLOAT_TOL suits vectors computed directly;
+    ``pairs.WITNESS_SUPPORT_TOL`` is the looser one for vectors moved by a
+    numerical frame, whose residues are larger.
     """
-    if isinstance(e, HomogeneousPolynomial):
-        e.require_nonzero()
-        if e.mode == FLOAT:
-            mx = max(abs(c) for c in e.terms.values())
-            chars = {
-                e.shape.column_degrees(exp)
-                for exp, c in e.terms.items()
-                if abs(c) > SUPPORT_FLOAT_TOL * mx
-            }
-        else:
-            chars = e.support_characters()
-    elif isinstance(e, TensorVector):
-        if e.mode == FLOAT:
-            mx = max(abs(scalar_to_complex(c)) for c in e.coords.values())
-            chars = {
-                e.character_of(idx)
-                for idx, c in e.coords.items()
-                if abs(scalar_to_complex(c)) > SUPPORT_FLOAT_TOL * mx
-            }
-        else:
-            chars = e.support_characters()
-    else:
-        raise PreconditionError(f"unsupported object {type(e).__name__}")
-    return {WeightCharacter(c) for c in chars}
+    terms = list(e.character_terms())
+    if not terms:
+        raise PreconditionError("zero vector has no support")
+    if e.mode == FLOAT:
+        mx = max(abs(c) for _, c in terms)
+        terms = [(a, c) for a, c in terms if abs(c) > tol * mx]
+    return {WeightCharacter(a) for a in {a for a, _ in terms}}
 
 
 def weight_polytope(e) -> LatticePolytope:
@@ -276,12 +261,13 @@ def weight_polytope(e) -> LatticePolytope:
     return LatticePolytope(support(e))
 
 
-def psg_weight(lam: OnePSG, e) -> int:
-    """min over the support of <a, lambda>; the vanishing order along lambda."""
+def psg_weight(lam: OnePSG, e, tol: float = SUPPORT_FLOAT_TOL) -> int:
+    """min over the support of <a, lambda>; the vanishing order along lambda.
+    ``tol`` is the float threshold of ``support``."""
     if isinstance(e, LatticePolytope):
         pts = e.points
     else:
-        pts = support(e)
+        pts = support(e, tol)
     return min(p.pair(lam) for p in pts)
 
 
@@ -344,8 +330,4 @@ def rep_degree(obj) -> int:
     slot degree D) lies in D * Q_N with the pure-power monomial hitting a
     vertex, so the representation degree is D itself.
     """
-    if isinstance(obj, HomogeneousPolynomial):
-        return obj.degree
-    if isinstance(obj, TensorVector):
-        return obj.degree()
-    raise PreconditionError("cannot infer representation degree")
+    return obj.degree

@@ -86,7 +86,7 @@ class TestKEnergy:
     def test_oracle_equivalence_conic(self, conic_xpair, conic_curve, rng):
         for i in range(2):
             sig = random_sl(rng, 3, spread=0.35)
-            orc = curve_geometry_oracle(sig, conic_curve, n_r=48, n_th=48)
+            orc = curve_geometry_oracle(sig, conic_curve, grid=48)
             alg = k_energy_algebraic(sig, conic_xpair, samples=200_000, seed=20 + i)
             tol = max(0.02 * abs(orc.k_energy), 1e-2)
             assert abs(orc.k_energy - alg["k_energy"]) <= tol
@@ -128,7 +128,7 @@ class TestAubin:
 
     def test_oracle_equivalence(self, conic_xpair, conic_curve, rng):
         sig = random_sl(rng, 3, spread=0.35)
-        orc = curve_geometry_oracle(sig, conic_curve, n_r=48, n_th=48)
+        orc = curve_geometry_oracle(sig, conic_curve, grid=48)
         alg = aubin_f0_algebraic(sig, conic_xpair, samples=200_000, seed=7)
         assert abs(orc.aubin_f0 - alg["aubin_f0"]) <= 3 * (alg["stderr"] + 1e-3)
 

@@ -1,9 +1,12 @@
 """Source hygiene: every imported name and every module constant in src/ and
 tests/ is read somewhere, every definition in src/ is read outside the tests,
-the Monte-Carlo sampling pipeline has one home, and a cold start of the
-package and its CLI loads no scipy module."""
+the Monte-Carlo sampling pipeline has one home, the benchmark's tracer finds
+every name it wraps, and a cold start of the package and its CLI loads no
+scipy module."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -107,6 +110,42 @@ def test_symmetric_power_action_only_in_poly():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
     }
     assert defined == {("poly.py", name) for name in names}
+
+
+def _bindings() -> dict:
+    """(owner, name) -> id of the value, for every attribute of every loaded
+    stablepairs module and of every class such a module defines."""
+    out = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not mod_name.startswith("stablepairs"):
+            continue
+        for name, value in vars(mod).items():
+            out[(mod_name, name)] = id(value)
+            if isinstance(value, type) and value.__module__ == mod_name:
+                out.update({((mod_name, name), attr): id(v) for attr, v in vars(value).items()})
+    return out
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps functions and methods by their names as
+    # strings (norms.log_ratio_sq, PairFunctional.value, ...), which the reads
+    # above cannot see: a rename in src/ must fail here, not only in a traced
+    # benchmark run.  The CLI import loads every module the tracer wraps.
+    importlib.import_module("stablepairs.cli")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = _bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert tracer._restore
+        assert all(getattr(owner, name) is not original
+                   for owner, name, original in tracer._restore)
+    finally:
+        tracer.uninstall()
+    assert _bindings() == before
 
 
 def test_cli_import_loads_no_scipy():

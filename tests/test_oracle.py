@@ -30,7 +30,7 @@ def _direct_grid(curve, sigma, n, t_nodes):
     omega_t dt on the same Gauss-Legendre nodes).
     """
     charts = _CurveCharts(curve)
-    pts, wq = charts.grids(n, n)
+    pts, wq = charts.grids(n)
     wq = np.tile(wq, 2)
     Z, Zp, Wz, Wzp = charts.chart_values(pts, np.eye(curve.N + 1))
     vals, vecs = np.linalg.eigh(sigma.conj().T @ sigma)
@@ -68,23 +68,23 @@ def _direct_grid(curve, sigma, n, t_nodes):
 class TestReferenceGeometry:
     def test_volume_equals_degree(self, conic_curve, cubic_curve):
         for curve, d in ((conic_curve, 2), (cubic_curve, 3)):
-            rep = curve_geometry_oracle(np.eye(d + 1), curve, n_r=48, n_th=48)
+            rep = curve_geometry_oracle(np.eye(d + 1), curve, grid=48)
             assert abs(rep.volume - d) <= 1e-3
 
     def test_mu_is_two_over_d(self, conic_curve, cubic_curve):
         for curve, d in ((conic_curve, 2), (cubic_curve, 3)):
-            rep = curve_geometry_oracle(np.eye(d + 1), curve, n_r=48, n_th=48)
+            rep = curve_geometry_oracle(np.eye(d + 1), curve, grid=48)
             assert abs(rep.mu - 2.0 / d) <= 1e-2
 
     def test_zero_potential(self, conic_curve):
-        rep = curve_geometry_oracle(np.eye(3), conic_curve, n_r=48, n_th=48)
+        rep = curve_geometry_oracle(np.eye(3), conic_curve, grid=48)
         assert abs(rep.k_energy) < 1e-9
         assert abs(rep.aubin_j) < 1e-9
         assert abs(rep.aubin_f0) < 1e-9
 
     def test_unitary_potential_vanishes(self, conic_curve, rng):
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        rep = curve_geometry_oracle(u, conic_curve, n_r=48, n_th=48)
+        rep = curve_geometry_oracle(u, conic_curve, grid=48)
         assert abs(rep.k_energy) < 1e-6 and abs(rep.aubin_j) < 1e-9
 
     def test_wrong_sigma_shape(self, conic_curve):
@@ -98,28 +98,28 @@ class TestInternalIdentities:
         # definition -(1/V) int_0^1 int phidot_t omega_t dt along exp(tH)
         for curve in (conic_curve, cubic_curve):
             sig = random_sl(rng, curve.N + 1, spread=0.3)
-            res = _run_grid(_CurveCharts(curve), sig, 48, 48, 33)
+            res = _run_grid(_CurveCharts(curve), sig, 48, 33)
             _, path = _direct_grid(curve, sig, 48, 33)
             assert abs(res["F0"] - path) < 1e-8
 
     def test_refined_grid_agrees(self, conic_curve, rng):
         sig = random_sl(rng, 3, spread=0.4)
-        a = curve_geometry_oracle(sig, conic_curve, n_r=48, n_th=48)
-        b = curve_geometry_oracle(sig, conic_curve, n_r=72, n_th=72)
+        a = curve_geometry_oracle(sig, conic_curve, grid=48)
+        b = curve_geometry_oracle(sig, conic_curve, grid=72)
         for key in ("volume", "mu", "k_energy", "aubin_j", "aubin_f0"):
             assert abs(getattr(a, key) - getattr(b, key)) < 1e-6
 
     def test_j_nonnegative(self, conic_curve, rng):
         for _ in range(3):
             sig = random_sl(rng, 3, spread=0.5)
-            rep = curve_geometry_oracle(sig, conic_curve, n_r=48, n_th=48)
+            rep = curve_geometry_oracle(sig, conic_curve, grid=48)
             assert rep.aubin_j >= 0.0
 
     def test_polar_unitary_factor_ignored(self, conic_curve, rng):
         sig = random_sl(rng, 3, spread=0.4)
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
-        a = curve_geometry_oracle(sig, conic_curve, n_r=48, n_th=48)
-        b = curve_geometry_oracle(u @ sig, conic_curve, n_r=48, n_th=48)
+        a = curve_geometry_oracle(sig, conic_curve, grid=48)
+        b = curve_geometry_oracle(u @ sig, conic_curve, grid=48)
         assert a.k_energy == pytest.approx(b.k_energy, abs=1e-8)
         assert a.aubin_f0 == pytest.approx(b.aubin_f0, abs=1e-8)
 
@@ -128,7 +128,7 @@ class TestSpectralGrid:
     def test_matches_direct_evaluation(self, conic_curve, cubic_curve, rng):
         for curve in (conic_curve, cubic_curve):
             sig = random_sl(rng, curve.N + 1, spread=0.3)
-            res = _run_grid(_CurveCharts(curve), sig, 24, 24, 9)
+            res = _run_grid(_CurveCharts(curve), sig, 24, 9)
             ref, _ = _direct_grid(curve, sig, 24, 9)
             for key in ORACLE_KEYS:
                 assert abs(res[key] - ref[key]) < 1e-12, key
@@ -140,7 +140,7 @@ class TestSpectralGrid:
         for curve in (conic_curve, cubic_curve):
             sig = random_sl(rng, curve.N + 1, spread=0.3)
             charts = _CurveCharts(curve)
-            coarse, fine = (_run_grid(charts, sig, n, n, 33) for n in (96, 144))
+            coarse, fine = (_run_grid(charts, sig, n, 33) for n in (96, 144))
             assert coarse["gauss_bonnet_drift"] < 1e-10
             assert fine["gauss_bonnet_drift"] < 1e-10
             reported = curve_geometry_oracle(sig, curve).diagnostics["grids"][-1]
@@ -153,7 +153,7 @@ class TestSpectralGrid:
         # refines
         sig = random_sl(np.random.default_rng(1), 4, spread=1.0)
         charts = _CurveCharts(cubic_curve)
-        coarse, fine = (_run_grid(charts, sig, n, n, 33) for n in (96, 144))
+        coarse, fine = (_run_grid(charts, sig, n, 33) for n in (96, 144))
         assert abs(coarse["V"] - 3.0) < 1e-10
         assert coarse["gauss_bonnet_drift"] > 0.05
         assert 1e-3 < fine["gauss_bonnet_drift"] < coarse["gauss_bonnet_drift"]
@@ -163,7 +163,7 @@ class TestSpectralGrid:
         grids = rep.diagnostics["grids"]
         assert sum(g["n_r"] * g["n_th"] for g in grids) <= GRID_POINT_BUDGET
         assert grids[-1]["gauss_bonnet_drift"] <= REFINE_TOL
-        assert abs(rep.k_energy - _run_grid(charts, sig, 324, 324, 33)["nu"]) < REFINE_TOL
+        assert abs(rep.k_energy - _run_grid(charts, sig, 324, 33)["nu"]) < REFINE_TOL
         assert rep.diagnostics["t_nodes"] == 33
 
     def test_grid_memory_is_bounded(self, cubic_curve):
@@ -176,7 +176,7 @@ class TestSpectralGrid:
         for n in (96, 288):
             tracemalloc.start()
             try:
-                _run_grid(charts, sig, n, n, 33)
+                _run_grid(charts, sig, n, 33)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -187,7 +187,7 @@ class TestSpectralGrid:
         # the error carries every grid's results, not only their sizes
         run = []
         monkeypatch.setattr(oracle, "GRID_POINT_BUDGET", 50_000)
-        monkeypatch.setattr(oracle, "_run_grid", lambda *a: run.append(a[2:4]) or _run_grid(*a))
+        monkeypatch.setattr(oracle, "_run_grid", lambda *a: run.append((a[2], a[2])) or _run_grid(*a))
         sig = random_sl(np.random.default_rng(1), 4, spread=1.0)
         with pytest.raises(NonConvergenceError) as exc:
             curve_geometry_oracle(sig, cubic_curve)

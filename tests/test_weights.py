@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 from stablepairs import verify, weights
 from stablepairs.errors import PreconditionError
 from stablepairs.linprog import hull_membership
+from stablepairs.pairs import WITNESS_SUPPORT_TOL
 from stablepairs.poly import (
     HomogeneousPolynomial,
     OnePSG,
@@ -42,6 +43,58 @@ def disc_poly():
     return HomogeneousPolynomial(M13, 2, {(1, 0, 1): 4, (0, 2, 0): -1}, "exact")
 
 
+# float magnitudes on both sides of both thresholds, relative to 1
+MAGNITUDES = [1.0, 2.5, 1e-3, 5e-7, 2e-8, 5e-10, 1e-12]
+
+
+def coefficient(draw, mode):
+    if mode == "exact":
+        return QQi(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(-2, 2)))
+    return draw(st.sampled_from(MAGNITUDES)) * draw(st.sampled_from([1, -1, 1j, 0.6 - 0.8j]))
+
+
+@st.composite
+def polynomials(draw):
+    """Exact or float polynomials on a 1 x n or 2 x n matrix space."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    rows, cols, degree = draw(st.integers(1, 2)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    shape = VariableShape.vector(cols) if rows == 1 else VariableShape.matrix(rows, cols)
+    exps = draw(st.lists(st.lists(st.integers(0, rows * cols - 1), min_size=degree,
+                                  max_size=degree), min_size=1, max_size=6))
+    terms = {tuple(v.count(i) for i in range(rows * cols)): coefficient(draw, mode) for v in exps}
+    return HomogeneousPolynomial(shape, degree, terms, mode)
+
+
+@st.composite
+def tensors(draw, n=3):
+    """Exact or float tensors of one to three vector and wedge slots on C^n."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    kinds = draw(st.lists(st.sampled_from(["vector", "wedge2"]), min_size=1, max_size=3))
+    wedge = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = st.tuples(*(st.integers(0, n - 1) if k == "vector" else st.sampled_from(wedge)
+                        for k in kinds))
+    idxs = draw(st.lists(index, min_size=1, max_size=6))
+    return TensorVector([(k, n) for k in kinds], {i: coefficient(draw, mode) for i in idxs}, mode)
+
+
+def reference_support(e, tol):
+    """Raw characters from first principles: column degrees of the kept
+    monomials, sums of the slot basis characters of the kept coordinates."""
+    if isinstance(e, HomogeneousPolynomial):
+        n = e.shape.cols
+        chars = {exp: tuple(sum(exp[j::n]) for j in range(n)) for exp in e.terms}
+        coeffs = e.terms
+    else:
+        n = e.group_size
+        chars = {idx: tuple(sum(i in (part if isinstance(part, tuple) else (part,)) for part in idx)
+                            for i in range(n)) for idx in e.coords}
+        coeffs = e.coords
+    if e.mode == "exact":
+        return set(chars.values())
+    top = max(abs(c) for c in coeffs.values())
+    return {chars[k] for k, c in coeffs.items() if abs(c) > tol * top}
+
+
 class TestSupport:
     def test_discriminant_support(self):
         assert {c.raw for c in support(disc_poly())} == {(0, 2, 0), (1, 0, 1)}
@@ -60,6 +113,27 @@ class TestSupport:
     def test_float_threshold(self):
         P = HomogeneousPolynomial(V2, 2, {(2, 0): 1.0, (1, 1): 1e-14}, "float")
         assert {c.raw for c in support(P)} == {(2, 0)}
+
+    @pytest.mark.parametrize("kind", ["polynomial", "tensor"])
+    def test_both_thresholds(self, kind):
+        # relative coefficients 1, 5e-7 and 5e-10 on the characters (2,0,0),
+        # (1,1,0) and (0,1,1): the default threshold drops only the last, the
+        # witness threshold both small ones
+        top = 3.0 - 4.0j
+        if kind == "polynomial":
+            e = HomogeneousPolynomial(
+                VariableShape.vector(3), 2,
+                {(2, 0, 0): top, (1, 1, 0): 5e-7 * top, (0, 1, 1): 5e-10 * top}, "float")
+        else:
+            e = TensorVector([("vector", 3), ("vector", 3)],
+                             {(0, 0): top, (0, 1): 5e-7 * top, (1, 2): 5e-10 * top}, "float")
+        assert {c.raw for c in support(e)} == {(2, 0, 0), (1, 1, 0)}
+        assert {c.raw for c in support(e, WITNESS_SUPPORT_TOL)} == {(2, 0, 0)}
+
+    @given(st.one_of(polynomials(), tensors()),
+           st.sampled_from([weights.SUPPORT_FLOAT_TOL, WITNESS_SUPPORT_TOL]))
+    def test_matches_reference(self, e, tol):
+        assert {c.raw for c in support(e, tol)} == reference_support(e, tol)
 
 
 class TestPolytope:
