@@ -171,8 +171,7 @@ def cmd_weight(args):
 def cmd_pair_check(args):
     pair = pair_from_json(_load(args.pair))
     if args.sigma is not None:
-        sig = sigma_from_json(_load(args.sigma))
-        pair = pair.conjugated(sig.entries if sig.mode == "exact" else sig.to_numpy())
+        pair = pair.conjugated(sigma_from_json(_load(args.sigma)))
     if args.descend:
         return descend(pair.functional(), _descent_opts(args)).to_json()
     if args.trials > 1:

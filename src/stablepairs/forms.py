@@ -232,18 +232,35 @@ class XPair:
     """(R^deg(Delta), Delta^deg(R)) held implicitly as its two base forms.
 
     Powers are applied additively downstream, and unit normalizations cancel
-    in the common-random-number ratios that every Mahler formula uses.
+    in the common-random-number ratios that every Mahler formula uses.  The
+    dimensions and degrees are read off the forms: R lives on
+    (n+1) x (N+1) matrices with degree d(n+1).
     """
 
     resultant: HomogeneousPolynomial
     hyperdiscriminant: Optional[HomogeneousPolynomial]
-    n: int
-    N: int
-    d: int
-    deg_r: int
-    deg_delta: Optional[int]
     curve: Optional[RationalCurve] = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return self.resultant.shape.rows - 1
+
+    @property
+    def N(self) -> int:
+        return self.resultant.group_size - 1
+
+    @property
+    def deg_r(self) -> int:
+        return self.resultant.degree
+
+    @property
+    def d(self) -> int:
+        return self.deg_r // (self.n + 1)
+
+    @property
+    def deg_delta(self) -> Optional[int]:
+        return None if self.hyperdiscriminant is None else self.hyperdiscriminant.degree
 
     def require_delta(self):
         if self.hyperdiscriminant is None:
@@ -261,33 +278,10 @@ def build_x_pair(obj) -> XPair:
     """
     if isinstance(obj, RationalCurve):
         R = chow_form_curve(obj)
-        deg_r = 2 * obj.d
-        if obj.d >= 2:
-            Delta = hurwitz_form_curve(obj)
-            deg_delta = 2 * obj.d - 2
-        else:
-            Delta, deg_delta = None, None
-        xp = XPair(
-            resultant=R,
-            hyperdiscriminant=Delta,
-            n=1,
-            N=obj.N,
-            d=obj.d,
-            deg_r=deg_r,
-            deg_delta=deg_delta,
-            curve=obj,
-        )
+        Delta = hurwitz_form_curve(obj) if obj.d >= 2 else None
+        xp = XPair(resultant=R, hyperdiscriminant=Delta, curve=obj)
     elif isinstance(obj, HypersurfaceVariety):
-        R = chow_form_hypersurface(obj)
-        xp = XPair(
-            resultant=R,
-            hyperdiscriminant=None,
-            n=obj.n,
-            N=obj.n + 1,
-            d=obj.d,
-            deg_r=obj.d * (obj.n + 1),
-            deg_delta=None,
-        )
+        xp = XPair(resultant=chow_form_hypersurface(obj), hyperdiscriminant=None)
     else:
         raise PreconditionError("build_x_pair needs a RationalCurve or HypersurfaceVariety")
     xp.meta = {

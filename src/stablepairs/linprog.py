@@ -1,11 +1,20 @@
 """Exact rational linear programming for convex-hull membership.
 
-Phase-1 simplex over Fractions with Bland's rule.  Membership of a point in
-the convex hull of a finite set is the feasibility of
+Membership of a point x in the convex hull of a finite set is the
+feasibility of
 
     sum_k  lam_k * p_k = x,   sum_k lam_k = 1,   lam_k >= 0.
 
-On infeasibility the final basis yields a Farkas certificate y with
+This is decided by a phase-1 simplex on a Fraction tableau.  Rows are
+flipped so the right-hand side b is nonnegative, and one artificial column
+per row starts the basis; the phase-1 cost is 1 on each artificial column.
+Every pivot updates the tableau and its reduced-cost row r in place, with
+Bland's rule: the smallest column with r_j < 0 enters, and among the rows
+of least ratio the one with the smallest basic index leaves.
+
+x is in the hull iff the phase-1 optimum is 0.  Otherwise the prices
+y = c_B B^-1 of the final basis are a Farkas certificate, read off the
+artificial columns as y_i = 1 - r_(n+i) (and the row flips undone): then
 y . b > 0 and y . a_k <= 0 for every column, which separates x from the hull.
 """
 
@@ -17,22 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 Vec = List[Fraction]
 
 
-def _solve_exact(mat: List[Vec], rhs: Vec) -> Vec:
-    """Solve a small square rational system by Gaussian elimination."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        lead = a[col][col]
-        a[col] = [x / lead for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
 def hull_membership(
     points: Sequence[Sequence[Fraction]], x: Sequence[Fraction]
 ) -> Tuple[bool, Optional[Vec]]:
@@ -41,71 +34,41 @@ def hull_membership(
     Returns (True, None) when feasible, else (False, y) with a rational
     separating functional y satisfying y.x > max_k y.p_k (strictly).
     """
-    dim = len(x)
-    cols = [list(p) + [Fraction(1)] for p in points]
-    b = list(x) + [Fraction(1)]
-    m = dim + 1
-
-    # flip rows to make b nonnegative, remembering signs for the certificate
-    signs = [Fraction(1)] * m
+    one, zero = Fraction(1), Fraction(0)
+    cols = [list(p) + [one] for p in points]
+    b = list(x) + [one]
+    n, m = len(cols), len(b)
+    # row i: sign_i * (a_0[i] ... a_(n-1)[i] | e_i | b_i), flipped so b_i >= 0
+    signs = [-1 if v < 0 else 1 for v in b]
+    tab = [[s * c[i] for c in cols] + [one if k == i else zero for k in range(m)] + [s * b[i]]
+           for i, s in enumerate(signs)]
+    # reduced costs of the all-artificial basis; the last entry is -objective
+    red = [-sum(col) for col in zip(*tab)]
     for i in range(m):
-        if b[i] < 0:
-            signs[i] = Fraction(-1)
-            b[i] = -b[i]
-            for c in cols:
-                c[i] = -c[i]
-
-    n = len(cols)
-    # tableau columns: n structural + m artificial
-    ncols = n + m
-    a = [[cols[j][i] for j in range(n)] + [Fraction(1 if k == i else 0) for k in range(m)]
-         for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
+        red[n + i] += one
     basis = list(range(n, n + m))
-    rhs = b[:]
 
-    # reduced costs maintained implicitly via y = c_B B^-T each pricing round;
-    # the problem sizes here are tiny so a dense-recompute simplex is fine
     while True:
-        bmat = [[a[i][basis[j]] for j in range(m)] for i in range(m)]
-        cb = [cost[j] for j in basis]
-        y = _solve_exact([[bmat[j][i] for j in range(m)] for i in range(m)], cb)
-        entering = None
-        for j in range(ncols):
-            if j in basis:
-                continue
-            red = cost[j] - sum(y[i] * a[i][j] for i in range(m))
-            if red < 0:
-                entering = j
-                break  # Bland: smallest index
-        if entering is None:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        if enter is None:
             break
-        # ratio test on B^-1 a_e
-        col = _solve_exact(bmat, [a[i][entering] for i in range(m)])
-        xb = _solve_exact(bmat, rhs)
-        leaving = None
-        best = None
-        for i in range(m):
-            if col[i] > 0:
-                ratio = xb[i] / col[i]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
+        leave = None
+        for i, row in enumerate(tab):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
             raise ArithmeticError("phase-1 LP unbounded; cannot happen")
-        basis[leaving] = entering
+        prow = tab[leave]
+        lead = prow[enter]
+        prow[:] = [a / lead for a in prow]
+        for row in tab + [red]:
+            f = row[enter]
+            if row is not prow and f != 0:
+                row[:] = [a - f * p for a, p in zip(row, prow)]
+        basis[leave] = enter
 
-    bmat = [[a[i][basis[j]] for j in range(m)] for i in range(m)]
-    xb = _solve_exact(bmat, rhs)
-    value = sum(
-        xb[i] for i in range(m) if basis[i] >= n
-    )
-    if value == 0:
+    if red[-1] == 0:
         return True, None
-    cb = [cost[j] for j in basis]
-    y = _solve_exact([[bmat[j][i] for j in range(m)] for i in range(m)], cb)
-    # undo the row sign flips; certificate in original row space
-    cert = [signs[i] * y[i] for i in range(m)]
-    return False, cert
+    return False, [s * (one - red[n + i]) for i, s in enumerate(signs)]

@@ -195,10 +195,11 @@ def torus_semistable(pair, conjugator=None) -> Tuple[bool, Optional[OnePSG]]:
     """Standard-torus test of any pair kind, optionally conjugated first:
     N(left) inside N(right), with a witness lambda on failure.
 
-    The witness is checked exactly against the parts:
-    sum_k c_k w_lambda(e_k) > 0.
+    Each part's polytope N(e_k) is built once, and the witness is checked
+    exactly against those polytopes, sum_k c_k w_lambda(e_k) > 0, which
+    guards the Minkowski sums and dilations that make up the sides.
     """
-    parts = _conjugated(pair.parts, conjugator)
+    parts = [(c, weight_polytope(e)) for c, e in _conjugated(pair.parts, conjugator)]
     ok, lam = contains(*polytope_sides(parts))
     if ok:
         return True, None

@@ -164,9 +164,11 @@ def vector_to_json(e) -> dict:
 
 
 def sigma_from_json(d: dict):
-    """Group element (validated) in exact mode, raw matrix in float mode."""
+    """Group element in either mode, its determinant checked."""
     _check_schema(d)
     size = _need_int(d, "size")
+    if size < 1:
+        raise SchemaError(f"sigma size must be at least 1, got {size}")
     mode = _need(d, "mode", str)
     entries = _need(d, "entries", list)
     if len(entries) != size * size:
@@ -269,16 +271,23 @@ def xpair_to_json(xp: XPair) -> dict:
 
 
 def xpair_from_json(d: dict) -> XPair:
+    """The forms define the pair; each header key must agree with them."""
     _check_schema(d)
     delta = d.get("hyperdiscriminant")
-    return XPair(
+    xp = XPair(
         resultant=poly_from_json(_need(d, "resultant", dict)),
         hyperdiscriminant=poly_from_json(delta) if delta else None,
-        n=_need_int(d, "n"),
-        N=_need_int(d, "N"),
-        d=_need_int(d, "d"),
-        deg_r=_need_int(d, "deg_r"),
-        deg_delta=_need_int(d, "deg_delta") if d.get("deg_delta") is not None else None,
         curve=curve_from_json(d["curve"]) if d.get("curve") else None,
         meta=d.get("meta", {}),
     )
+    if xp.deg_r % (xp.n + 1):
+        raise SchemaError(f"resultant degree {xp.deg_r} is not a multiple of n+1 = {xp.n + 1}")
+    if delta and xp.hyperdiscriminant.group_size != xp.N + 1:
+        raise SchemaError("hyperdiscriminant and resultant act on different groups")
+    for key in ("n", "N", "d", "deg_r", "deg_delta"):
+        # a resultant-only pair writes deg_delta as null
+        value = None if key == "deg_delta" and d.get(key) is None else _need_int(d, key)
+        if value != getattr(xp, key):
+            raise SchemaError(f"header {key} = {value} disagrees with the forms "
+                              f"({getattr(xp, key)})")
+    return xp

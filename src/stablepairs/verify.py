@@ -266,10 +266,10 @@ def forms_and_degrees(*, trials: int, seed: int) -> Checked:
         delta.terms == ref or delta.terms == {k: -v for k, v in ref.items()},
         str(delta.terms),
     )]
-    for xp in (conic, cubic):
+    for d, xp in ((2, conic), (3, cubic)):
         out.append(_check(
-            f"degrees d={xp.d}",
-            xp.resultant.degree == 2 * xp.d and xp.hyperdiscriminant.degree == 2 * xp.d - 2,
+            f"degrees d={d}",
+            xp.resultant.degree == 2 * d and xp.hyperdiscriminant.degree == 2 * d - 2,
         ))
     F = HomogeneousPolynomial(VariableShape.vector(3), 2, {(1, 0, 1): 1, (0, 2, 0): -1}, EXACT)
     Rh = chow_form_hypersurface(HypersurfaceVariety(1, F))

@@ -427,6 +427,68 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("size, entries", [(0, []), (-1, [[1, 0]])], ids=["size0", "size-1"])
+    @pytest.mark.parametrize("argv", [
+        ["pair-check", "--pair", "{pair}"],
+        ["distance", "--pair", "{pair}"],
+        ["oracle", "--curve", "{conic}"],
+    ], ids=["pair-check", "distance-pair", "oracle"])
+    def test_sigma_size_below_one_exit_2(self, files, tmp_path, capsys, argv, size, entries,
+                                         mode):
+        sigma = tmp_path / "empty_sigma.json"
+        sigma.write_text(json.dumps(dict(SIGMA_ID3, size=size, entries=entries, mode=mode)))
+        assert main([a.format(**files) for a in argv] + ["--sigma", str(sigma)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"schema error: sigma size must be at least 1, got {size}")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("N", 5, ["distance", "--infimum"]),
+        ("N", 5, ["kenergy", "--sigma", "{sigma}"]),
+        ("deg_r", 7, ["coercivity", "--m", "1"]),
+        ("n", 2, ["aubin"]),
+        ("d", 3, ["kenergy"]),
+        ("deg_delta", 3, ["distance"]),
+        ("deg_delta", None, ["kenergy"]),
+    ], ids=["N-infimum", "N-kenergy", "deg_r", "n", "d", "deg_delta", "deg_delta-null"])
+    def test_xpair_header_disagreeing_with_forms_exit_2(self, files, tmp_path, capsys, key,
+                                                        value, argv):
+        # n, N, d, deg_r and deg_delta are read off R and Delta; the header
+        # only repeats them
+        doc = json.loads(open(files["xpair"]).read())
+        doc[key] = value
+        path = tmp_path / "bad_xpair.json"
+        path.write_text(json.dumps(doc))
+        argv = [argv[0], "--xpair", str(path)] + [a.format(**files) for a in argv[1:]]
+        assert main(argv + ["--samples", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"schema error: header {key} = {value} disagrees with the forms")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_xpair_resultant_degree_not_multiple_of_rows_exit_2(self, files, tmp_path, capsys):
+        doc = json.loads(open(files["xpair"]).read())
+        doc["resultant"] = dict(POLY_X2, shape={"kind": "matrix", "rows": 2, "cols": 3},
+                                degree=3, terms=[{"exp": [3, 0, 0, 0, 0, 0], "re": "1",
+                                                  "im": "0"}])
+        path = tmp_path / "bad_xpair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["kenergy", "--xpair", str(path), "--samples", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: resultant degree 3 is not a multiple of n+1 = 2")
+
+    def test_xpair_forms_on_different_groups_exit_2(self, files, tmp_path, capsys):
+        doc = json.loads(open(files["xpair"]).read())
+        doc["hyperdiscriminant"] = dict(POLY_X2, shape={"kind": "matrix", "rows": 1, "cols": 2})
+        path = tmp_path / "bad_xpair.json"
+        path.write_text(json.dumps(doc))
+        assert main(["kenergy", "--xpair", str(path), "--samples", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: hyperdiscriminant and resultant act on different")
+
+
 class TestFlagSurface:
     """Each subcommand takes only the flags its handler reads."""
 

@@ -186,6 +186,7 @@ class TestChowHypersurface:
 class TestXPair:
     def test_conic_exponents(self, conic_xpair):
         assert (conic_xpair.deg_r, conic_xpair.deg_delta) == (4, 2)
+        assert (conic_xpair.n, conic_xpair.N, conic_xpair.d) == (1, 2, 2)
 
     def test_cubic_degrees(self, cubic_xpair):
         assert (cubic_xpair.deg_r, cubic_xpair.deg_delta) == (6, 4)
@@ -200,6 +201,7 @@ class TestXPair:
     def test_hypersurface_pair_flagged(self):
         xp = build_x_pair(HypersurfaceVariety(1, conic_F()))
         assert xp.hyperdiscriminant is None
+        assert (xp.n, xp.N, xp.d, xp.deg_r, xp.deg_delta) == (1, 2, 2, 4, None)
 
     def test_json_with_old_mahler_fields_loads(self, conic_xpair):
         # files written before the Mahler estimates were dropped still load;

@@ -36,9 +36,10 @@ from stablepairs.weights import (
     psg_weight,
     scale,
     standard_simplex,
+    support,
     weight_polytope,
 )
-from stablepairs import verify
+from stablepairs import verify, weights
 from stablepairs.verify import (
     _traceless_hermitian,
     binary_form,
@@ -58,6 +59,20 @@ class TestTorusSemistable:
     def test_blowup_passes(self):
         ok, _ = torus_semistable(blowup_pair())
         assert ok
+
+    def test_one_support_per_part(self, monkeypatch):
+        # the sides and the witness check read the same per-part polytopes
+        calls = []
+
+        def counting(e, *args):
+            calls.append(e)
+            return support(e, *args)
+
+        monkeypatch.setattr(weights, "support", counting)
+        v, w = binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])
+        ok, _ = torus_semistable(Pair(v, w))
+        assert not ok
+        assert calls == [v, w]
 
     def test_reflexive(self, rng):
         P = random_dense_poly(rng, 3, 2)

@@ -118,21 +118,22 @@ class TestRoundTrips:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_xpair(self, data):
+        # the header is read off the forms: R of degree d(n+1) on 2 x (N+1)
+        # matrices, Delta on 1 x (N+1) ones
         N = data.draw(st.integers(1, 3))
-        shape = VariableShape.matrix(2, N + 1)
         curve = data.draw(st.none() | curves())
         xp = XPair(
-            resultant=data.draw(exact_polys(shape)),
-            hyperdiscriminant=data.draw(st.none() | exact_polys(shape)),
-            n=1, N=N, d=data.draw(st.integers(1, 4)), deg_r=data.draw(st.integers(1, 6)),
-            deg_delta=data.draw(st.none() | st.integers(1, 6)), curve=curve,
+            resultant=data.draw(exact_polys(VariableShape.matrix(2, N + 1),
+                                            2 * data.draw(st.integers(0, 2)))),
+            hyperdiscriminant=data.draw(st.none() | exact_polys(VariableShape.matrix(1, N + 1))),
+            curve=curve,
             meta=data.draw(st.dictionaries(st.sampled_from(["kind", "source"]),
                                            st.text(max_size=5))),
         )
         back = _through_text(xpair_to_json, xpair_from_json, xp)
         for key in ("resultant", "hyperdiscriminant", "n", "N", "d", "deg_r", "meta"):
             assert getattr(back, key) == getattr(xp, key), key
-        # a missing deg_delta is written as null and read back as None
+        # without Delta, deg_delta is written as null and read back as None
         assert back.deg_delta == xp.deg_delta
         assert (back.curve is None) == (curve is None)
         if curve is not None:

@@ -342,6 +342,46 @@ class TestHullMembership:
         assert exact_hull_membership(points, points[k % len(points)]) == (True, None)
 
 
+# (points, x, y): hull_membership's exact certificate, None when x is in the
+# hull.  The values pin the pivot rule (Bland's, with ties in the ratio test
+# left to the smallest basic index): a different rule still separates, but
+# moves every torus-fail witness.
+F = Fraction
+PINNED_LPS = {
+    "dim1 outside": ([[0], [2]], [3], [1, -2]),
+    "dim1 negative x, duplicates": ([[1], [1], [4]], [-1], [-1, 1]),
+    "dim1 inside": ([[-2], [5]], [F(1, 3)], None),
+    "dim2 x on a facet": ([[0, 0], [2, 0], [0, 2]], [1, 1], None),
+    "dim2 x a listed point": ([[0, 0], [2, 0], [0, 2]], [2, 0], None),
+    "dim2 outside, duplicates": ([[1, 1], [1, 1], [-1, 1], [1, -1], [-1, -1]], [3, -1],
+                                 [1, -1, -2]),
+    "dim2 ratio ties": ([[1, 1], [2, 2], [0, 3]], [1, 1], None),
+    "dim2 ratio tie, outside": ([[1, 1], [2, 2], [3, 0]], [F(1, 2), F(1, 2)], [-2, 1, 1]),
+    "dim2 collinear, outside": ([[0, 0], [1, 1], [2, 2]], [1, 2], [-1, 1, 0]),
+    "dim3 simplex, outside": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], [1, 1, 1, -1]),
+    "dim3 x on a facet": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]], [F(1, 2), F(1, 2), 0],
+                          None),
+    "dim3 projected, outside": (
+        [[F(2, 3), F(-1, 3), F(-1, 3)], [F(-1, 3), F(2, 3), F(-1, 3)],
+         [F(-1, 3), F(-1, 3), F(2, 3)]], [1, -1, 0], [1, -1, 1, F(-2, 3)]),
+    "dim3 five improving columns": (
+        [[3, -1, 2], [0, 2, -2], [1, 1, 1], [-2, 0, 3], [2, 2, 0], [1, -3, 1]], [2, 2, 2],
+        [F(1, 4), 1, 1, F(-5, 2)]),
+    "dim4 inside": ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, -1, -1]],
+                    [0, 0, 0, 0], None),
+    "dim4 outside, duplicates": (
+        [[1, 2, 0, -1], [1, 2, 0, -1], [0, -1, 3, 1], [2, 0, -2, 0], [-1, 1, 1, 1]],
+        [3, 3, -3, 2], [1, 1, -1, 1, -4]),
+    "dim4 x on a facet": ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], [1, 1, 0, 0],
+                          None),
+}
+
+
+@pytest.mark.parametrize("points, x, y", PINNED_LPS.values(), ids=PINNED_LPS.keys())
+def test_pinned_certificates(points, x, y):
+    assert exact_hull_membership(points, x) == (y is None, y)
+
+
 class TestMinkowski:
     def test_additive_identity(self):
         P = weight_polytope(disc_poly())
