@@ -38,6 +38,7 @@ symmetric-power axis per polynomial row or tensor slot.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -50,6 +51,7 @@ from .poly import (
     HomogeneousPolynomial,
     OnePSG,
     _act_blocks,
+    _bareiss,
     _dense_blocks,
     _sym_basis,
     _sym_step,
@@ -211,10 +213,12 @@ def torus_semistable(pair, conjugator=None) -> Tuple[bool, Optional[OnePSG]]:
 
 
 def _random_exact_conjugator(rng: np.random.Generator, n: int):
+    """The first integer matrix with entries in [-9, 9] drawn from rng whose
+    exact determinant (Bareiss over Python ints) is nonzero."""
     while True:
-        m = rng.integers(-9, 10, size=(n, n))
-        if round(abs(np.linalg.det(m.astype(float)))) != 0:
-            return [[QQi(int(x)) for x in row] for row in m]
+        m = rng.integers(-9, 10, size=(n, n)).tolist()
+        if _bareiss(m, bool, operator.floordiv):
+            return [[QQi(x) for x in row] for row in m]
 
 
 def _random_float_conjugator(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -21,7 +21,10 @@ Composing two substitutions gives ``act(tau, act(sigma, P)) == act(tau @ sigma, 
 There is one action of sigma, exact and float alike: dense tensors with one
 axis per polynomial row or tensor slot, S^d(sigma) applied along each axis
 (``_sym_powers``).  ``act``, ``weights.act_tensor`` and the Kempf-Ness
-functional of :mod:`stablepairs.pairs` all use it.
+functional of :mod:`stablepairs.pairs` all use it.  An exact action runs on
+int64 numerators when sigma is real and a proven bound rules out overflow
+(``_int64_scaled``), and on QQi object arrays otherwise; it never touches a
+float.
 
 Elimination primitives: Sylvester resultants of binary forms (with scalar or
 polynomial coefficients, the latter by fraction-free Bareiss elimination),
@@ -508,6 +511,8 @@ def _sigma_array(sigma, mode: str, n: int) -> np.ndarray:
 # S^24; a degree-5 Chow form on P^4 (126^4 = 2.5e8 entries) is refused.
 DENSE_ENTRY_CAP = 10_000_000
 _RECURSION_CHUNK = 1 << 20  # entries of S^(d-1) read at a time
+# An exact action runs on int64 only under a bound below this (_int64_scaled).
+INT64_LIMIT = 2 ** 63
 
 
 def _filled(shape, dtype, value) -> np.ndarray:
@@ -548,7 +553,8 @@ def _sym_powers(sigma: np.ndarray, degrees) -> Dict[int, np.ndarray]:
 
         S^d[a, b] = sum_i sigma[i, j] S^(d-1)[a - e_i, b - e_j].
 
-    No square roots enter, so one loop serves QQi objects and complex doubles.
+    No square roots enter, so one loop serves int64 numerators (under the
+    bound of ``_int64_scaled``), QQi objects and complex doubles.
     """
     n = sigma.shape[0]
     powers = {0: _filled((1, 1), sigma.dtype, 1)}
@@ -571,9 +577,11 @@ def _sym_powers(sigma: np.ndarray, degrees) -> Dict[int, np.ndarray]:
     return powers
 
 
-def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128) -> list:
+def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128, parts: tuple = ()) -> list:
     """[(axis degrees, tensor)] from {per-axis exponents: amplitude}, one
-    tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation."""
+    tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation.
+    ``parts`` is a trailing shape that each amplitude fills (the int64 route's
+    real and imaginary numerators); the action never contracts it."""
     profiles = sorted({tuple(map(sum, axes)) for axes in amplitudes})
     for degs in profiles:
         dims = [_sym_dim(n, d) for d in degs]
@@ -585,7 +593,8 @@ def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128) -> list:
                 f"dense norm tensor of shape {tuple(dims)} needs an array of {largest} "
                 f"entries, above the cap of {DENSE_ENTRY_CAP}"
             )
-    blocks = {degs: _filled(tuple(_sym_dim(n, d) for d in degs), dtype, 0) for degs in profiles}
+    blocks = {degs: _filled(tuple(_sym_dim(n, d) for d in degs) + parts, dtype, 0)
+              for degs in profiles}
     for axes, z in amplitudes.items():
         degs = tuple(map(sum, axes))
         blocks[degs][tuple(_sym_basis(n, d)[a] for a, d in zip(axes, degs))] += z
@@ -603,10 +612,70 @@ def _act_blocks(sigma: np.ndarray, blocks: list) -> list:
     return out
 
 
-def _nonzero_entries(y: np.ndarray):
-    """(index tuple, Python scalar) for every entry of y that is not exactly zero."""
-    nz = np.nonzero(y)
-    return zip(zip(*(i.tolist() for i in nz)), y[nz].tolist())
+def _int64_scaled(sig: np.ndarray, amplitudes: dict):
+    """An exact action as int64 numerators, or None when it might overflow.
+
+    sigma' = L sigma and a' = M a clear every denominator.  Let c be the
+    largest column sum of |sigma'| and D the total degree of the amplitudes
+    (one for all: polynomials are homogeneous, a tensor has one block).  A
+    column of S^d(sigma') sums in absolute value to at most c^d, so every
+    entry and partial sum of S^d for d <= D, and of each contraction, is at
+    most B = max(|Re a'|_1, |Im a'|_1, 1) max(c, 1)^D, and int64 cannot wrap
+    while B < 2^63.  Returns (sigma', {axes: numerators}, parts, M L^D):
+    each amplitude has its real numerator and, when any amplitude has an
+    imaginary part, its imaginary one, so parts is (1,) or (2,).  None when
+    sigma has an imaginary part or B >= 2^63.
+    """
+    entries = sig.ravel().tolist()
+    if any(x.im for x in entries):
+        return None
+    scale = math.lcm(*(x.re.denominator for x in entries))
+    values = amplitudes.values()
+    den = math.lcm(*(p.denominator for z in values for p in (z.re, z.im)))
+    parts = 2 if any(z.im for z in values) else 1
+    numerators = {axes: tuple(int(p * den) for p in (z.re, z.im)[:parts])
+                  for axes, z in amplitudes.items()}
+    sig_int = [[int(x.re * scale) for x in row] for row in sig.tolist()]
+    c = max(sum(abs(x) for x in col) for col in zip(*sig_int))
+    degree = max((sum(map(sum, axes)) for axes in amplitudes), default=0)
+    norm = max([1] + [sum(abs(v[k]) for v in numerators.values()) for k in range(parts)])
+    if norm * max(c, 1) ** degree >= INT64_LIMIT:
+        return None
+    return np.array(sig_int, dtype=np.int64), numerators, (parts,), den * scale ** degree
+
+
+def _act_dense(sigma, vec) -> list:
+    """[(axis degrees, tensor, den)]: sigma acting on ``vec.dense_amplitudes()``.
+
+    In exact mode the tensors hold int64 numerators over den, real and
+    imaginary parts on a trailing axis, when ``_int64_scaled`` proves they
+    fit, and QQi objects otherwise; in float mode complex doubles.  den is
+    None unless the tensors are numerators.
+    """
+    n = vec.group_size
+    sig = _sigma_array(sigma, vec.mode, n)
+    amplitudes = vec.dense_amplitudes()
+    scaled = _int64_scaled(sig, amplitudes) if vec.mode == EXACT else None
+    if scaled is None:
+        blocks = _dense_blocks(n, amplitudes, sig.dtype)
+        return [(degs, y, None) for degs, y in _act_blocks(sig, blocks)]
+    sig_int, numerators, parts, den = scaled
+    blocks = _dense_blocks(n, numerators, np.int64, parts)
+    return [(degs, y, den) for degs, y in _act_blocks(sig_int, blocks)]
+
+
+def _nonzero_entries(y: np.ndarray, den=None):
+    """(index tuple, Python scalar) for every entry of y that is not exactly
+    zero.  With ``den``, y holds int64 numerators on its last axis (``_act_dense``)
+    and each entry comes back as a QQi over den, with int or Fraction parts."""
+    if den is None:
+        nz = np.nonzero(y)
+        values = y[nz].tolist()
+    else:
+        nz = np.nonzero(y.any(axis=-1))
+        values = [QQi(*num) if den == 1 else QQi(*(Fraction(p, den) for p in num))
+                  for num in y[nz].tolist()]
+    return zip(zip(*(i.tolist() for i in nz)), values)
 
 
 def act(sigma, P: HomogeneousPolynomial) -> HomogeneousPolynomial:
@@ -617,16 +686,14 @@ def act(sigma, P: HomogeneousPolynomial) -> HomogeneousPolynomial:
     act(tau, act(sigma, P)) == act(tau @ sigma, P), and the degree is preserved.
     Scalar matrices are accepted too: containment and support tests are
     invariant under scaling, which keeps exact-mode probing in the rationals.
-    The terms go through the dense action, one axis per row, and the entries
-    that are not exactly zero come back as terms.
+    The terms go through the dense action (``_act_dense``), one axis per row,
+    and the entries that are not exactly zero come back as terms.
     """
     n = P.group_size
-    sig = _sigma_array(sigma, P.mode, n)
-    blocks = _dense_blocks(n, P.dense_amplitudes(), sig.dtype)
     terms: Dict[Exponent, object] = {}
-    for degs, y in _act_blocks(sig, blocks):
+    for degs, y, den in _act_dense(sigma, P):
         bases = [list(_sym_basis(n, d)) for d in degs]
-        for idx, c in _nonzero_entries(y):
+        for idx, c in _nonzero_entries(y, den):
             terms[sum((b[i] for b, i in zip(bases, idx)), ())] = c
     return HomogeneousPolynomial._trusted(P.shape, P.degree, terms, P.mode)
 

@@ -271,7 +271,8 @@ def xpair_to_json(xp: XPair) -> dict:
 
 
 def xpair_from_json(d: dict) -> XPair:
-    """The forms define the pair; each header key must agree with them."""
+    """The forms define the pair; each header key, and the curve's N and d,
+    must agree with them."""
     _check_schema(d)
     delta = d.get("hyperdiscriminant")
     xp = XPair(
@@ -290,4 +291,8 @@ def xpair_from_json(d: dict) -> XPair:
         if value != getattr(xp, key):
             raise SchemaError(f"header {key} = {value} disagrees with the forms "
                               f"({getattr(xp, key)})")
+    for key in ("N", "d") if xp.curve is not None else ():
+        if getattr(xp.curve, key) != getattr(xp, key):
+            raise SchemaError(f"curve {key} = {getattr(xp.curve, key)} disagrees with "
+                              f"the forms ({getattr(xp, key)})")
     return xp

@@ -21,10 +21,8 @@ from .errors import DimensionError, PreconditionError
 from .linprog import hull_membership
 from .poly import (
     OnePSG,
-    _act_blocks,
-    _dense_blocks,
+    _act_dense,
     _nonzero_entries,
-    _sigma_array,
     primitive_integer_vector,
 )
 from .scalars import EXACT, FLOAT, coerce_scalar, scalar_is_zero, scalar_to_complex
@@ -213,8 +211,7 @@ def act_tensor(sigma, x: TensorVector) -> TensorVector:
     T[i, j] = c, T[j, i] = -c, so e_k ^ e_l gets T[k, l], k < l, with no sqrt(2).
     """
     n = x.group_size
-    sig = _sigma_array(sigma, x.mode, n)
-    ((_, y),) = _act_blocks(sig, _dense_blocks(n, x.dense_amplitudes(), sig.dtype))
+    ((_, y, den),) = _act_dense(sigma, x)
     wedge_basis = [(k, l) for k in range(n) for l in range(k + 1, n)]
     wedge = tuple(map(list, zip(*wedge_basis)))
     for axis, (kind, _) in enumerate(x.slots):
@@ -222,7 +219,7 @@ def act_tensor(sigma, x: TensorVector) -> TensorVector:
             y = y[(slice(None),) * axis + wedge]  # axes (k, l) fold to k < l
     out = {
         tuple(i if kind == "vector" else wedge_basis[i] for (kind, _), i in zip(x.slots, idx)): c
-        for idx, c in _nonzero_entries(y)
+        for idx, c in _nonzero_entries(y, den)
     }
     if not out:
         raise PreconditionError("tensor vector annihilated; matrix is singular")

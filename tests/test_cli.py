@@ -11,7 +11,8 @@ import pytest
 from stablepairs.cli import HANDLERS, OPERATION_COMMANDS, build_parser, main
 from stablepairs.forms import build_x_pair
 from stablepairs.poly import DENSE_ENTRY_CAP
-from stablepairs.serialize import curve_from_json, xpair_to_json
+from stablepairs.serialize import curve_from_json, curve_to_json, xpair_to_json
+from stablepairs.verify import rational_normal_curve
 
 POLY_V2 = {
     "schema": "v1",
@@ -466,6 +467,20 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"schema error: header {key} = {value} disagrees with the forms")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["kenergy"], ["distance"], ["aubin"]],
+                             ids=["kenergy", "distance", "aubin"])
+    def test_xpair_curve_disagreeing_with_forms_exit_2(self, files, tmp_path, capsys, argv):
+        # the conic's R and Delta (N = 2, d = 2) carrying the twisted cubic
+        doc = json.loads(open(files["xpair"]).read())
+        doc["curve"] = curve_to_json(rational_normal_curve(3))
+        path = tmp_path / "bad_xpair.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--xpair", str(path), "--samples", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("schema error: curve N = 3 disagrees with the forms (2)")
         assert len(err.strip().splitlines()) == 1
 
     def test_xpair_resultant_degree_not_multiple_of_rows_exit_2(self, files, tmp_path, capsys):

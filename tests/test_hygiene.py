@@ -1,8 +1,9 @@
 """Source hygiene: every imported name and every module constant in src/ and
 tests/ is read somewhere, every definition in src/ is read outside the tests,
-the Monte-Carlo sampling pipeline has one home, the benchmark's tracer finds
-every name it wraps, and a cold start of the package and its CLI loads no
-scipy module."""
+the Monte-Carlo sampling pipeline has one home, the exact action never
+passes a float array to S^d(sigma) or a contraction, the benchmark's tracer
+finds every name it wraps, and a cold start of the package and its CLI loads
+no scipy module."""
 
 import ast
 import importlib
@@ -11,8 +12,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from stablepairs import forms, poly, verify, weights
+from stablepairs.scalars import QQi
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -110,6 +116,35 @@ def test_symmetric_power_action_only_in_poly():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
     }
     assert defined == {("poly.py", name) for name in names}
+
+
+def test_exact_action_never_touches_floats(monkeypatch):
+    # "exact paths never touch floats": on exact inputs, act and act_tensor
+    # build S^d(sigma) and contract on int64 numerators or QQi objects only,
+    # for integer, rational, Gaussian and above-bound sigma
+    seen = []
+    sym_powers, tensordot = poly._sym_powers, np.tensordot
+
+    def spy_powers(sigma, degrees):
+        seen.append(("_sym_powers", sigma.dtype))
+        return sym_powers(sigma, degrees)
+
+    def spy_tensordot(a, b, axes):
+        seen.extend(("tensordot", np.asarray(x).dtype) for x in (a, b))
+        return tensordot(a, b, axes=axes)
+
+    monkeypatch.setattr(poly, "_sym_powers", spy_powers)
+    monkeypatch.setattr(np, "tensordot", spy_tensordot)
+    R = forms.chow_form_curve(verify.rational_normal_curve(2))
+    w = verify.blowup_pair().w
+    rows = [[2, 1, 0], [-1, 1, 3], [0, 5, 1]]
+    for entry in (QQi, lambda x: QQi(Fraction(x, 3)), lambda x: QQi(x, x % 2),
+                  lambda x: QQi(x * 10**7)):
+        sigma = [[entry(x) for x in row] for row in rows]
+        poly.act(sigma, R ** 2)
+        weights.act_tensor(sigma, w)
+    assert {dtype for _, dtype in seen} == {np.dtype(np.int64), np.dtype(object)}
+    assert {name for name, _ in seen} == {"_sym_powers", "tensordot"}
 
 
 def _bindings() -> dict:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from stablepairs.pairs import (
     torus_semistable,
     _divisors,
     _expm_hermitian,
+    _random_exact_conjugator,
     _rational_roots_binary,
     _snap_to_signed_permutation,
 )
@@ -353,6 +355,53 @@ class TestProbeSchedule:
         assert cert.verdict == "torus-fail"
         assert cert.witness == self.WITNESS
         assert cert.diagnostics["trials"] == 3
+
+
+class _Draws:
+    """A stand-in generator whose ``integers`` returns prepared matrices in turn."""
+
+    def __init__(self, matrices):
+        self.matrices = iter(matrices)
+
+    def integers(self, lo, hi, size):
+        m = np.array(next(self.matrices))
+        assert m.shape == size and lo <= m.min() and m.max() < hi
+        return m
+
+
+class TestRandomExactConjugator:
+    """Random exact conjugators are the draws with a nonzero exact determinant."""
+
+    SINGULAR = [
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # float det 6.7e-16, exactly 0
+        [[9, 9, 9], [-9, -9, -9], [1, 2, 3]],
+        [[0, 0, 0], [1, 2, 3], [4, 5, 6]],
+        [[2, 4, 6], [1, 2, 3], [7, -8, 9]],
+    ]
+
+    def test_skips_every_singular_draw(self):
+        accepted = [[9, -9, 0], [1, 1, 1], [0, 2, -7]]
+        got = _random_exact_conjugator(_Draws(self.SINGULAR + [accepted, self.SINGULAR[0]]), 3)
+        assert got == [[QQi(x) for x in row] for row in accepted]
+        assert all(type(c.re) is int for row in got for c in row)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_first_draw_with_nonzero_exact_determinant(self, n):
+        # against sympy's exact determinant over the same stream, draw for
+        # draw: n = 1 and 2 reject often (a zero entry, a zero 2 x 2 det)
+        rejected = 0
+        for seed in range(150):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _random_exact_conjugator(rng, n)
+            while True:
+                m = ref.integers(-9, 10, size=(n, n))
+                if sympy.Matrix(m.tolist()).det() != 0:
+                    break
+                rejected += 1
+            assert got == [[QQi(int(x)) for x in row] for row in m]
+            assert rng.bit_generator.state == ref.bit_generator.state
+        if n < 3:
+            assert rejected
 
 
 class TestStableProbe:

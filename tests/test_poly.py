@@ -31,7 +31,9 @@ from stablepairs.poly import (
     symbolic_maximal_minors,
 )
 from stablepairs.scalars import QQi
+from stablepairs.serialize import scalar_to_json
 from stablepairs.verify import binary_form
+from stablepairs.weights import TensorVector, act_tensor
 
 V2 = VariableShape.vector(2)
 V3 = VariableShape.vector(3)
@@ -134,6 +136,173 @@ def float_substitutions(draw):
     z = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
     z[rng.uniform(size=z.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0
     return P, sigma, z
+
+
+SMALL = st.integers(-4, 4)
+# sigma entries and coefficients by kind; "gaussian" has imaginary parts
+EXACT_ENTRIES = {
+    "integer": SMALL.map(QQi),
+    "rational": st.builds(lambda p, q: QQi(Fraction(p, q)), SMALL, st.integers(1, 6)),
+    "gaussian": st.builds(lambda a, b, q: QQi(Fraction(a, q), Fraction(b, q)),
+                          SMALL, SMALL, st.integers(1, 3)),
+}
+COEFFICIENTS = st.one_of(*EXACT_ENTRIES.values()).filter(bool)
+
+
+def exact_sigma(draw, kinds, n):
+    kind = draw(st.sampled_from(kinds))
+    return [[draw(EXACT_ENTRIES[kind]) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def exact_substitutions(draw, kinds=tuple(EXACT_ENTRIES)):
+    """An exact polynomial on a vector or 2-row matrix shape (rows of mixed
+    degrees), an integer, rational or Gaussian sigma, and an exact
+    Gaussian-rational point."""
+    n, rows, d = draw(st.integers(2, 3)), draw(st.sampled_from([1, 2])), draw(st.integers(0, 4))
+    shape = VariableShape.vector(n) if rows == 1 else VariableShape.matrix(2, n)
+    slots = st.lists(st.integers(0, shape.nvars - 1), min_size=d, max_size=d)
+    exps = draw(st.lists(slots.map(lambda ix: tuple(ix.count(v) for v in range(shape.nvars))),
+                         min_size=1, max_size=6, unique=True))
+    P = HomogeneousPolynomial(shape, d, {e: draw(COEFFICIENTS) for e in exps}, "exact")
+    point = [[draw(EXACT_ENTRIES["gaussian"]) for _ in range(n)] for _ in range(rows)]
+    return P, exact_sigma(draw, kinds, n), point
+
+
+@st.composite
+def exact_tensor_actions(draw, kinds=tuple(EXACT_ENTRIES)):
+    """An exact tensor of one to three vector and wedge slots on C^n and an
+    integer, rational or Gaussian sigma."""
+    n = draw(st.integers(2, 3))
+    slots = draw(st.lists(st.sampled_from(["vector", "wedge2"]), min_size=1, max_size=3))
+    wedge = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = st.tuples(*(st.integers(0, n - 1) if k == "vector" else st.sampled_from(wedge)
+                        for k in slots))
+    idxs = draw(st.lists(index, min_size=1, max_size=5, unique=True))
+    x = TensorVector([(k, n) for k in slots], {i: draw(COEFFICIENTS) for i in idxs}, "exact")
+    return x, exact_sigma(draw, kinds, n)
+
+
+# sigma with entries near 10^7: x0^2 x1 x2 + 3 x1^4 needs S^4, whose bound
+# c^4 ~ 1e28 is far above 2^63, and so does the tensor's 1e21
+BIG_SIGMA = [[QQi(10**7), QQi(1), QQi(0)], [QQi(0), QQi(10**7), QQi(-1)],
+             [QQi(2), QQi(0), QQi(10**7)]]
+ABOVE_BOUND = (HomogeneousPolynomial(V3, 4, {(2, 1, 1): 1, (0, 4, 0): 3}, "exact"), BIG_SIGMA,
+               [[QQi(1), QQi(-2), QQi(1, 1)]])
+ABOVE_BOUND_TENSOR = (TensorVector([("vector", 3), ("wedge2", 3)],
+                                   {(0, (1, 2)): 1, (2, (0, 1)): QQi(1, 1)}, "exact"), BIG_SIGMA)
+
+
+def route(sigma, vec) -> set:
+    """The dtypes the exact action of sigma on vec runs on: int64 or object."""
+    return {str(y.dtype) for _, y, _ in poly._act_dense(sigma, vec)}
+
+
+def tensor_image(sigma, x: TensorVector) -> dict:
+    """sigma . x coordinate by coordinate: e_b -> sum_a sigma[a][b] e_a on a
+    vector slot, e_i ^ e_j -> sigma e_i ^ sigma e_j on a wedge slot."""
+    n = x.group_size
+    out = {}
+    for idx, c in x.coords.items():
+        images = [((), c)]
+        for (kind, _), part in zip(x.slots, idx):
+            if kind == "vector":
+                parts = [(a, sigma[a][part]) for a in range(n)]
+            else:
+                i, j = part
+                parts = [((k, l), sigma[k][i] * sigma[l][j] - sigma[l][i] * sigma[k][j])
+                         for k in range(n) for l in range(k + 1, n)]
+            images = [(key + (a,), z * w) for key, z in images for a, w in parts]
+        for key, z in images:
+            out[key] = out.get(key, QQi(0)) + z
+    return {key: z for key, z in out.items() if z}
+
+
+def component_types(c: QQi) -> tuple:
+    return type(c.re), type(c.im)
+
+
+def assert_python_rationals(coefficients):
+    # QQi's invariant, which hashing and scalar_to_json rely on: each part is
+    # a Python int, or a Fraction whose denominator is not 1; never numpy's
+    for c in coefficients:
+        for part in (c.re, c.im):
+            assert type(part) is int or (type(part) is Fraction and part.denominator > 1)
+        assert scalar_to_json(c) == {"re": str(Fraction(c.re)), "im": str(Fraction(c.im))}
+        assert hash(c) == hash((Fraction(c.re), Fraction(c.im)))
+
+
+class TestExactAction:
+    """The exact action runs on int64 numerators under the overflow bound and
+    on QQi objects above it or for a Gaussian sigma, with one result."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_substitutions())
+    @example(ABOVE_BOUND)
+    def test_is_substitution(self, case):
+        P, sigma, A = case
+        assert evaluate(act(sigma, P), A) == evaluate(P, exact_product(A, sigma))
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_substitutions(kinds=("integer", "rational")))
+    def test_int64_and_qqi_routes_agree(self, case):
+        # P times 2^63 is above the bound for every sigma: same terms, in the
+        # same order, with the same component types, up to that factor
+        P, sigma, _ = case
+        K = poly.INT64_LIMIT
+        big = P * K
+        assert (route(sigma, P), route(sigma, big)) == ({"int64"}, {"object"})
+        want = [(e, c * K) for e, c in act(sigma, P).terms.items()]
+        got = list(act(sigma, big).terms.items())
+        assert got == want
+        assert [component_types(c) for _, c in got] == [component_types(c) for _, c in want]
+
+    def test_above_bound_and_gaussian_sigma_take_the_qqi_route(self):
+        P, sigma, _ = ABOVE_BOUND
+        x, _ = ABOVE_BOUND_TENSOR
+        assert route(sigma, P) == route(sigma, x) == {"object"}
+        small = [[QQi(int(i == j)) for j in range(3)] for i in range(3)]
+        assert route(small, P) == route(small, x) == {"int64"}
+        small[0][1] = QQi(0, 1)
+        assert route(small, P) == route(small, x) == {"object"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_substitutions())
+    @example(ABOVE_BOUND)
+    def test_coefficients_are_python_rationals(self, case):
+        P, sigma, _ = case
+        assert_python_rationals(act(sigma, P).terms.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_tensor_actions())
+    @example(ABOVE_BOUND_TENSOR)
+    def test_tensor_action_is_slotwise(self, case):
+        x, sigma = case
+        want = tensor_image(sigma, x)
+        if not want:
+            with pytest.raises(PreconditionError, match="annihilated"):
+                act_tensor(sigma, x)
+            return
+        assert act_tensor(sigma, x).coords == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_tensor_actions(kinds=("integer", "rational")))
+    def test_tensor_int64_and_qqi_routes_agree(self, case):
+        x, sigma = case
+        K = poly.INT64_LIMIT
+        big = TensorVector(x.slots, {i: c * K for i, c in x.coords.items()}, "exact")
+        assert (route(sigma, x), route(sigma, big)) == ({"int64"}, {"object"})
+        try:
+            small = act_tensor(sigma, x)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                act_tensor(sigma, big)
+            return
+        got = list(act_tensor(sigma, big).coords.items())
+        want = [(i, c * K) for i, c in small.coords.items()]
+        assert got == want
+        assert [component_types(c) for _, c in got] == [component_types(c) for _, c in want]
+        assert_python_rationals(small.coords.values())
 
 
 class TestAct:

@@ -2,13 +2,14 @@
 inputs, through the strict dump, and every certificate verdict dumps strictly."""
 
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stablepairs.errors import DegenerateCurveError
-from stablepairs.forms import RationalCurve, XPair
+from stablepairs.errors import DegenerateCurveError, SchemaError
+from stablepairs.forms import RationalCurve, XPair, build_x_pair
 from stablepairs.pairs import (
     DescentOptions,
     Pair,
@@ -32,7 +33,7 @@ from stablepairs.serialize import (
     xpair_from_json,
     xpair_to_json,
 )
-from stablepairs.verify import binary_form, blowup_pair
+from stablepairs.verify import binary_form, blowup_pair, rational_normal_curve
 from stablepairs.weights import TensorVector
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -70,8 +71,9 @@ def exact_tensors(draw, n=None):
 
 
 @st.composite
-def curves(draw):
-    N, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def curves(draw, N=None, d=None):
+    N = draw(st.integers(1, 3)) if N is None else N
+    d = draw(st.integers(1, 3)) if d is None else d
     gamma = [draw(exact_polys(VariableShape.vector(2), d)) for _ in range(N + 1)]
     try:
         return RationalCurve(N, d, gamma)
@@ -119,12 +121,11 @@ class TestRoundTrips:
     @given(st.data())
     def test_xpair(self, data):
         # the header is read off the forms: R of degree d(n+1) on 2 x (N+1)
-        # matrices, Delta on 1 x (N+1) ones
-        N = data.draw(st.integers(1, 3))
-        curve = data.draw(st.none() | curves())
+        # matrices, Delta on 1 x (N+1) ones; a curve has the forms' N and d
+        N, d = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        curve = data.draw(st.none() | curves(N, d)) if d else None
         xp = XPair(
-            resultant=data.draw(exact_polys(VariableShape.matrix(2, N + 1),
-                                            2 * data.draw(st.integers(0, 2)))),
+            resultant=data.draw(exact_polys(VariableShape.matrix(2, N + 1), 2 * d)),
             hyperdiscriminant=data.draw(st.none() | exact_polys(VariableShape.matrix(1, N + 1))),
             curve=curve,
             meta=data.draw(st.dictionaries(st.sampled_from(["kind", "source"]),
@@ -138,6 +139,20 @@ class TestRoundTrips:
         assert (back.curve is None) == (curve is None)
         if curve is not None:
             assert _same_curve(back.curve, curve)
+
+
+@pytest.mark.parametrize("curve, message", [
+    (rational_normal_curve(3), "curve N = 3 disagrees with the forms (2)"),
+    (RationalCurve(2, 3, [binary_form(3, [1, 0, 0, 0]), binary_form(3, [0, 1, 0, 0]),
+                          binary_form(3, [0, 0, 0, 1])]),
+     "curve d = 3 disagrees with the forms (2)"),
+], ids=["twisted-cubic", "plane-cubic"])
+def test_xpair_curve_must_match_forms(curve, message):
+    # the conic's R and Delta (N = 2, d = 2) with another curve's header
+    doc = xpair_to_json(build_x_pair(rational_normal_curve(2)))
+    doc["curve"] = curve_to_json(curve)
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        xpair_from_json(json.loads(dump_json(doc)))
 
 
 X, X2 = binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])
