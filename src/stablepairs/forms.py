@@ -3,12 +3,15 @@
 For a parametrized rational curve gamma: P^1 -> P^N of degree d the two
 divisors are built by elimination:
 
-- Chow form R on M_{2 x (N+1)}: the Sylvester resultant in (s, t) of the
-  two binary forms A_0 . gamma and A_1 . gamma, homogeneous of degree d in
-  each row (total 2d = d(n+1)); R(A) = 0 iff ker(A) meets the curve.
+- Chow form R on M_{2 x (N+1)}: the resultant in (s, t) of the two binary
+  forms A_0 . gamma and A_1 . gamma, homogeneous of degree d in each row
+  (total 2d = d(n+1)); R(A) = 0 iff ker(A) meets the curve.  Up to sign
+  it is the determinant of their d x d Bezout matrix, whose entries are
+  linear in the Pluecker coordinates (2 x 2 minors) of A.
 - Hurwitz form Delta on M_{1 x (N+1)}: the discriminant of B . gamma,
-  of degree 2d - 2; Delta(B) = 0 iff the hyperplane ker(B) is tangent
-  (meets the curve non-transversally).
+  of degree 2d - 2, from the (d-1) x (d-1) Bezout matrix of its two
+  partials; Delta(B) = 0 iff the hyperplane ker(B) is tangent (meets the
+  curve non-transversally).
 
 For a hypersurface {F = 0} in P^(n+1) the Chow form is F composed with the
 signed maximal minors of the (n+1) x (n+2) Stiefel matrix.

@@ -1,10 +1,13 @@
 """Chow and Hurwitz constructions, degree certification, the variety pair."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from stablepairs.errors import DegenerateCurveError, PreconditionError
 from stablepairs.forms import (
+    CURVE_DEGREE_CAP,
     HypersurfaceVariety,
     RationalCurve,
     build_x_pair,
@@ -120,6 +123,18 @@ class TestChowCurve:
         image_curve = RationalCurve(2, 2, new_gamma)
         R2 = chow_form_curve(image_curve)
         assert moved == R2 or moved == -R2
+
+    def test_plane_quintic_at_the_degree_cap(self):
+        curve = RationalCurve(2, CURVE_DEGREE_CAP, [binary_form(5, [1, 0, 0, 0, 0, 2]),
+                                                    binary_form(5, [0, 1, 0, 0, -1, 0]),
+                                                    binary_form(5, [0, 0, 3, 1, 0, 0])])
+        R = chow_form_curve(curve)
+        assert R.degree == 10
+        assert all(sum(exp[:3]) == 5 for exp in R.terms)  # degree 5 in each row
+        # gamma(1, 2) = (65, -14, 20) spans the kernel of these rows
+        assert evaluate(R, [[14, 65, 0], [20, 0, -65]]) == QQi(0)
+        assert evaluate(R, [[1, 2, -3], [Fraction(1, 2), 5, 7]]) != QQi(0)
+        assert hurwitz_form_curve(curve).degree == 8
 
     def test_symbolic_cap(self):
         with pytest.raises(PreconditionError, match="capped at d <= 5"):

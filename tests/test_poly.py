@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stablepairs import poly
@@ -20,6 +20,7 @@ from stablepairs.poly import (
     HomogeneousPolynomial,
     OnePSG,
     VariableShape,
+    _sylvester_rows,
     act,
     bareiss_poly_det,
     binary_discriminant,
@@ -193,6 +194,11 @@ ABOVE_BOUND_TENSOR = (TensorVector([("vector", 3), ("wedge2", 3)],
                                    {(0, (1, 2)): 1, (2, (0, 1)): QQi(1, 1)}, "exact"), BIG_SIGMA)
 
 
+# the constant 1/2 under sigma = 0: P 2^63 has numerator 2^62 and fits int64
+CONSTANT_HALF = (HomogeneousPolynomial(V2, 0, {(0, 0): QQi(Fraction(1, 2))}, "exact"),
+                 [[QQi(0), QQi(0)], [QQi(0), QQi(0)]], [[QQi(1), QQi(1)]])
+
+
 def route(sigma, vec) -> set:
     """The dtypes the exact action of sigma on vec runs on: int64 or object."""
     return {str(y.dtype) for _, y, _ in poly._act_dense(sigma, vec)}
@@ -245,14 +251,19 @@ class TestExactAction:
 
     @settings(max_examples=60, deadline=None)
     @given(exact_substitutions(kinds=("integer", "rational")))
+    @example(CONSTANT_HALF)
     def test_int64_and_qqi_routes_agree(self, case):
-        # P times 2^63 is above the bound for every sigma: same terms, in the
-        # same order, with the same component types, up to that factor
+        # P times 2^63 M, M the lcm of P's coefficient denominators, has
+        # integer numerators of at least 2^63, so it is above the bound for
+        # every sigma (2^63 alone is not: 2^63 / 2 fits when sigma = 0): same
+        # terms, in the same order, with the same component types, up to
+        # that factor
         P, sigma, _ = case
         K = poly.INT64_LIMIT
-        big = P * K
+        M = math.lcm(*(p.denominator for c in P.terms.values() for p in (c.re, c.im)))
+        big = P * (K * M)
         assert (route(sigma, P), route(sigma, big)) == ({"int64"}, {"object"})
-        want = [(e, c * K) for e, c in act(sigma, P).terms.items()]
+        want = [(e, c * K * M) for e, c in act(sigma, P).terms.items()]
         got = list(act(sigma, big).terms.items())
         assert got == want
         assert [component_types(c) for _, c in got] == [component_types(c) for _, c in want]
@@ -415,12 +426,16 @@ def poly_matrices(draw):
 
 
 def leibniz_det(rows):
-    """Permutation-sum determinant over the polynomial ring."""
+    """Permutation-sum determinant over the polynomial ring; a permutation
+    through a zero entry adds nothing and is skipped."""
     n = len(rows)
-    det = HomogeneousPolynomial.zero(V2, sum(row[0].degree for row in rows), "exact")
+    shape = rows[0][0].shape
+    det = HomogeneousPolynomial.zero(shape, sum(row[0].degree for row in rows), "exact")
     for perm in itertools.permutations(range(n)):
+        if any(rows[i][j].is_zero for i, j in enumerate(perm)):
+            continue
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = HomogeneousPolynomial.constant(V2, (-1) ** inversions, "exact")
+        term = HomogeneousPolynomial.constant(shape, (-1) ** inversions, "exact")
         for i, j in enumerate(perm):
             term = term * rows[i][j]
         det = det + term
@@ -457,8 +472,6 @@ class TestSylvester:
 
     def test_against_sympy_determinant(self, rng):
         # same Sylvester matrix, independent determinant algorithm
-        from stablepairs.poly import _sylvester_rows
-
         for _ in range(10):
             p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             fc = [int(rng.integers(-5, 6)) for _ in range(p + 1)]
@@ -522,6 +535,60 @@ class TestSylvester:
         f = HomogeneousPolynomial(V2, 1, {(1, 0): 1}, "exact")
         g = HomogeneousPolynomial(V2, 1, {(0, 1): 1}, "exact")
         assert sylvester_resultant(f, g) != QQi(0)
+
+
+@st.composite
+def symbolic_forms(draw):
+    """Two binary forms of one degree n = 1..4 whose coefficients are exact
+    binary forms, one degree 0..2 per form, with Gaussian-rational
+    coefficients; any coefficient may be zero, the leading ones included."""
+    n = draw(st.integers(1, 4))
+
+    def form():
+        e = draw(st.integers(0, 2))
+        entry = st.lists(st.one_of(st.just(0), COEFFICIENTS), min_size=e + 1, max_size=e + 1)
+        coeffs = [binary_form(e, draw(entry)) for _ in range(n + 1)]
+        assume(not all(c.is_zero for c in coeffs))
+        return coeffs
+
+    return form(), form()
+
+
+# a cubic and a linear form: unequal degrees keep the Sylvester elimination
+UNEQUAL_DEGREES = ([X, ZERO1, Y, X + Y], [binary_form(0, [2]), binary_form(0, [QQi(0, -1)])])
+
+
+class TestSymbolicResultant:
+    @settings(max_examples=40, deadline=None)
+    @given(symbolic_forms())
+    @example(([X, Y], [Y, X]))
+    @example(([ZERO1, X, Y], [X, ZERO1, Y]))
+    @example(UNEQUAL_DEGREES)
+    def test_matches_leibniz_sylvester_determinant(self, forms):
+        f, g = forms
+        pads = (HomogeneousPolynomial.zero(V2, f[0].degree, "exact"),
+                HomogeneousPolynomial.zero(V2, g[0].degree, "exact"))
+        assert sylvester_resultant(f, g) == leibniz_det(_sylvester_rows(f, g, *pads))
+
+    def test_equal_degrees_eliminate_the_n_by_n_bezout_matrix(self, monkeypatch):
+        sizes = []
+        det = poly.bareiss_poly_det
+
+        def recording_det(rows):
+            sizes.append(len(rows))
+            return det(rows)
+
+        monkeypatch.setattr(poly, "bareiss_poly_det", recording_det)
+        sylvester_resultant([X, Y, X, ZERO1], [Y, ZERO1, X, X])
+        sylvester_resultant(*UNEQUAL_DEGREES)
+        assert sizes == [3, 4]
+
+    def test_two_constants_have_resultant_one(self):
+        sh = VariableShape.matrix(2, 2)
+        one = HomogeneousPolynomial.constant(sh, 1)
+        assert sylvester_resultant([variable(sh, 0)], [variable(sh, 3) * variable(sh, 1)]) == one
+        assert sylvester_resultant([one], [one * 3]) == one
+        assert sylvester_resultant([2], [3]) == QQi(1)
 
 
 class TestDiscriminant:
