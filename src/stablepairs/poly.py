@@ -36,6 +36,7 @@ and Hurwitz form, and of the Sylvester matrix otherwise.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from fractions import Fraction
@@ -56,11 +57,13 @@ from .scalars import (
 
 Exponent = Tuple[int, ...]
 
-# Symbolic resultants above this form degree are refused.  The Chow form of
-# the rational normal curve of degree d (two forms of degree d in 2(d+1)
-# variables) takes 0.03 s at d = 4, 3.5 s at d = 5 and 720 s, with a 735 MB
-# peak, at d = 6 on a 2-CPU host: each degree costs 100 to 200 times more.
-SYMBOLIC_DEGREE_CAP = 6
+# Symbolic resultants above this form degree are refused; it equals
+# ``forms.CURVE_DEGREE_CAP``, the largest degree any caller builds.  The Chow
+# form of the rational normal curve of degree d (two forms of degree d in
+# 2(d+1) variables) takes 0.03 s at d = 4, 3.5 s at d = 5 and 720 s, with a
+# 735 MB peak, at d = 6 on a 2-CPU host: each degree costs 100 to 200 times
+# more.
+SYMBOLIC_DEGREE_CAP = 5
 
 
 class VariableShape:
@@ -852,8 +855,14 @@ def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> Hom
     lead_den_c = den.terms[lead_den_exp]
     qterms: Dict[Exponent, object] = {}
     rem = dict(num.terms)
+    # max-heap of the remainder's exponents with lazy deletion: a popped key
+    # no longer in rem was cancelled, and every key in rem is on the heap
+    heap = [tuple(-a for a in e) for e in rem]
+    heapq.heapify(heap)
     while rem:
-        lead_exp = max(rem)
+        lead_exp = tuple(-a for a in heapq.heappop(heap))
+        if lead_exp not in rem:
+            continue
         lead_c = rem[lead_exp]
         qexp = tuple(a - b for a, b in zip(lead_exp, lead_den_exp))
         if any(e < 0 for e in qexp):
@@ -867,6 +876,8 @@ def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> Hom
             if scalar_is_zero(v):
                 rem.pop(k, None)
             else:
+                if s is None:
+                    heapq.heappush(heap, tuple(-a for a in k))
                 rem[k] = v
     return HomogeneousPolynomial._trusted(num.shape, num.degree - den.degree, qterms, num.mode)
 

@@ -2,12 +2,13 @@
 tests/ is read somewhere, every definition in src/ is read outside the tests,
 the Monte-Carlo sampling pipeline has one home, the exact action never
 passes a float array to S^d(sigma) or a contraction, the benchmark's tracer
-finds every name it wraps, and a cold start of the package and its CLI loads
-no scipy module."""
+finds every name it wraps, and no source file, cold start or sup-norm
+command loads scipy."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -19,6 +20,7 @@ import pytest
 
 from stablepairs import forms, poly, verify, weights
 from stablepairs.scalars import QQi
+from stablepairs.serialize import poly_to_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(
@@ -183,14 +185,34 @@ def test_benchmark_tracer_installs():
     assert _bindings() == before
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.optimize is most of a cold start; only sup_norm may load it
+def test_no_source_imports_scipy():
+    # the package is numpy alone; scipy is a test dependency
+    importers = set()
+    for p in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(n.split(".")[0] == "scipy" for n in names):
+                importers.add(p.name)
+    assert importers == set()
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # a fresh interpreter that imports the CLI and runs the two sup-norm
+    # commands loads numpy alone
+    poly_path = tmp_path / "conic_R.json"
+    poly_path.write_text(json.dumps(poly_to_json(
+        forms.chow_form_curve(verify.rational_normal_curve(2)))))
     path = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stablepairs, stablepairs.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, check=True,
+    script = (
+        "import contextlib, io, sys, stablepairs, stablepairs.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [stablepairs.cli.main(['supnorm', '--poly', sys.argv[1]]),\n"
+        "             stablepairs.cli.main(['arestov', '--poly', sys.argv[1],\n"
+        "                                   '--samples', '1000'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", script, str(poly_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[0, 0] []"

@@ -161,18 +161,16 @@ class TestOneKernelCall:
         assert len(calls) == 1
 
     def test_sup_norm_objective(self, calls, monkeypatch):
-        import scipy.optimize
+        ascent, evals = norms._bfgs_min, []
 
-        minimize, evals = scipy.optimize.minimize, []
-
-        def counting(fun, x0, **kwargs):
+        def counting(fun, x0):
             def counted(x):
                 evals.append(x)
                 return fun(x)
 
-            return minimize(counted, x0, **kwargs)
+            return ascent(counted, x0)
 
-        monkeypatch.setattr(scipy.optimize, "minimize", counting)
+        monkeypatch.setattr(norms, "_bfgs_min", counting)
         P = HomogeneousPolynomial(VariableShape.vector(3), 2,
                                   {(1, 1, 0): 1.0, (0, 0, 2): 0.5j}, FLOAT)
         sup_norm(P, samples=MIN_SAMPLES, seed=0)

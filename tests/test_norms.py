@@ -9,6 +9,7 @@ import pytest
 from stablepairs import norms
 from stablepairs.energy import log_tan_dist_p, xpair_functional
 from stablepairs.errors import PreconditionError
+from stablepairs.forms import chow_form_curve, hurwitz_form_curve
 from stablepairs.norms import (
     DRAW_ROWS,
     MIN_SAMPLES,
@@ -25,7 +26,7 @@ from stablepairs.norms import (
     sup_norm,
 )
 from stablepairs.poly import HomogeneousPolynomial, VariableShape
-from stablepairs.verify import random_dense_poly, random_sl
+from stablepairs.verify import random_dense_poly, random_sl, rational_normal_curve
 
 V3 = VariableShape.vector(3)
 
@@ -162,6 +163,17 @@ class TestSupNorm:
         for z in pts:
             crude = max(crude, fs_pointwise(P, z))
         assert sup_norm(P, samples=4000, seed=2) ** 2 >= crude - 1e-12
+
+    @pytest.mark.parametrize("form, d, value", [
+        (chow_form_curve, 2, 1 / 4),
+        (chow_form_curve, 3, 1 / 8),
+        (hurwitz_form_curve, 3, 27 / 4),
+    ])
+    def test_chow_and_hurwitz_maxima(self, form, d, value):
+        # the ascent reaches the known maxima of the conic's and the twisted
+        # cubic's Chow forms and of the cubic's Hurwitz form
+        P = form(rational_normal_curve(d))
+        assert sup_norm(P, samples=5000, seed=7) == pytest.approx(value, rel=1e-9)
 
 
 class TestArestovJensen:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from stablepairs import poly
 from stablepairs._kernels import poly_log_abs
 from stablepairs.errors import DimensionError, PreconditionError
+from stablepairs.forms import CURVE_DEGREE_CAP
 from stablepairs.norms import MIN_SAMPLES, MahlerSampleFunctional, _terms_arrays
 from stablepairs.poly import (
     GroupElement,
@@ -589,6 +590,15 @@ class TestSymbolicResultant:
         assert sylvester_resultant([variable(sh, 0)], [variable(sh, 3) * variable(sh, 1)]) == one
         assert sylvester_resultant([one], [one * 3]) == one
         assert sylvester_resultant([2], [3]) == QQi(1)
+
+    def test_degree_six_is_refused(self):
+        # the cap is the largest curve degree forms builds; the rational
+        # normal sextic's two row forms would take minutes and 735 MB
+        assert poly.SYMBOLIC_DEGREE_CAP == CURVE_DEGREE_CAP == 5
+        sh = VariableShape.matrix(2, 7)
+        rows = [[variable(sh, 7 * r + j) for j in range(7)] for r in range(2)]
+        with pytest.raises(PreconditionError, match="capped at form degree 5"):
+            sylvester_resultant(*rows)
 
 
 class TestDiscriminant:
