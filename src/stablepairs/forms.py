@@ -213,13 +213,25 @@ def chow_form_hypersurface(h: HypersurfaceVariety) -> HomogeneousPolynomial:
     """F composed with signed maximal minors: degree d(n+1) on M_{(n+1) x (n+2)}."""
     minors = symbolic_maximal_minors(h.n + 1)
     shape = minors[0].shape
-    total = HomogeneousPolynomial.zero(shape, h.d * (h.n + 1), EXACT)
+    powers = {}
+    terms = {}
     for exp, c in h.F.sorted_terms():
         term = HomogeneousPolynomial.constant(shape, c, EXACT)
         for j, e in enumerate(exp):
             if e:
-                term = term * minors[j] ** e
-        total = total + term
+                if (j, e) not in powers:
+                    powers[j, e] = minors[j] ** e
+                term = term * powers[j, e]
+        # a sum that cancels leaves the dict, so a key that comes back is
+        # appended, as in a running sum that drops its zero terms
+        for k, v in term.terms.items():
+            s = terms.get(k)
+            v = v if s is None else s + v
+            if v:
+                terms[k] = v
+            else:
+                del terms[k]
+    total = HomogeneousPolynomial._trusted(shape, h.d * (h.n + 1), terms, EXACT)
     if total.is_zero:
         raise PreconditionError("hypersurface chow form vanished identically")
     return total.content_normalized()

@@ -268,14 +268,15 @@ def _rational_roots_binary(f: HomogeneousPolynomial) -> List[Tuple[int, int]]:
     if len(poly) <= 1:
         return roots
     lead, const = poly[0], poly[-1]
+    k = len(poly) - 1
     seen = set(roots)
     for p in _divisors(const):
         for q in _divisors(lead):
             for sp in (p, -p):
                 if math.gcd(abs(sp), q) != 1:
                     continue
-                val = sum(Fraction(c) * Fraction(sp, q) ** (len(poly) - 1 - i)
-                          for i, c in enumerate(poly))
+                # q^k f(sp/q, 1), an integer that vanishes with f(sp/q, 1)
+                val = sum(c * sp ** (k - i) * q ** i for i, c in enumerate(poly))
                 if val == 0 and (sp, q) not in seen:
                     seen.add((sp, q))
                     roots.append((sp, q))

@@ -10,6 +10,13 @@ to the polynomial's degree; zero coefficients are never stored.  Exact mode
 uses Gaussian-rational coefficients and is closed under all operations here;
 float mode uses complex doubles.
 
+``terms`` is always keyed by exponent tuples.  The inner loops of the
+product and of exact division run on packed keys instead: each exponent
+tuple encoded as one int, big-endian in base degree + 1 (``_pack``), so int
+order is lex order and int addition is exponent addition.  A product builds
+each output tuple once, when its key first appears, so its terms keep the
+order of first appearance.
+
 The group acts by right substitution
 
     (sigma . P)(A) = P(A sigma)
@@ -50,6 +57,7 @@ from .scalars import (
     EXACT,
     FLOAT,
     QQi,
+    _qqi,
     coerce_scalar,
     scalar_is_zero,
     scalar_to_complex,
@@ -60,9 +68,9 @@ Exponent = Tuple[int, ...]
 # Symbolic resultants above this form degree are refused; it equals
 # ``forms.CURVE_DEGREE_CAP``, the largest degree any caller builds.  The Chow
 # form of the rational normal curve of degree d (two forms of degree d in
-# 2(d+1) variables) takes 0.03 s at d = 4, 3.5 s at d = 5 and 720 s, with a
-# 735 MB peak, at d = 6 on a 2-CPU host: each degree costs 100 to 200 times
-# more.
+# 2(d+1) variables) takes 0.016 s at d = 4 and 0.9 s at d = 5 on a 2-CPU host
+# (median of 3): each degree costs over 50 times more.  At d = 6 it took
+# 720 s, with a 735 MB peak, before products and divisions ran on packed keys.
 SYMBOLIC_DEGREE_CAP = 5
 
 
@@ -163,7 +171,8 @@ class HomogeneousPolynomial:
         input from outside."""
         P = object.__new__(cls)
         P.shape, P.degree, P.mode = shape, degree, mode
-        P.terms = {e: c for e, c in terms.items() if not scalar_is_zero(c)}
+        # a QQi or complex is false exactly when scalar_is_zero holds
+        P.terms = {e: c for e, c in terms.items() if c}
         return P
 
     # -- constructors -------------------------------------------------
@@ -245,23 +254,43 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial._trusted(self.shape, self.degree, out, self.mode)
 
     def __neg__(self):
-        return self.map_coefficients(lambda c: -c)
+        return HomogeneousPolynomial._trusted(
+            self.shape, self.degree, {e: -c for e, c in self.terms.items()}, self.mode
+        )
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "HomogeneousPolynomial"):
+        self._check_compat(other)
+        if self.degree != other.degree:
+            raise PreconditionError("cannot add polynomials of different degrees")
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e)
+            out[e] = -c if s is None else s - c
+        return HomogeneousPolynomial._trusted(self.shape, self.degree, out, self.mode)
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
             self._check_compat(other)
-            out: Dict[Exponent, object] = {}
+            degree = self.degree + other.degree
+            base = degree + 1
+            right = [(_pack(e, base), e, c) for e, c in other.terms.items()]
+            # packed key -> coefficient; each exponent tuple is built once, when
+            # its key first appears, so the terms keep the order of first
+            # appearance over the (left, right) term pairs
+            out: Dict[int, object] = {}
+            exps: Dict[int, Exponent] = {}
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    s = out.get(e)
-                    out[e] = c if s is None else s + c
+                k1 = _pack(e1, base)
+                for k2, e2, c2 in right:
+                    k = k1 + k2
+                    s = out.get(k)
+                    if s is None:
+                        out[k] = c1 * c2
+                        exps[k] = tuple(map(operator.add, e1, e2))
+                    else:
+                        out[k] = s + c1 * c2
             return HomogeneousPolynomial._trusted(
-                self.shape, self.degree + other.degree, out, self.mode
+                self.shape, degree, {exps[k]: c for k, c in out.items()}, self.mode
             )
         c = coerce_scalar(other, self.mode)
         if scalar_is_zero(c):
@@ -320,18 +349,26 @@ class HomogeneousPolynomial:
         Divides by the lexicographically leading coefficient, then clears the
         rational content.  Exact mode only; the emitted scalar convention makes
         cross-construction ratio tests deterministic.
+
+        c / lead is the positive multiple c conj(lead) / |lead|^2 of
+        c conj(lead), and the primitive integer vector of a ray is the same
+        for every positive multiple, so no coefficient is divided: they are
+        multiplied by conj(lead) unless lead is a positive real already.
         """
         if self.is_zero:
             return self
         if self.mode != EXACT:
             raise ExactnessError("content normalization requires exact mode")
-        lead = self.sorted_terms()[0][1]
-        scaled = [(e, c / lead) for e, c in self.terms.items()]
-        parts = primitive_integer_vector([f for _, c in scaled for f in (c.re, c.im)])
-        return HomogeneousPolynomial(
+        lead = self.terms[max(self.terms)]
+        coeffs = self.terms.values()
+        if lead.im or lead.re < 0:
+            conj = _qqi(lead.re, -lead.im)
+            coeffs = [c * conj for c in coeffs]
+        parts = primitive_integer_vector([f for c in coeffs for f in (c.re, c.im)])
+        return HomogeneousPolynomial._trusted(
             self.shape,
             self.degree,
-            {e: QQi(parts[2 * i], parts[2 * i + 1]) for i, (e, _) in enumerate(scaled)},
+            {e: _qqi(parts[2 * i], parts[2 * i + 1]) for i, e in enumerate(self.terms)},
             EXACT,
         )
 
@@ -845,40 +882,70 @@ def _raise_mixed():
     )
 
 
+def _pack(e: Exponent, base: int) -> int:
+    """An exponent tuple as one int, big-endian in ``base``.  With every
+    exponent below base, int order is lex order and int addition is exponent
+    addition."""
+    k = 0
+    for a in e:
+        k = k * base + a
+    return k
+
+
+def _unpack(k: int, base: int, n: int) -> Exponent:
+    """The n-tuple that ``_pack`` encodes as k."""
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        k, out[i] = divmod(k, base)
+    return tuple(out)
+
+
 def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    """Exact division num / den in the multivariate ring (remainder must be 0)."""
+    """Exact division num / den in the multivariate ring (remainder must be 0).
+
+    Exact mode only.  The remainder is kept on packed keys in base
+    num.degree + 1, which bounds every exponent of num, of den times a
+    quotient term and so of the remainder; only each leading term is
+    unpacked, to test divisibility and build the quotient exponent.
+    """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero:
         return HomogeneousPolynomial.zero(num.shape, max(num.degree - den.degree, 0), num.mode)
+    n, base = num.shape.nvars, num.degree + 1
     lead_den_exp = max(den.terms)
     lead_den_c = den.terms[lead_den_exp]
+    lead_den_k = _pack(lead_den_exp, base)
+    den_terms = [(_pack(e, base), c) for e, c in den.terms.items()]
     qterms: Dict[Exponent, object] = {}
-    rem = dict(num.terms)
-    # max-heap of the remainder's exponents with lazy deletion: a popped key
-    # no longer in rem was cancelled, and every key in rem is on the heap
-    heap = [tuple(-a for a in e) for e in rem]
+    rem = {_pack(e, base): c for e, c in num.terms.items()}
+    # max-heap of the remainder's keys with lazy deletion: a popped key no
+    # longer in rem was cancelled, and every key in rem is on the heap
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     while rem:
-        lead_exp = tuple(-a for a in heapq.heappop(heap))
-        if lead_exp not in rem:
+        lead_k = -heapq.heappop(heap)
+        lead_c = rem.get(lead_k)
+        if lead_c is None:
             continue
-        lead_c = rem[lead_exp]
-        qexp = tuple(a - b for a, b in zip(lead_exp, lead_den_exp))
-        if any(e < 0 for e in qexp):
+        qexp = tuple(map(operator.sub, _unpack(lead_k, base, n), lead_den_exp))
+        if min(qexp) < 0:
             raise PreconditionError("inexact polynomial division")
         qc = lead_c / lead_den_c
         qterms[qexp] = qc
-        for e, c in den.terms.items():
-            k = tuple(a + b for a, b in zip(qexp, e))
+        qk = lead_k - lead_den_k
+        for kd, c in den_terms:
+            k = qk + kd
             s = rem.get(k)
-            v = (QQi(0, 0) if s is None else s) - qc * c
-            if scalar_is_zero(v):
-                rem.pop(k, None)
-            else:
-                if s is None:
-                    heapq.heappush(heap, tuple(-a for a in k))
+            if s is None:
+                heapq.heappush(heap, -k)
+                rem[k] = -(qc * c)
+                continue
+            v = s - qc * c
+            if v:
                 rem[k] = v
+            else:
+                del rem[k]
     return HomogeneousPolynomial._trusted(num.shape, num.degree - den.degree, qterms, num.mode)
 
 

@@ -35,8 +35,8 @@ class WeightCharacter:
 
     def __init__(self, raw: Sequence[int]):
         self.raw = tuple(int(a) for a in raw)
-        mean = Fraction(sum(self.raw), len(self.raw))
-        self.projected = tuple(Fraction(a) - mean for a in self.raw)
+        n, s = len(self.raw), sum(self.raw)
+        self.projected = tuple(Fraction(n * a - s, n) for a in self.raw)
 
     def pair(self, lam: OnePSG) -> int:
         if len(lam.exponents) != len(self.raw):

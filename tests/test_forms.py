@@ -1,5 +1,6 @@
 """Chow and Hurwitz constructions, degree certification, the variety pair."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from stablepairs.poly import (
     act,
     evaluate,
     maximal_minors,
+    symbolic_maximal_minors,
 )
 from stablepairs.scalars import QQi
 from stablepairs.serialize import xpair_from_json, xpair_to_json
@@ -28,6 +30,7 @@ from stablepairs import verify
 from stablepairs.verify import binary_form, rational_normal_curve
 
 V3 = VariableShape.vector(3)
+V4 = VariableShape.vector(4)
 
 
 def conic_F():
@@ -196,6 +199,24 @@ class TestChowHypersurface:
         # one exact ratio of the parametric to the hypersurface Chow form at 20 points
         _, worst = verify.forms_and_degrees(trials=20, seed=2024)
         assert len(worst["ratios"]) == 1
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_cubic_surface_matches_running_sum(self, seed):
+        # the composition summed term by term, each power taken afresh
+        rng = np.random.default_rng(seed)
+        exps = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
+        F = HomogeneousPolynomial(V4, 3, {e: int(rng.integers(-3, 4)) for e in exps}, "exact")
+        minors = symbolic_maximal_minors(3)
+        total = HomogeneousPolynomial.zero(minors[0].shape, 9, "exact")
+        for exp, c in F.sorted_terms():
+            term = HomogeneousPolynomial.constant(minors[0].shape, c, "exact")
+            for j, e in enumerate(exp):
+                if e:
+                    term = term * minors[j] ** e
+            total = total + term
+        expected = total.content_normalized()
+        got = chow_form_hypersurface(HypersurfaceVariety(2, F))
+        assert list(got.terms.items()) == list(expected.terms.items())
 
 
 class TestXPair:

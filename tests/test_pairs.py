@@ -104,6 +104,11 @@ class TestRationalRoots:
         w = binary_form(3, [0, 24, 18, -27])
         assert sorted(_rational_roots_binary(w)) == [(-3, 2), (1, 0), (3, 4)]
 
+    def test_roots_at_both_poles_and_a_fraction(self):
+        # x y (3x - 2y)(x + y) = 3x^3y + x^2y^2 - 2xy^3: roots [1:0], [0:1], [2:3], [-1:1]
+        f = binary_form(4, [0, 3, 1, -2, 0])
+        assert sorted(_rational_roots_binary(f)) == [(-1, 1), (0, 1), (1, 0), (2, 3)]
+
     def test_divisors_match_brute_force(self):
         for n in range(1, 2001):
             expected = [d for d in range(1, n + 1) if n % d == 0]

@@ -691,6 +691,136 @@ class TestExactDivision:
             assert poly_divexact(A * B, A) == B
 
 
+# Reference arithmetic on tuple keys, written out term by term: the product
+# and the difference keep their terms in order of first appearance, and the
+# quotient takes its terms in descending lex order of the remainder's lead.
+def ref_mul(P, Q):
+    out = {}
+    for e1, c1 in P.terms.items():
+        for e2, c2 in Q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = c1 * c2 if e not in out else out[e] + c1 * c2
+    return [(e, c) for e, c in out.items() if c]
+
+
+def ref_sub(P, Q):
+    out = dict(P.terms)
+    for e, c in Q.terms.items():
+        out[e] = -c if e not in out else out[e] + (-c)
+    return [(e, c) for e, c in out.items() if c]
+
+
+def ref_divexact(num, den):
+    lead = max(den.terms)
+    rem, quotient = dict(num.terms), []
+    while rem:
+        e = max(rem)
+        q = tuple(a - b for a, b in zip(e, lead))
+        assert min(q) >= 0
+        qc = rem[e] / den.terms[lead]
+        quotient.append((q, qc))
+        for f, c in den.terms.items():
+            k = tuple(a + b for a, b in zip(q, f))
+            v = rem.get(k, QQi(0)) - qc * c
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return quotient
+
+
+SMALL_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+EXACT_SCALARS = st.builds(QQi, SMALL_RATIONALS, st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+SHAPES = st.sampled_from([VariableShape.vector(2), VariableShape.vector(3),
+                          VariableShape.vector(4), VariableShape.matrix(2, 3)])
+
+
+@st.composite
+def exact_polys(draw, shape, degree, max_terms=6):
+    """A random exact polynomial with 0 to max_terms terms (zero ones drop)."""
+    exps = st.lists(st.integers(0, shape.nvars - 1), min_size=degree, max_size=degree).map(
+        lambda vs: tuple(vs.count(v) for v in range(shape.nvars)))
+    terms = draw(st.dictionaries(exps, EXACT_SCALARS, max_size=max_terms))
+    return HomogeneousPolynomial(shape, degree, terms, "exact")
+
+
+@st.composite
+def poly_pairs(draw, same_degree=False):
+    shape = draw(SHAPES)
+    d1 = draw(st.integers(0, 4))
+    d2 = d1 if same_degree else draw(st.integers(0, 4))
+    return draw(exact_polys(shape, d1)), draw(exact_polys(shape, d2))
+
+
+class TestPackedArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(poly_pairs())
+    def test_product_matches_reference(self, pq):
+        P, Q = pq
+        assert list((P * Q).terms.items()) == ref_mul(P, Q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_pairs(same_degree=True))
+    def test_difference_matches_reference(self, pq):
+        P, Q = pq
+        assert list((P - Q).terms.items()) == ref_sub(P, Q)
+        assert list((P - P).terms.items()) == []
+        assert list((-Q).terms.items()) == [(e, -c) for e, c in Q.terms.items()]
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_pairs())
+    def test_quotient_of_product_matches_reference(self, pq):
+        A, B = pq
+        assume(not A.is_zero and not B.is_zero)
+        quotient = poly_divexact(A * B, A)
+        assert list(quotient.terms.items()) == ref_divexact(A * B, A)
+        assert quotient == B
+
+    def test_inexact_division_refused(self):
+        x, y = variable(V2, 0), variable(V2, 1)
+        with pytest.raises(PreconditionError):
+            poly_divexact(x * x + y * y, x + y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.integers(1, 9).flatmap(lambda d: st.tuples(
+            st.just(d + 1),
+            st.lists(st.integers(0, d), min_size=n, max_size=n).map(tuple),
+            st.lists(st.integers(0, d), min_size=n, max_size=n).map(tuple))))))
+    def test_pack_keeps_lex_order(self, args):
+        base, a, b = args[0]
+        ka, kb = poly._pack(a, base), poly._pack(b, base)
+        assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+        assert poly._unpack(ka, base, len(a)) == a
+
+    def test_pack_adds_exponents(self):
+        a, b = (3, 0, 1, 2), (1, 4, 0, 0)
+        assert poly._pack(a, 7) + poly._pack(b, 7) == poly._pack((4, 4, 1, 2), 7)
+
+
+def ref_content_normalized(P):
+    """The defining construction: divide by the lead, then clear the content."""
+    lead = P.sorted_terms()[0][1]
+    scaled = [(e, c / lead) for e, c in P.terms.items()]
+    parts = primitive_integer_vector([f for _, c in scaled for f in (c.re, c.im)])
+    return [(e, QQi(parts[2 * i], parts[2 * i + 1])) for i, (e, _) in enumerate(scaled)]
+
+
+class TestContentNormalized:
+    @pytest.mark.parametrize("lead", [QQi(Fraction(3, 2)), QQi(-5, 0), QQi(Fraction(-2, 3)),
+                                      QQi(1, -2), QQi(0, 3), QQi(Fraction(-1, 4), Fraction(5, 6))])
+    @settings(max_examples=40, deadline=None)
+    @given(SHAPES.flatmap(lambda shape: exact_polys(shape, 3)))
+    def test_matches_division_by_lead(self, lead, P):
+        assume(not P.is_zero)
+        # rescale so the lex-leading coefficient is ``lead``
+        P = P * (lead / P.terms[max(P.terms)])
+        assert P.terms[max(P.terms)] == lead
+        got = P.content_normalized()
+        assert list(got.terms.items()) == ref_content_normalized(P)
+        assert got.terms[max(got.terms)].im == 0 and got.terms[max(got.terms)].re > 0
+
+
 class TestPrimitiveIntegerVector:
     @given(st.lists(st.fractions(min_value=-10**4, max_value=10**4, max_denominator=50),
                     min_size=1, max_size=6).filter(any))
