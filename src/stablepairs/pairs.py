@@ -47,13 +47,16 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError
 from .poly import (
+    Conjugator,
     GroupElement,
     HomogeneousPolynomial,
     OnePSG,
     _act_blocks,
+    _axis_degrees,
     _bareiss,
     _dense_blocks,
     _sym_basis,
+    _sym_powers,
     _sym_step,
     act,
     binary_coeffs,
@@ -114,7 +117,7 @@ class Pair:
         return PairFunctional(self.parts, self.group_size)
 
     def conjugated(self, sigma) -> "Pair":
-        return Pair(_act_any(sigma, self.v), _act_any(sigma, self.w))
+        return Pair(*(e for _, e in _conjugated(self.parts, sigma)))
 
 
 def _act_any(sigma, e):
@@ -124,9 +127,13 @@ def _act_any(sigma, e):
 
 
 def _conjugated(parts: Sequence[Part], sigma) -> List[Part]:
-    """sigma . e_k for every vector part; a polytope part stays as it is."""
+    """sigma . e_k for every vector part; a polytope part stays as it is.
+    The parts share one ``Conjugator``: S^d(sigma) is built once, over the
+    union of their axis degrees."""
     if sigma is None:
         return list(parts)
+    vectors = [e for _, e in parts if not isinstance(e, LatticePolytope)]
+    sigma = Conjugator(sigma, {d for e in vectors for d in _axis_degrees(e.dense_amplitudes())})
     return [(c, e if isinstance(e, LatticePolytope) else _act_any(sigma, e)) for c, e in parts]
 
 
@@ -437,7 +444,7 @@ class PolyL2Functional:
             return self._last[1]
         sig_hat, logs = _scale_split(sigma)
         ys = []
-        for degs, y in _act_blocks(sig_hat, self.blocks):
+        for degs, y in _act_blocks(_sym_powers(sig_hat, self.orth), self.blocks):
             for axis, d in enumerate(degs):
                 y *= self.orth[d].reshape((-1,) + (1,) * (y.ndim - axis - 1))
             ys.append(y)
@@ -460,7 +467,7 @@ class PolyL2Functional:
             for axis, d in enumerate(degs):
                 if d == 0:
                     continue
-                up, root, _ = _sym_step(self.n, d)
+                up, root = _sym_step(self.n, d)
                 # E_ij acts by z_i d_j, so m is the Gram matrix of the partial
                 # derivatives d_j y along the axis (orthonormal coordinates)
                 g = np.take(y, up, axis=axis) * root.reshape(root.shape + (1,) * (y.ndim - axis - 1))
@@ -646,8 +653,8 @@ def _verify_destabilizer(func: PairFunctional, lam: OnePSG, frame: np.ndarray) -
             "verification": "exact",
             "weights": {"v": wv, "w": ww},
         }
-    parts = [(c, e if isinstance(e, LatticePolytope) else _act_any(frame, e.to_float()))
-             for c, e in func.parts]
+    parts = _conjugated([(c, e if isinstance(e, LatticePolytope) else e.to_float())
+                         for c, e in func.parts], frame)
     wv, ww = _side_weights(lam, parts, WITNESS_SUPPORT_TOL)
     if ww <= wv:
         return None

@@ -13,9 +13,13 @@ float mode uses complex doubles.
 ``terms`` is always keyed by exponent tuples.  The inner loops of the
 product and of exact division run on packed keys instead: each exponent
 tuple encoded as one int, big-endian in base degree + 1 (``_pack``), so int
-order is lex order and int addition is exponent addition.  A product builds
-each output tuple once, when its key first appears, so its terms keep the
-order of first appearance.
+order is lex order and int addition is exponent addition.  They run on the
+(re, im) components of the coefficients too (``_parts``), with the
+product (a c - b d, a d + b c), which is CPython's complex product, so one
+loop serves both modes bit for bit and builds one QQi or complex per
+output term, not one per term pair.  A product builds each output tuple
+once, when its key first appears, so its terms keep the order of first
+appearance.
 
 The group acts by right substitution
 
@@ -27,9 +31,11 @@ Composing two substitutions gives ``act(tau, act(sigma, P)) == act(tau @ sigma, 
 
 There is one action of sigma, exact and float alike: dense tensors with one
 axis per polynomial row or tensor slot, S^d(sigma) applied along each axis
-(``_sym_powers``).  ``act``, ``weights.act_tensor`` and the Kempf-Ness
-functional of :mod:`stablepairs.pairs` all use it.  An exact action runs on
-int64 numerators when sigma is real and a proven bound rules out overflow
+(``_sym_powers``, one gather-multiply-sum per degree).  ``act``,
+``weights.act_tensor`` and the Kempf-Ness functional of
+:mod:`stablepairs.pairs` all use it, and a ``Conjugator`` lets the parts of
+a pair share one sigma's powers.  An exact action runs on int64 numerators
+when sigma is real and a proven bound rules out overflow
 (``_int64_scaled``), and on QQi object arrays otherwise; it never touches a
 float.
 
@@ -102,13 +108,6 @@ class VariableShape:
     def nvars(self) -> int:
         return self.rows * self.cols
 
-    def column_degrees(self, exp: Exponent) -> Tuple[int, ...]:
-        """Per-column total exponent of a monomial (its torus character)."""
-        out = [0] * self.cols
-        for v, e in enumerate(exp):
-            out[v % self.cols] += e
-        return tuple(out)
-
     def __eq__(self, other):
         return (
             isinstance(other, VariableShape)
@@ -122,6 +121,12 @@ class VariableShape:
         if self.kind == "vector":
             return f"VariableShape.vector({self.cols})"
         return f"VariableShape.matrix({self.rows}, {self.cols})"
+
+
+def _nonzero(terms: Dict[Exponent, object]) -> Dict[Exponent, object]:
+    """The terms whose coefficient did not cancel to zero (a QQi or complex
+    is false exactly when scalar_is_zero holds)."""
+    return {e: c for e, c in terms.items() if c}
 
 
 class HomogeneousPolynomial:
@@ -166,13 +171,11 @@ class HomogeneousPolynomial:
     def _trusted(cls, shape: VariableShape, degree: int, terms: Dict[Exponent, object],
                  mode: str) -> "HomogeneousPolynomial":
         """A polynomial from terms the library built itself: int exponent tuples
-        of the right length and degree, coefficients of the mode; the ones that
-        cancelled to zero are dropped.  ``__init__`` keeps every check for
+        of the right length and degree, nonzero coefficients of the mode, in a
+        dict the polynomial takes over.  ``__init__`` keeps every check for
         input from outside."""
         P = object.__new__(cls)
-        P.shape, P.degree, P.mode = shape, degree, mode
-        # a QQi or complex is false exactly when scalar_is_zero holds
-        P.terms = {e: c for e, c in terms.items() if c}
+        P.shape, P.degree, P.mode, P.terms = shape, degree, mode, terms
         return P
 
     # -- constructors -------------------------------------------------
@@ -207,8 +210,10 @@ class HomogeneousPolynomial:
 
     def character_terms(self):
         """(raw torus character, coefficient) per monomial; the character is
-        the column-degree vector."""
-        return ((self.shape.column_degrees(exp), c) for exp, c in self.terms.items())
+        the column-degree vector, the per-column total exponent."""
+        exps = np.array(list(self.terms), dtype=np.int64)
+        chars = exps.reshape(len(exps), self.shape.rows, self.shape.cols).sum(axis=1)
+        return zip(map(tuple, chars.tolist()), self.terms.values())
 
     def dense_amplitudes(self) -> Dict[tuple, object]:
         """{per-axis exponents: coefficient} for the dense layout of ``act``:
@@ -251,7 +256,7 @@ class HomogeneousPolynomial:
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return HomogeneousPolynomial._trusted(self.shape, self.degree, out, self.mode)
+        return HomogeneousPolynomial._trusted(self.shape, self.degree, _nonzero(out), self.mode)
 
     def __neg__(self):
         return HomogeneousPolynomial._trusted(
@@ -266,31 +271,35 @@ class HomogeneousPolynomial:
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = -c if s is None else s - c
-        return HomogeneousPolynomial._trusted(self.shape, self.degree, out, self.mode)
+        return HomogeneousPolynomial._trusted(self.shape, self.degree, _nonzero(out), self.mode)
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
             self._check_compat(other)
             degree = self.degree + other.degree
             base = degree + 1
-            right = [(_pack(e, base), e, c) for e, c in other.terms.items()]
-            # packed key -> coefficient; each exponent tuple is built once, when
+            right = [(_pack(e, base), e, *_parts(c)) for e, c in other.terms.items()]
+            # packed key -> [re, im]; each exponent tuple is built once, when
             # its key first appears, so the terms keep the order of first
             # appearance over the (left, right) term pairs
-            out: Dict[int, object] = {}
+            out: Dict[int, list] = {}
             exps: Dict[int, Exponent] = {}
             for e1, c1 in self.terms.items():
                 k1 = _pack(e1, base)
-                for k2, e2, c2 in right:
+                a, b = _parts(c1)
+                for k2, e2, c, d in right:
                     k = k1 + k2
                     s = out.get(k)
                     if s is None:
-                        out[k] = c1 * c2
+                        out[k] = [a * c - b * d, a * d + b * c]
                         exps[k] = tuple(map(operator.add, e1, e2))
                     else:
-                        out[k] = s + c1 * c2
+                        s[0] += a * c - b * d
+                        s[1] += a * d + b * c
+            scalar = _SCALAR[self.mode]
             return HomogeneousPolynomial._trusted(
-                self.shape, degree, {exps[k]: c for k, c in out.items()}, self.mode
+                self.shape, degree,
+                {exps[k]: scalar(*s) for k, s in out.items() if s[0] or s[1]}, self.mode
             )
         c = coerce_scalar(other, self.mode)
         if scalar_is_zero(c):
@@ -360,11 +369,13 @@ class HomogeneousPolynomial:
         if self.mode != EXACT:
             raise ExactnessError("content normalization requires exact mode")
         lead = self.terms[max(self.terms)]
+        lr, li = lead.re, lead.im
         coeffs = self.terms.values()
-        if lead.im or lead.re < 0:
-            conj = _qqi(lead.re, -lead.im)
-            coeffs = [c * conj for c in coeffs]
-        parts = primitive_integer_vector([f for c in coeffs for f in (c.re, c.im)])
+        if li or lr < 0:
+            flat = [f for c in coeffs for f in (c.re * lr + c.im * li, c.im * lr - c.re * li)]
+        else:
+            flat = [f for c in coeffs for f in (c.re, c.im)]
+        parts = primitive_integer_vector(flat)
         return HomogeneousPolynomial._trusted(
             self.shape,
             self.degree,
@@ -380,13 +391,9 @@ def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:
     positive rational multiple of ``values``; an all-zero input comes back
     as zeros, and each caller decides what that means.
     """
-    den = 1
-    for x in values:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in values))
     ints = [int(x * den) for x in values]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    g = math.gcd(*ints)
     return [x // g for x in ints] if g else ints
 
 
@@ -550,11 +557,12 @@ def _sigma_array(sigma, mode: str, n: int) -> np.ndarray:
 
 
 # Cap on the entries of any dense array the action allocates, exact or float:
-# a tensor, one S^d(sigma) or one moment gather of the Kempf-Ness functional.
+# a tensor, one S^d(sigma), its gather chunk or one moment gather of the
+# Kempf-Ness functional.
 # The twisted cubic's Delta^6, one Sym^24(C^4) axis, needs an 8.6 M-entry
 # S^24; a degree-5 Chow form on P^4 (126^4 = 2.5e8 entries) is refused.
 DENSE_ENTRY_CAP = 10_000_000
-_RECURSION_CHUNK = 1 << 20  # entries of S^(d-1) read at a time
+_RECURSION_CHUNK = 1 << 20  # entries of the S^d gather held at a time
 # An exact action runs on int64 only under a bound below this (_int64_scaled).
 INT64_LIMIT = 2 ** 63
 
@@ -578,76 +586,154 @@ def _sym_basis(n: int, d: int) -> Dict[Exponent, int]:
 
 
 @lru_cache(maxsize=None)
+def _sym_exponents(n: int, d: int) -> np.ndarray:
+    """The monomials of ``_sym_basis`` as the rows of an int array."""
+    return np.array(list(_sym_basis(n, d)), dtype=np.int64).reshape(-1, n)
+
+
+@lru_cache(maxsize=None)
 def _sym_step(n: int, d: int):
-    """Tables (up, root, cols) from Sym^(d-1) to Sym^d of C^n: up[i, c] is the
-    position of c + e_i and root[i, c] = sqrt(c_i + 1); the b whose first
-    variable is j fill the slice cols[j]."""
-    lower = np.array(list(_sym_basis(n, d - 1)))
+    """Tables (up, root) from Sym^(d-1) to Sym^d of C^n: up[i, c] is the
+    position of c + e_i and root[i, c] = sqrt(c_i + 1)."""
+    lower = _sym_exponents(n, d - 1)
     pos = _sym_basis(n, d)
     up = np.array([[pos[c] for c in map(tuple, (lower + e).tolist())]
                    for e in np.eye(n, dtype=int)])
-    cols = [slice(len(pos) - _sym_dim(n - j, d), len(pos) - _sym_dim(n - j - 1, d))
-            for j in range(n)]
-    return up, np.sqrt(lower.T + 1.0), cols
+    return up, np.sqrt(lower.T + 1.0)
+
+
+@lru_cache(maxsize=None)
+def _sym_gather(n: int, d: int):
+    """Tables (down, first, src) of the S^d step of ``_sym_powers``, over the
+    degree-d monomials a, b of C^n: down[i, a] is the position of a - e_i
+    in Sym^(d-1), or its dimension (the zero pad row) when a_i = 0; first[b]
+    is the first variable of b and src[b] the position of b - e_first(b)."""
+    lower = _sym_basis(n, d - 1)
+    basis = list(_sym_basis(n, d))
+    down = [[lower[a[:i] + (a[i] - 1,) + a[i + 1:]] if a[i] else len(lower) for a in basis]
+            for i in range(n)]
+    first = [next(j for j, x in enumerate(b) if x) for b in basis]
+    src = [lower[b[:j] + (b[j] - 1,) + b[j + 1:]] for b, j in zip(basis, first)]
+    return np.array(down)[:, :, None], np.array(first), np.array(src)
+
+
+def _gather_rows(n: int, dim: int) -> int:
+    """Rows of S^d gathered at a time: n x rows x dim entries stay within
+    _RECURSION_CHUNK unless one row alone is larger."""
+    return min(dim, max(1, _RECURSION_CHUNK // (n * dim)))
+
+
+def _power_entries(n: int, d: int) -> int:
+    """Entries of the largest array the S^d step holds: S^d or its gather."""
+    dim = _sym_dim(n, d)
+    return max(dim * dim, n * _gather_rows(n, dim) * dim)
 
 
 def _sym_powers(sigma: np.ndarray, degrees) -> Dict[int, np.ndarray]:
     """S^d(sigma) for each d in degrees: S^d[a, b] is the coefficient of z^a
-    in (z sigma)^b, S^0 = 1 and, for j the first variable of b,
+    in (z sigma)^b, S^0 = 1 and, for each d, one gather-multiply-sum
 
-        S^d[a, b] = sum_i sigma[i, j] S^(d-1)[a - e_i, b - e_j].
+        S^d[a, b] = sum_i sigma[i, first(b)] pad(S^(d-1))[down_i(a), src(b)]
 
-    No square roots enter, so one loop serves int64 numerators (under the
-    bound of ``_int64_scaled``), QQi objects and complex doubles.
+    with the tables of ``_sym_gather``; pad(S^(d-1)) has a zero row after
+    its last, which down_i(a) reads when a_i = 0.  The sum runs over i in
+    increasing order, the product as S^(d-1) entry times sigma entry, over
+    chunks of ``_gather_rows`` rows.  No square roots enter, so one loop
+    serves int64 numerators (under the bound of ``_int64_scaled``), QQi
+    objects and complex doubles.
     """
-    n = sigma.shape[0]
-    powers = {0: _filled((1, 1), sigma.dtype, 1)}
-    prev = powers[0]
+    n, dtype = sigma.shape[0], sigma.dtype
+    powers = {0: _filled((1, 1), dtype, 1)}
+    prev = np.concatenate([powers[0], _filled((1, 1), dtype, 0)])
     for d in range(1, max(degrees, default=0) + 1):
-        up, _, cols = _sym_step(n, d)
-        dim = _sym_dim(n, d)
-        cur = _filled((dim, dim), sigma.dtype, 0)
-        step = max(1, _RECURSION_CHUNK // dim)
-        for rows in (slice(lo, lo + step) for lo in range(0, len(prev), step)):
-            for i in range(n):
-                for j, blk in enumerate(cols):
-                    if sigma[i, j]:
-                        # b - e_j runs in order over the last len(blk) monomials;
-                        # the array goes first: QQi * ndarray is refused
-                        cur[up[i, rows], blk] += prev[rows, blk.start - blk.stop:] * sigma[i, j]
+        down, first, src = _sym_gather(n, d)
+        dim = len(first)
+        sig = sigma[:, first][:, None, :]
+        # S^d above its zero pad row, which the next step reads
+        cur = np.empty((dim + 1, dim), dtype)
+        cur[dim] = _filled(dim, dtype, 0)
+        step = _gather_rows(n, dim)
+        for lo in range(0, dim, step):
+            terms = prev[down[:, lo:lo + step], src]
+            terms *= sig
+            np.add.reduce(terms, axis=0, out=cur[lo:min(lo + step, dim)])
+            del terms  # one chunk at a time: freed before the next is gathered
         prev = cur
         if d in degrees:
-            powers[d] = cur
+            powers[d] = cur[:dim]
     return powers
+
+
+def _check_cap(largest: int, what: str):
+    """Refuse an array of ``largest`` entries above DENSE_ENTRY_CAP."""
+    if largest > DENSE_ENTRY_CAP:
+        raise PreconditionError(
+            f"{what} needs an array of {largest} entries, above the cap of {DENSE_ENTRY_CAP}"
+        )
 
 
 def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128, parts: tuple = ()) -> list:
     """[(axis degrees, tensor)] from {per-axis exponents: amplitude}, one
-    tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation.
-    ``parts`` is a trailing shape that each amplitude fills (the int64 route's
-    real and imaginary numerators); the action never contracts it."""
+    tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation:
+    the tensor, each S^d and its gather, and each moment gather.  ``parts``
+    is a trailing shape that each amplitude fills (the int64 route's real and
+    imaginary numerators); the action never contracts it."""
     profiles = sorted({tuple(map(sum, axes)) for axes in amplitudes})
     for degs in profiles:
         dims = [_sym_dim(n, d) for d in degs]
         size = math.prod(dims)
-        largest = max([size] + [max(dim * dim, n * _sym_dim(n, d - 1) * size // dim)
+        largest = max([size] + [max(_power_entries(n, d), n * _sym_dim(n, d - 1) * size // dim)
                                 for d, dim in zip(degs, dims) if d > 0])
-        if largest > DENSE_ENTRY_CAP:
-            raise PreconditionError(
-                f"dense norm tensor of shape {tuple(dims)} needs an array of {largest} "
-                f"entries, above the cap of {DENSE_ENTRY_CAP}"
-            )
-    blocks = {degs: _filled(tuple(_sym_dim(n, d) for d in degs) + parts, dtype, 0)
-              for degs in profiles}
+        _check_cap(largest, f"dense norm tensor of shape {tuple(dims)}")
+    basis = {d: _sym_basis(n, d) for degs in profiles for d in degs}
+    entries: Dict[tuple, list] = {degs: [] for degs in profiles}
     for axes, z in amplitudes.items():
-        degs = tuple(map(sum, axes))
-        blocks[degs][tuple(_sym_basis(n, d)[a] for a, d in zip(axes, degs))] += z
-    return list(blocks.items())
+        entries[tuple(map(sum, axes))].append((tuple(basis[sum(a)][a] for a in axes), z))
+    blocks = []
+    for degs in profiles:
+        y = _filled(tuple(_sym_dim(n, d) for d in degs) + parts, dtype, 0)
+        # each amplitude has its own entry: one fancy-index assignment per tensor
+        index, values = zip(*entries[degs])
+        y[tuple(zip(*index))] = values
+        blocks.append((degs, y))
+    return blocks
 
 
-def _act_blocks(sigma: np.ndarray, blocks: list) -> list:
-    """[(axis degrees, tensor)] with S^d(sigma) applied along every axis."""
-    powers = _sym_powers(sigma, {d for degs, _ in blocks for d in degs})
+def _axis_degrees(amplitudes: dict) -> set:
+    """The degrees of the axes of ``dense_amplitudes``."""
+    return {sum(a) for axes in amplitudes for a in axes}
+
+
+class Conjugator:
+    """A group element sigma with its powers S^d(sigma) for a set of degrees.
+
+    ``act`` and ``weights.act_tensor`` accept one in place of sigma.  The
+    powers are built on first use, once per arithmetic route (int64
+    numerators, QQi objects, complex doubles), for every degree at once, so
+    the parts of a pair conjugated by one sigma share them.  They are
+    refused above DENSE_ENTRY_CAP before anything is built.
+    """
+
+    __slots__ = ("sigma", "degrees", "_powers")
+
+    def __init__(self, sigma, degrees):
+        self.sigma = sigma
+        self.degrees = frozenset(degrees)
+        self._powers: Dict[np.dtype, dict] = {}
+
+    def powers(self, sig: np.ndarray) -> Dict[int, np.ndarray]:
+        """``_sym_powers`` of sig, sigma on one route, over every degree."""
+        if sig.dtype not in self._powers:
+            n = sig.shape[0]
+            for d in self.degrees:
+                _check_cap(_power_entries(n, d), f"S^{d} of a {n} x {n} matrix")
+            self._powers[sig.dtype] = _sym_powers(sig, self.degrees)
+        return self._powers[sig.dtype]
+
+
+def _act_blocks(powers: Dict[int, np.ndarray], blocks: list) -> list:
+    """[(axis degrees, tensor)] with S^d(sigma), from ``powers``, applied
+    along every axis."""
     out = []
     for degs, y in blocks:
         for axis, d in enumerate(degs):
@@ -656,19 +742,21 @@ def _act_blocks(sigma: np.ndarray, blocks: list) -> list:
     return out
 
 
-def _int64_scaled(sig: np.ndarray, amplitudes: dict):
+def _int64_scaled(sig: np.ndarray, amplitudes: dict, top: int):
     """An exact action as int64 numerators, or None when it might overflow.
 
     sigma' = L sigma and a' = M a clear every denominator.  Let c be the
     largest column sum of |sigma'| and D the total degree of the amplitudes
     (one for all: polynomials are homogeneous, a tensor has one block).  A
     column of S^d(sigma') sums in absolute value to at most c^d, so every
-    entry and partial sum of S^d for d <= D, and of each contraction, is at
-    most B = max(|Re a'|_1, |Im a'|_1, 1) max(c, 1)^D, and int64 cannot wrap
-    while B < 2^63.  Returns (sigma', {axes: numerators}, parts, M L^D):
-    each amplitude has its real numerator and, when any amplitude has an
-    imaginary part, its imaginary one, so parts is (1,) or (2,).  None when
-    sigma has an imaginary part or B >= 2^63.
+    entry and partial sum of S^d for d <= max(D, top), and of each
+    contraction, is at most B = max(|Re a'|_1, |Im a'|_1, 1) max(c, 1)^max(D, top),
+    and int64 cannot wrap while B < 2^63; top is the largest degree the
+    powers are built for, above D when a ``Conjugator`` shares them.
+    Returns (sigma', {axes: numerators}, parts, M L^D): each amplitude has
+    its real numerator and, when any amplitude has an imaginary part, its
+    imaginary one, so parts is (1,) or (2,).  None when sigma has an
+    imaginary part or B >= 2^63.
     """
     entries = sig.ravel().tolist()
     if any(x.im for x in entries):
@@ -683,7 +771,7 @@ def _int64_scaled(sig: np.ndarray, amplitudes: dict):
     c = max(sum(abs(x) for x in col) for col in zip(*sig_int))
     degree = max((sum(map(sum, axes)) for axes in amplitudes), default=0)
     norm = max([1] + [sum(abs(v[k]) for v in numerators.values()) for k in range(parts)])
-    if norm * max(c, 1) ** degree >= INT64_LIMIT:
+    if norm * max(c, 1) ** max(degree, top) >= INT64_LIMIT:
         return None
     return np.array(sig_int, dtype=np.int64), numerators, (parts,), den * scale ** degree
 
@@ -691,35 +779,41 @@ def _int64_scaled(sig: np.ndarray, amplitudes: dict):
 def _act_dense(sigma, vec) -> list:
     """[(axis degrees, tensor, den)]: sigma acting on ``vec.dense_amplitudes()``.
 
-    In exact mode the tensors hold int64 numerators over den, real and
-    imaginary parts on a trailing axis, when ``_int64_scaled`` proves they
-    fit, and QQi objects otherwise; in float mode complex doubles.  den is
-    None unless the tensors are numerators.
+    sigma may be a ``Conjugator``, whose powers are then shared.  In exact
+    mode the tensors hold int64 numerators over den, real and imaginary
+    parts on a trailing axis, when ``_int64_scaled`` proves they fit, and
+    QQi objects otherwise; in float mode complex doubles.  den is None
+    unless the tensors are numerators.
     """
     n = vec.group_size
-    sig = _sigma_array(sigma, vec.mode, n)
     amplitudes = vec.dense_amplitudes()
-    scaled = _int64_scaled(sig, amplitudes) if vec.mode == EXACT else None
+    if not isinstance(sigma, Conjugator):
+        sigma = Conjugator(sigma, _axis_degrees(amplitudes))
+    sig = _sigma_array(sigma.sigma, vec.mode, n)
+    top = max(sigma.degrees, default=0)
+    scaled = _int64_scaled(sig, amplitudes, top) if vec.mode == EXACT else None
     if scaled is None:
         blocks = _dense_blocks(n, amplitudes, sig.dtype)
-        return [(degs, y, None) for degs, y in _act_blocks(sig, blocks)]
+        return [(degs, y, None) for degs, y in _act_blocks(sigma.powers(sig), blocks)]
     sig_int, numerators, parts, den = scaled
     blocks = _dense_blocks(n, numerators, np.int64, parts)
-    return [(degs, y, den) for degs, y in _act_blocks(sig_int, blocks)]
+    return [(degs, y, den) for degs, y in _act_blocks(sigma.powers(sig_int), blocks)]
 
 
 def _nonzero_entries(y: np.ndarray, den=None):
-    """(index tuple, Python scalar) for every entry of y that is not exactly
-    zero.  With ``den``, y holds int64 numerators on its last axis (``_act_dense``)
-    and each entry comes back as a QQi over den, with int or Fraction parts."""
+    """(index arrays, Python scalars) of the entries of y that are not exactly
+    zero, in C order, as ``np.nonzero`` gives them.  With ``den``, y holds
+    int64 numerators on its last axis (``_act_dense``) and each entry comes
+    back as a QQi over den, with int or Fraction parts."""
     if den is None:
         nz = np.nonzero(y)
-        values = y[nz].tolist()
-    else:
-        nz = np.nonzero(y.any(axis=-1))
-        values = [QQi(*num) if den == 1 else QQi(*(Fraction(p, den) for p in num))
-                  for num in y[nz].tolist()]
-    return zip(zip(*(i.tolist() for i in nz)), values)
+        return nz, y[nz].tolist()
+    nz = np.nonzero(y.any(axis=-1))
+    parts = y[nz].T.tolist()
+    re, im = parts if len(parts) == 2 else (parts[0], [0] * len(parts[0]))
+    if den != 1:
+        re, im = ([Fraction(p, den) for p in x] for x in (re, im))
+    return nz, list(map(_qqi, re, im))
 
 
 def act(sigma, P: HomogeneousPolynomial) -> HomogeneousPolynomial:
@@ -736,9 +830,10 @@ def act(sigma, P: HomogeneousPolynomial) -> HomogeneousPolynomial:
     n = P.group_size
     terms: Dict[Exponent, object] = {}
     for degs, y, den in _act_dense(sigma, P):
-        bases = [list(_sym_basis(n, d)) for d in degs]
-        for idx, c in _nonzero_entries(y, den):
-            terms[sum((b[i] for b, i in zip(bases, idx)), ())] = c
+        nz, values = _nonzero_entries(y, den)
+        # each entry's exponent: the monomials of its axes, row after row
+        exps = np.concatenate([_sym_exponents(n, d)[i] for d, i in zip(degs, nz)], axis=1)
+        terms.update(zip(map(tuple, exps.tolist()), values))
     return HomogeneousPolynomial._trusted(P.shape, P.degree, terms, P.mode)
 
 
@@ -882,6 +977,19 @@ def _raise_mixed():
     )
 
 
+# The scalar of a mode from its (re, im) components: the loops of the product
+# and of exact division run on components and build one scalar per term.
+_SCALAR = {EXACT: _qqi, FLOAT: complex}
+
+
+def _parts(c) -> tuple:
+    """(re, im) of a coefficient: the exact rational components of a QQi,
+    the float ones of a complex.  Products on components use CPython's
+    complex product, (a c - b d, a d + b c), so both modes get the bits of
+    their scalar arithmetic."""
+    return (c.re, c.im) if type(c) is QQi else (c.real, c.imag)
+
+
 def _pack(e: Exponent, base: int) -> int:
     """An exponent tuple as one int, big-endian in ``base``.  With every
     exponent below base, int order is lex order and int addition is exponent
@@ -905,20 +1013,22 @@ def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> Hom
 
     Exact mode only.  The remainder is kept on packed keys in base
     num.degree + 1, which bounds every exponent of num, of den times a
-    quotient term and so of the remainder; only each leading term is
-    unpacked, to test divisibility and build the quotient exponent.
+    quotient term and so of the remainder, and as (re, im) components
+    (``_parts``); only each leading term is unpacked, to test divisibility
+    and build the quotient exponent, and made a scalar, to divide it.
     """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if num.is_zero:
         return HomogeneousPolynomial.zero(num.shape, max(num.degree - den.degree, 0), num.mode)
     n, base = num.shape.nvars, num.degree + 1
+    scalar = _SCALAR[num.mode]
     lead_den_exp = max(den.terms)
     lead_den_c = den.terms[lead_den_exp]
     lead_den_k = _pack(lead_den_exp, base)
-    den_terms = [(_pack(e, base), c) for e, c in den.terms.items()]
+    den_terms = [(_pack(e, base), *_parts(c)) for e, c in den.terms.items()]
     qterms: Dict[Exponent, object] = {}
-    rem = {_pack(e, base): c for e, c in num.terms.items()}
+    rem = {_pack(e, base): _parts(c) for e, c in num.terms.items()}
     # max-heap of the remainder's keys with lazy deletion: a popped key no
     # longer in rem was cancelled, and every key in rem is on the heap
     heap = [-k for k in rem]
@@ -931,19 +1041,21 @@ def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> Hom
         qexp = tuple(map(operator.sub, _unpack(lead_k, base, n), lead_den_exp))
         if min(qexp) < 0:
             raise PreconditionError("inexact polynomial division")
-        qc = lead_c / lead_den_c
+        qc = scalar(*lead_c) / lead_den_c
         qterms[qexp] = qc
+        a, b = _parts(qc)
         qk = lead_k - lead_den_k
-        for kd, c in den_terms:
+        for kd, c, d in den_terms:
             k = qk + kd
+            re, im = a * c - b * d, a * d + b * c
             s = rem.get(k)
             if s is None:
                 heapq.heappush(heap, -k)
-                rem[k] = -(qc * c)
+                rem[k] = (-re, -im)
                 continue
-            v = s - qc * c
-            if v:
-                rem[k] = v
+            re, im = s[0] - re, s[1] - im
+            if re or im:
+                rem[k] = (re, im)
             else:
                 del rem[k]
     return HomogeneousPolynomial._trusted(num.shape, num.degree - den.degree, qterms, num.mode)

@@ -82,7 +82,7 @@ class QQi:
         if not den:
             raise ZeroDivisionError("division by zero QQi")
         if not d:
-            return _qqi(Fraction(a, c), Fraction(b, c))
+            return _qqi(_quotient(a, c), _quotient(b, c))
         return _qqi(Fraction(a * c + b * d, den), Fraction(b * c - a * d, den))
 
     def __neg__(self):
@@ -126,6 +126,14 @@ def _qqi(re, im) -> QQi:
     _set_re(z, re)
     _set_im(z, im)
     return z
+
+
+def _quotient(x, y):
+    """x / y for exact rationals, as an int without a Fraction when both are
+    ints and y divides x (exact division in a fraction-free elimination)."""
+    if type(x) is int and type(y) is int and not x % y:
+        return x // y
+    return Fraction(x, y)
 
 
 def _as_qqi(x) -> QQi:

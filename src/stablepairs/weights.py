@@ -29,14 +29,26 @@ from .scalars import EXACT, FLOAT, coerce_scalar, scalar_is_zero, scalar_to_comp
 
 
 class WeightCharacter:
-    """Integer torus character with its projected (sum-zero) representative."""
+    """Integer torus character with its projected (sum-zero) representative.
 
-    __slots__ = ("raw", "projected")
+    ``key`` is the integer tuple n a - (sum a)(1, ..., 1), n times
+    ``projected``.  With n > 0 the two give the same equality and the same
+    lex order, so characters hash, compare and sort on ``key``; the
+    ``projected`` Fractions are built on demand, for the points that enter
+    an LP or an output.
+    """
+
+    __slots__ = ("raw", "key")
 
     def __init__(self, raw: Sequence[int]):
-        self.raw = tuple(int(a) for a in raw)
-        n, s = len(self.raw), sum(self.raw)
-        self.projected = tuple(Fraction(n * a - s, n) for a in self.raw)
+        self.raw = raw = tuple(map(int, raw))
+        n, s = len(raw), sum(raw)
+        self.key = tuple([n * a - s for a in raw])
+
+    @property
+    def projected(self) -> Tuple[Fraction, ...]:
+        n = len(self.key)
+        return tuple(Fraction(k, n) for k in self.key)
 
     def pair(self, lam: OnePSG) -> int:
         if len(lam.exponents) != len(self.raw):
@@ -44,10 +56,10 @@ class WeightCharacter:
         return sum(a * l for a, l in zip(self.raw, lam.exponents))
 
     def __eq__(self, other):
-        return isinstance(other, WeightCharacter) and self.projected == other.projected
+        return isinstance(other, WeightCharacter) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.projected)
+        return hash(self.key)
 
     def __repr__(self):
         return f"WeightCharacter({list(self.raw)})"
@@ -74,10 +86,10 @@ class LatticePolytope:
         n = len(pts[0].raw)
         if any(len(p.raw) != n for p in pts):
             raise DimensionError("mixed character lengths")
-        seen: Dict[Tuple[Fraction, ...], WeightCharacter] = {}
+        seen: Dict[Tuple[int, ...], WeightCharacter] = {}
         for p in pts:
-            seen.setdefault(p.projected, p)
-        self.points: List[WeightCharacter] = sorted(seen.values(), key=lambda p: p.projected)
+            seen.setdefault(p.key, p)
+        self.points: List[WeightCharacter] = [seen[k] for k in sorted(seen)]
         self.ambient = n
         self._vertices: Optional[List[WeightCharacter]] = None
 
@@ -85,12 +97,13 @@ class LatticePolytope:
     def vertices(self) -> List[WeightCharacter]:
         if self._vertices is None:
             verts = []
+            projected = [list(p.projected) for p in self.points]
             for i, p in enumerate(self.points):
-                others = [q.projected for j, q in enumerate(self.points) if j != i]
+                others = projected[:i] + projected[i + 1:]
                 if not others:
                     verts.append(p)
                     continue
-                inside, _ = hull_membership(others, list(p.projected))
+                inside, _ = hull_membership(others, projected[i])
                 if not inside:
                     verts.append(p)
             self._vertices = verts
@@ -217,9 +230,10 @@ def act_tensor(sigma, x: TensorVector) -> TensorVector:
     for axis, (kind, _) in enumerate(x.slots):
         if kind == "wedge2":
             y = y[(slice(None),) * axis + wedge]  # axes (k, l) fold to k < l
+    nz, values = _nonzero_entries(y, den)
     out = {
         tuple(i if kind == "vector" else wedge_basis[i] for (kind, _), i in zip(x.slots, idx)): c
-        for idx, c in _nonzero_entries(y, den)
+        for idx, c in zip(zip(*(i.tolist() for i in nz)), values)
     }
     if not out:
         raise PreconditionError("tensor vector annihilated; matrix is singular")
@@ -286,12 +300,14 @@ def contains(inner: LatticePolytope, outer: LatticePolytope):
     """
     if inner.ambient != outer.ambient:
         raise DimensionError("polytope dimension mismatch")
-    outer_pts = [list(p.projected) for p in outer.points]
     # a point of the outer support is in its hull with lambda = e_k: no LP
-    outer_set = {p.projected for p in outer.points}
+    outer_set = {p.key for p in outer.points}
+    outer_pts = None
     for p in inner.points:
-        if p.projected in outer_set:
+        if p.key in outer_set:
             continue
+        if outer_pts is None:
+            outer_pts = [list(q.projected) for q in outer.points]
         ok, cert = hull_membership(outer_pts, list(p.projected))
         if ok:
             continue

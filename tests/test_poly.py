@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from stablepairs import poly
 from stablepairs._kernels import poly_log_abs
 from stablepairs.errors import DimensionError, PreconditionError
-from stablepairs.forms import CURVE_DEGREE_CAP
+from stablepairs.forms import CURVE_DEGREE_CAP, chow_form_curve, hurwitz_form_curve
 from stablepairs.norms import MIN_SAMPLES, MahlerSampleFunctional, _terms_arrays
+from stablepairs.pairs import Pair
 from stablepairs.poly import (
     GroupElement,
     HomogeneousPolynomial,
@@ -34,7 +35,7 @@ from stablepairs.poly import (
 )
 from stablepairs.scalars import QQi
 from stablepairs.serialize import scalar_to_json
-from stablepairs.verify import binary_form
+from stablepairs.verify import binary_form, rational_normal_curve
 from stablepairs.weights import TensorVector, act_tensor
 
 V2 = VariableShape.vector(2)
@@ -315,6 +316,163 @@ class TestExactAction:
         assert got == want
         assert [component_types(c) for _, c in got] == [component_types(c) for _, c in want]
         assert_python_rationals(small.coords.values())
+
+
+def old_sym_powers(sigma, degrees):
+    """The S^d recursion as a double loop of fancy-index updates, one per
+    (i, j) with sigma[i, j] != 0: S^d[a + e_i, b] += S^(d-1)[a, b - e_j]
+    sigma[i, j] over the b whose first variable is j."""
+    n = sigma.shape[0]
+    one, zero = (QQi(1), QQi(0)) if sigma.dtype == object else (1, 0)
+    powers = {0: np.full((1, 1), one, dtype=sigma.dtype)}
+    prev = powers[0]
+    for d in range(1, max(degrees) + 1):
+        lower, pos = list(poly._sym_basis(n, d - 1)), poly._sym_basis(n, d)
+        dim = len(pos)
+        cur = np.full((dim, dim), zero, dtype=sigma.dtype)
+        for i in range(n):
+            up = [pos[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in lower]
+            for j in range(n):
+                blk = slice(dim - poly._sym_dim(n - j, d), dim - poly._sym_dim(n - j - 1, d))
+                if sigma[i, j]:
+                    cur[up, blk] += prev[:, blk.start - blk.stop:] * sigma[i, j]
+        prev = cur
+        if d in degrees:
+            powers[d] = cur
+    return powers
+
+
+@st.composite
+def sym_power_cases(draw):
+    """sigma on C^n, n = 2..4, as int64, QQi objects (rational and Gaussian),
+    dense complex or complex with zero entries, and degrees up to 8 (up to 5
+    for QQi on C^4, whose object loops are slow)."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["int64", "qqi", "complex", "complex-zeros"]))
+    top = 5 if (kind, n) == ("qqi", 4) else 8
+    degrees = draw(st.sets(st.integers(1, top), min_size=1, max_size=3))
+    if kind == "int64":
+        sigma = np.array([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)],
+                         dtype=np.int64)
+    elif kind == "qqi":
+        sigma = np.array([[draw(EXACT_ENTRIES[draw(st.sampled_from(list(EXACT_ENTRIES)))])
+                           for _ in range(n)] for _ in range(n)], dtype=object)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        sigma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "complex-zeros":
+            sigma[rng.uniform(size=(n, n)) < 0.4] = 0
+    return kind, sigma, degrees
+
+
+class TestSymPowers:
+    """S^d(sigma) by one gather-multiply-sum per degree is the double loop's
+    result: the same bits on int64 and dense complex sigma, the same QQi
+    values and component types, and == on complex sigma with zero entries,
+    where the loop skipped the zero products whose sign the gather keeps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sym_power_cases())
+    def test_gather_matches_double_loop(self, case):
+        kind, sigma, degrees = case
+        got, want = poly._sym_powers(sigma, degrees), old_sym_powers(sigma, degrees)
+        assert sorted(got) == sorted(want) == sorted(degrees | {0})
+        for d in degrees:
+            assert got[d].shape == want[d].shape and got[d].dtype == want[d].dtype
+            if kind in ("int64", "complex"):
+                assert np.ascontiguousarray(got[d]).tobytes() == want[d].tobytes()
+            elif kind == "qqi":
+                assert got[d].tolist() == want[d].tolist()
+                assert ([component_types(c) for c in got[d].ravel()]
+                        == [component_types(c) for c in want[d].ravel()])
+            else:
+                assert np.array_equal(got[d], want[d])
+
+    def test_gather_is_chunked_in_rows(self, monkeypatch):
+        # a chunk of 64 entries gathers one or two rows of S^d at a time, and
+        # the chunks add up to the unchunked powers bit for bit
+        sigma = np.random.default_rng(4).standard_normal((3, 3)) + 0j
+        whole = poly._sym_powers(sigma, {5})[5].tobytes()
+        monkeypatch.setattr(poly, "_RECURSION_CHUNK", 64)
+        assert poly._gather_rows(3, poly._sym_dim(3, 5)) == 1
+        assert poly._sym_powers(sigma, {5})[5].tobytes() == whole
+
+    def test_memory_peak_within_twice_the_output(self):
+        # S^24 on C^4, one axis of the twisted cubic's Delta^6: 2925^2
+        # entries; S^23, S^24 and one gather chunk are all the step holds
+        sigma = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], dtype=np.int64)
+        for d in range(1, 25):
+            poly._sym_gather(4, d)  # the cached index tables are not part of a step
+        tracemalloc.start()
+        try:
+            powers = poly._sym_powers(sigma, {24})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = powers[24]
+        assert out.shape == (2925, 2925)
+        # sigma has row and column sums 2, so every column of S^24 sums to 2^24
+        assert int(out.sum(axis=0).max()) == 2 ** 24
+        assert peak < 2 * out.nbytes
+
+
+class TestConjugator:
+    """The parts of a pair conjugated by one sigma share its powers."""
+
+    def pair(self):
+        R = chow_form_curve(rational_normal_curve(2))
+        D = hurwitz_form_curve(rational_normal_curve(2))
+        return Pair(R ** 2, D ** 4)
+
+    def test_one_sym_powers_per_conjugator(self, monkeypatch):
+        pair = self.pair()
+        sigma = [[QQi(x) for x in row] for row in [[2, 1, 0], [-1, 1, 3], [0, 5, 1]]]
+        want = (act(sigma, pair.v), act(sigma, pair.w))
+        calls = []
+        sym_powers = poly._sym_powers
+
+        def spy(sig, degrees):
+            calls.append((sig.dtype, sorted(degrees)))
+            return sym_powers(sig, degrees)
+
+        monkeypatch.setattr(poly, "_sym_powers", spy)
+        got = pair.conjugated(sigma)
+        assert calls == [(np.dtype(np.int64), [4, 8])]
+        for g, w in zip((got.v, got.w), want):
+            assert list(g.terms.items()) == list(w.terms.items())
+
+    def test_shared_degree_sets_the_int64_bound(self):
+        # column sums of 9: S^2 fits int64 alone (81), but the shared S^20
+        # (9^20 ~ 1.2e19) does not, so both parts take the QQi route, with
+        # the terms and component types of separate actions
+        sigma = [[QQi(x) for x in row] for row in [[3, 3, 3], [3, 3, 3], [3, 3, 3]]]
+        small = HomogeneousPolynomial(V3, 2, {(1, 1, 0): 1, (0, 0, 2): Fraction(1, 2)}, "exact")
+        big = HomogeneousPolynomial(V3, 20, {(20, 0, 0): 1, (0, 10, 10): 1}, "exact")
+        conj = poly.Conjugator(sigma, {2, 20})
+        assert route(sigma, small) == {"int64"}
+        assert route(conj, small) == route(conj, big) == {"object"}
+        for P in (small, big):
+            got, want = act(conj, P), act(sigma, P)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert [component_types(c) for c in got.terms.values()] == [
+                component_types(c) for c in want.terms.values()]
+
+    def test_shared_powers_refused_above_cap_before_allocation(self, monkeypatch):
+        # the small part is acted first, but the shared S^12 on C^4 is over
+        # the cap: refused before any power is built
+        monkeypatch.setattr(poly, "DENSE_ENTRY_CAP", 10_000)
+        V4 = VariableShape.vector(4)
+        sig = [[QQi(int(i == j)) for j in range(4)] for i in range(4)]
+        small = HomogeneousPolynomial(V4, 2, {(2, 0, 0, 0): 1}, "exact")
+        big = HomogeneousPolynomial(V4, 12, {(12, 0, 0, 0): 1}, "exact")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="S\\^12 of a 4 x 4 matrix"):
+                Pair(small, big).conjugated(sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestAct:
@@ -796,6 +954,61 @@ class TestPackedArithmetic:
     def test_pack_adds_exponents(self):
         a, b = (3, 0, 1, 2), (1, 4, 0, 0)
         assert poly._pack(a, 7) + poly._pack(b, 7) == poly._pack((4, 4, 1, 2), 7)
+
+
+# Gaussian rationals with Fraction real and imaginary parts, and the same
+# polynomials in float mode: the component loops build each coefficient once
+GAUSSIAN_SCALARS = st.builds(QQi, SMALL_RATIONALS, SMALL_RATIONALS)
+
+
+@st.composite
+def gaussian_pairs(draw, same_degree=False):
+    shape = draw(SHAPES)
+    d1 = draw(st.integers(0, 4))
+    d2 = d1 if same_degree else draw(st.integers(0, 4))
+    exps = [st.lists(st.integers(0, shape.nvars - 1), min_size=d, max_size=d).map(
+        lambda vs: tuple(vs.count(v) for v in range(shape.nvars))) for d in (d1, d2)]
+    return tuple(HomogeneousPolynomial(shape, d, draw(st.dictionaries(e, GAUSSIAN_SCALARS,
+                                                                       max_size=6)), "exact")
+                 for d, e in zip((d1, d2), exps))
+
+
+class TestComponentArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(gaussian_pairs())
+    def test_gaussian_product_matches_reference(self, pq):
+        P, Q = pq
+        got, want = list((P * Q).terms.items()), ref_mul(P, Q)
+        assert got == want
+        assert [component_types(c) for _, c in got] == [component_types(c) for _, c in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(gaussian_pairs(same_degree=True))
+    def test_gaussian_difference_matches_reference(self, pq):
+        P, Q = pq
+        assert list((P - Q).terms.items()) == ref_sub(P, Q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gaussian_pairs())
+    def test_gaussian_quotient_matches_reference(self, pq):
+        A, B = pq
+        assume(not A.is_zero and not B.is_zero)
+        quotient = poly_divexact(A * B, A)
+        assert list(quotient.terms.items()) == ref_divexact(A * B, A)
+        assert quotient == B
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaussian_pairs())
+    def test_float_product_has_the_bits_of_complex_arithmetic(self, pq):
+        # complex coefficients with nonterminating binary expansions: the
+        # component loop's (ac - bd, ad + bc) sums are CPython's complex
+        # product and sum, bit for bit
+        P, Q = (X.to_float() for X in pq)
+        got = list((P * Q).terms.items())
+        want = ref_mul(P, Q)
+        assert [e for e, _ in got] == [e for e, _ in want]
+        assert [(c.real.hex(), c.imag.hex()) for _, c in got] == [
+            (c.real.hex(), c.imag.hex()) for _, c in want]
 
 
 def ref_content_normalized(P):

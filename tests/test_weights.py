@@ -160,6 +160,40 @@ class TestPolytope:
         assert verts == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}  # (1,1,0) is an edge midpoint
 
 
+# raw characters of one length, coordinate sums mixed: distinct raws can
+# share a projected representative
+RAW_CHARACTERS = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple), min_size=1, max_size=12))
+
+
+class TestIntegerKeys:
+    """Characters hash, compare and sort on the integer key n a - sum(a),
+    which is n times ``projected``: the same equality and the same order."""
+
+    @given(RAW_CHARACTERS)
+    def test_key_equality_and_order_are_those_of_projected(self, raws):
+        chars = [WeightCharacter(r) for r in raws]
+        n = len(raws[0])
+        for p in chars:
+            assert p.projected == tuple(Fraction(n * a - sum(p.raw), n) for a in p.raw)
+            assert p.key == tuple(n * x for x in p.projected)
+            for q in chars:
+                assert (p.key == q.key) == (p.projected == q.projected) == (p == q)
+                assert (p.key < q.key) == (p.projected < q.projected)
+                if p == q:
+                    assert hash(p) == hash(q)
+
+    @given(RAW_CHARACTERS)
+    def test_points_keep_the_projected_dedup_and_order(self, raws):
+        # the first character of each projected class, sorted by projected
+        chars = [WeightCharacter(r) for r in raws]
+        first = {}
+        for p in chars:
+            first.setdefault(p.projected, p)
+        want = [first[k].raw for k in sorted(first)]
+        assert [p.raw for p in LatticePolytope(chars).points] == want
+
+
 class TestWeight:
     def test_x_squared(self):
         assert psg_weight(OnePSG([1, -1]), binary_form(2, [1, 0, 0])) == 2
