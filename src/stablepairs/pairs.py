@@ -47,12 +47,10 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError
 from .poly import (
-    Conjugator,
     GroupElement,
     HomogeneousPolynomial,
     OnePSG,
     _act_blocks,
-    _axis_degrees,
     _bareiss,
     _dense_blocks,
     _sym_basis,
@@ -127,13 +125,10 @@ def _act_any(sigma, e):
 
 
 def _conjugated(parts: Sequence[Part], sigma) -> List[Part]:
-    """sigma . e_k for every vector part; a polytope part stays as it is.
-    The parts share one ``Conjugator``: S^d(sigma) is built once, over the
-    union of their axis degrees."""
+    """sigma . e_k for every vector part, each by its own action (``act`` or
+    ``act_tensor``); a polytope part stays as it is."""
     if sigma is None:
         return list(parts)
-    vectors = [e for _, e in parts if not isinstance(e, LatticePolytope)]
-    sigma = Conjugator(sigma, {d for e in vectors for d in _axis_degrees(e.dense_amplitudes())})
     return [(c, e if isinstance(e, LatticePolytope) else _act_any(sigma, e)) for c, e in parts]
 
 

@@ -33,18 +33,18 @@ There is one action of sigma, exact and float alike: dense tensors with one
 axis per polynomial row or tensor slot, S^d(sigma) applied along each axis
 (``_sym_powers``, one gather-multiply-sum per degree).  ``act``,
 ``weights.act_tensor`` and the Kempf-Ness functional of
-:mod:`stablepairs.pairs` all use it, and a ``Conjugator`` lets the parts of
-a pair share one sigma's powers.  An exact action runs on int64 numerators
-when sigma is real and a proven bound rules out overflow
+:mod:`stablepairs.pairs` all use it; each call builds the powers its own
+tensors need.  An exact action runs on int64 numerators when sigma is real
+and a proven bound on its own total degree rules out overflow
 (``_int64_scaled``), and on QQi object arrays otherwise; it never touches a
 float.
 
 Elimination primitives: resultants of binary forms, the binary
 discriminant, and signed maximal minors of an (n+1) x (n+2) matrix.  A
 resultant with scalar coefficients is the Sylvester determinant.  One with
-polynomial coefficients is found by fraction-free Bareiss elimination: of
-the n x n Bezout matrix when both forms have degree n, as for every Chow
-and Hurwitz form, and of the Sylvester matrix otherwise.
+polynomial coefficients needs two forms of one degree n, as for every Chow
+and Hurwitz form, and is found by fraction-free Bareiss elimination of their
+n x n Bezout matrix.
 """
 
 from __future__ import annotations
@@ -664,14 +664,6 @@ def _sym_powers(sigma: np.ndarray, degrees) -> Dict[int, np.ndarray]:
     return powers
 
 
-def _check_cap(largest: int, what: str):
-    """Refuse an array of ``largest`` entries above DENSE_ENTRY_CAP."""
-    if largest > DENSE_ENTRY_CAP:
-        raise PreconditionError(
-            f"{what} needs an array of {largest} entries, above the cap of {DENSE_ENTRY_CAP}"
-        )
-
-
 def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128, parts: tuple = ()) -> list:
     """[(axis degrees, tensor)] from {per-axis exponents: amplitude}, one
     tensor per degree profile, refused above DENSE_ENTRY_CAP before allocation:
@@ -684,7 +676,11 @@ def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128, parts: tuple = 
         size = math.prod(dims)
         largest = max([size] + [max(_power_entries(n, d), n * _sym_dim(n, d - 1) * size // dim)
                                 for d, dim in zip(degs, dims) if d > 0])
-        _check_cap(largest, f"dense norm tensor of shape {tuple(dims)}")
+        if largest > DENSE_ENTRY_CAP:
+            raise PreconditionError(
+                f"dense norm tensor of shape {tuple(dims)} needs an array of {largest} "
+                f"entries, above the cap of {DENSE_ENTRY_CAP}"
+            )
     basis = {d: _sym_basis(n, d) for degs in profiles for d in degs}
     entries: Dict[tuple, list] = {degs: [] for degs in profiles}
     for axes, z in amplitudes.items():
@@ -699,38 +695,6 @@ def _dense_blocks(n: int, amplitudes: dict, dtype=np.complex128, parts: tuple = 
     return blocks
 
 
-def _axis_degrees(amplitudes: dict) -> set:
-    """The degrees of the axes of ``dense_amplitudes``."""
-    return {sum(a) for axes in amplitudes for a in axes}
-
-
-class Conjugator:
-    """A group element sigma with its powers S^d(sigma) for a set of degrees.
-
-    ``act`` and ``weights.act_tensor`` accept one in place of sigma.  The
-    powers are built on first use, once per arithmetic route (int64
-    numerators, QQi objects, complex doubles), for every degree at once, so
-    the parts of a pair conjugated by one sigma share them.  They are
-    refused above DENSE_ENTRY_CAP before anything is built.
-    """
-
-    __slots__ = ("sigma", "degrees", "_powers")
-
-    def __init__(self, sigma, degrees):
-        self.sigma = sigma
-        self.degrees = frozenset(degrees)
-        self._powers: Dict[np.dtype, dict] = {}
-
-    def powers(self, sig: np.ndarray) -> Dict[int, np.ndarray]:
-        """``_sym_powers`` of sig, sigma on one route, over every degree."""
-        if sig.dtype not in self._powers:
-            n = sig.shape[0]
-            for d in self.degrees:
-                _check_cap(_power_entries(n, d), f"S^{d} of a {n} x {n} matrix")
-            self._powers[sig.dtype] = _sym_powers(sig, self.degrees)
-        return self._powers[sig.dtype]
-
-
 def _act_blocks(powers: Dict[int, np.ndarray], blocks: list) -> list:
     """[(axis degrees, tensor)] with S^d(sigma), from ``powers``, applied
     along every axis."""
@@ -742,21 +706,19 @@ def _act_blocks(powers: Dict[int, np.ndarray], blocks: list) -> list:
     return out
 
 
-def _int64_scaled(sig: np.ndarray, amplitudes: dict, top: int):
+def _int64_scaled(sig: np.ndarray, amplitudes: dict):
     """An exact action as int64 numerators, or None when it might overflow.
 
     sigma' = L sigma and a' = M a clear every denominator.  Let c be the
     largest column sum of |sigma'| and D the total degree of the amplitudes
     (one for all: polynomials are homogeneous, a tensor has one block).  A
     column of S^d(sigma') sums in absolute value to at most c^d, so every
-    entry and partial sum of S^d for d <= max(D, top), and of each
-    contraction, is at most B = max(|Re a'|_1, |Im a'|_1, 1) max(c, 1)^max(D, top),
-    and int64 cannot wrap while B < 2^63; top is the largest degree the
-    powers are built for, above D when a ``Conjugator`` shares them.
-    Returns (sigma', {axes: numerators}, parts, M L^D): each amplitude has
-    its real numerator and, when any amplitude has an imaginary part, its
-    imaginary one, so parts is (1,) or (2,).  None when sigma has an
-    imaginary part or B >= 2^63.
+    entry and partial sum of S^d for d <= D, and of each contraction, is at
+    most B = max(|Re a'|_1, |Im a'|_1, 1) max(c, 1)^D, and int64 cannot wrap
+    while B < 2^63.  Returns (sigma', {axes: numerators}, parts, M L^D):
+    each amplitude has its real numerator and, when any amplitude has an
+    imaginary part, its imaginary one, so parts is (1,) or (2,).  None when
+    sigma has an imaginary part or B >= 2^63.
     """
     entries = sig.ravel().tolist()
     if any(x.im for x in entries):
@@ -771,33 +733,31 @@ def _int64_scaled(sig: np.ndarray, amplitudes: dict, top: int):
     c = max(sum(abs(x) for x in col) for col in zip(*sig_int))
     degree = max((sum(map(sum, axes)) for axes in amplitudes), default=0)
     norm = max([1] + [sum(abs(v[k]) for v in numerators.values()) for k in range(parts)])
-    if norm * max(c, 1) ** max(degree, top) >= INT64_LIMIT:
+    if norm * max(c, 1) ** degree >= INT64_LIMIT:
         return None
     return np.array(sig_int, dtype=np.int64), numerators, (parts,), den * scale ** degree
 
 
 def _act_dense(sigma, vec) -> list:
-    """[(axis degrees, tensor, den)]: sigma acting on ``vec.dense_amplitudes()``.
+    """[(axis degrees, tensor, den)]: sigma acting on ``vec.dense_amplitudes()``,
+    with ``_sym_powers`` built over the degrees of its own blocks.
 
-    sigma may be a ``Conjugator``, whose powers are then shared.  In exact
-    mode the tensors hold int64 numerators over den, real and imaginary
-    parts on a trailing axis, when ``_int64_scaled`` proves they fit, and
-    QQi objects otherwise; in float mode complex doubles.  den is None
-    unless the tensors are numerators.
+    In exact mode the tensors hold int64 numerators over den, real and
+    imaginary parts on a trailing axis, when ``_int64_scaled`` proves they
+    fit, and QQi objects otherwise; in float mode complex doubles.  den is
+    None unless the tensors are numerators.
     """
     n = vec.group_size
+    sig = _sigma_array(sigma, vec.mode, n)
     amplitudes = vec.dense_amplitudes()
-    if not isinstance(sigma, Conjugator):
-        sigma = Conjugator(sigma, _axis_degrees(amplitudes))
-    sig = _sigma_array(sigma.sigma, vec.mode, n)
-    top = max(sigma.degrees, default=0)
-    scaled = _int64_scaled(sig, amplitudes, top) if vec.mode == EXACT else None
+    scaled = _int64_scaled(sig, amplitudes) if vec.mode == EXACT else None
     if scaled is None:
-        blocks = _dense_blocks(n, amplitudes, sig.dtype)
-        return [(degs, y, None) for degs, y in _act_blocks(sigma.powers(sig), blocks)]
-    sig_int, numerators, parts, den = scaled
-    blocks = _dense_blocks(n, numerators, np.int64, parts)
-    return [(degs, y, den) for degs, y in _act_blocks(sigma.powers(sig_int), blocks)]
+        blocks, den = _dense_blocks(n, amplitudes, sig.dtype), None
+    else:
+        sig, numerators, parts, den = scaled
+        blocks = _dense_blocks(n, numerators, np.int64, parts)
+    powers = _sym_powers(sig, {d for degs, _ in blocks for d in degs})
+    return [(degs, y, den) for degs, y in _act_blocks(powers, blocks)]
 
 
 def _nonzero_entries(y: np.ndarray, den=None):
@@ -858,16 +818,15 @@ def _is_poly_seq(coeffs) -> bool:
     return any(isinstance(c, HomogeneousPolynomial) for c in coeffs)
 
 
-def _sylvester_rows(fc: List[object], gc: List[object], zero, gzero=None):
-    """Sylvester matrix rows; the g-rows pad with ``gzero`` when it is given."""
-    gzero = zero if gzero is None else gzero
+def _sylvester_rows(fc: List[object], gc: List[object], zero):
+    """Sylvester matrix rows, padded with ``zero``."""
     p, q = len(fc) - 1, len(gc) - 1
     n = p + q
     rows = []
     for i in range(q):
         rows.append([zero] * i + list(fc) + [zero] * (n - p - 1 - i))
     for i in range(p):
-        rows.append([gzero] * i + list(gc) + [gzero] * (n - q - 1 - i))
+        rows.append([zero] * i + list(gc) + [zero] * (n - q - 1 - i))
     return rows
 
 
@@ -887,10 +846,10 @@ def sylvester_resultant(f, g):
     ``f`` and ``g`` are HomogeneousPolynomials in two variables, or coefficient
     sequences by descending power of the first variable.  Scalar coefficients
     give a scalar.  Coefficients that are themselves polynomials in auxiliary
-    variables give a polynomial (exact mode only), by fraction-free Bareiss
-    elimination of the n x n Bezout matrix when both forms have degree n and
-    of the Sylvester matrix otherwise; both give the Sylvester determinant's
-    polynomial.  Vanishes iff f and g share a projective root.
+    variables give a polynomial (exact mode only, both forms of one degree
+    n), by fraction-free Bareiss elimination of the n x n Bezout matrix,
+    which gives the Sylvester determinant's polynomial.  Vanishes iff f and
+    g share a projective root.
     """
     fc = binary_coeffs(f) if isinstance(f, HomogeneousPolynomial) else list(f)
     gc = binary_coeffs(g) if isinstance(g, HomogeneousPolynomial) else list(g)
@@ -915,7 +874,9 @@ def _symbolic_resultant(fc, gc) -> HomogeneousPolynomial:
     if mode != EXACT:
         raise ExactnessError("symbolic resultants require exact coefficients")
     p, q = len(fc) - 1, len(gc) - 1
-    if max(p, q) > SYMBOLIC_DEGREE_CAP:
+    if p != q:
+        raise PreconditionError(f"symbolic resultant needs forms of one degree, got {p} and {q}")
+    if p > SYMBOLIC_DEGREE_CAP:
         raise PreconditionError(
             f"symbolic resultant capped at form degree {SYMBOLIC_DEGREE_CAP}"
         )
@@ -930,16 +891,13 @@ def _symbolic_resultant(fc, gc) -> HomogeneousPolynomial:
             return HomogeneousPolynomial.zero(shape, deg, mode)
         if deg == 0:
             return HomogeneousPolynomial.constant(shape, c, mode)
-        return _raise_mixed()
+        raise PreconditionError(
+            "nonzero scalar coefficients cannot mix with positive-degree polynomial ones"
+        )
 
     fdeg = next((c.degree for c in fc if isinstance(c, HomogeneousPolynomial)), 0)
     gdeg = next((c.degree for c in gc if isinstance(c, HomogeneousPolynomial)), 0)
-    f, g = [lift(c, fdeg) for c in fc], [lift(c, gdeg) for c in gc]
-    if p == q:
-        return _bezout_resultant(f, g)
-    zero = HomogeneousPolynomial.zero
-    rows = _sylvester_rows(f, g, zero(shape, fdeg, mode), zero(shape, gdeg, mode))
-    return bareiss_poly_det(rows)
+    return _bezout_resultant([lift(c, fdeg) for c in fc], [lift(c, gdeg) for c in gc])
 
 
 def _bezout_resultant(f, g) -> HomogeneousPolynomial:
@@ -969,12 +927,6 @@ def _bezout_resultant(f, g) -> HomogeneousPolynomial:
     if n * (n - 1) // 2 % 2:
         det = -det
     return HomogeneousPolynomial._trusted(shape, det.degree, dict(det.sorted_terms()), mode)
-
-
-def _raise_mixed():
-    raise PreconditionError(
-        "nonzero scalar coefficients cannot mix with positive-degree polynomial ones"
-    )
 
 
 # The scalar of a mode from its (re, im) components: the loops of the product

@@ -416,50 +416,50 @@ class TestSymPowers:
         assert peak < 2 * out.nbytes
 
 
-class TestConjugator:
-    """The parts of a pair conjugated by one sigma share its powers."""
+class TestPairConjugation:
+    """``Pair.conjugated`` acts on each part by itself: ``act`` on a
+    polynomial, ``act_tensor`` on a tensor vector, each on its own route."""
 
-    def pair(self):
+    def assert_parts_acted(self, pair, sigma):
+        def items(x):
+            return list((x.coords if isinstance(x, TensorVector) else x.terms).items())
+
+        got = pair.conjugated(sigma)
+        for g, e in zip((got.v, got.w), (pair.v, pair.w)):
+            want = (act_tensor if isinstance(e, TensorVector) else act)(sigma, e)
+            assert items(g) == items(want)
+            assert ([component_types(c) for _, c in items(g)]
+                    == [component_types(c) for _, c in items(want)])
+
+    def test_integer_sigma_on_the_conic_x_pair(self):
         R = chow_form_curve(rational_normal_curve(2))
         D = hurwitz_form_curve(rational_normal_curve(2))
-        return Pair(R ** 2, D ** 4)
-
-    def test_one_sym_powers_per_conjugator(self, monkeypatch):
-        pair = self.pair()
         sigma = [[QQi(x) for x in row] for row in [[2, 1, 0], [-1, 1, 3], [0, 5, 1]]]
-        want = (act(sigma, pair.v), act(sigma, pair.w))
-        calls = []
-        sym_powers = poly._sym_powers
+        pair = Pair(R ** 2, D ** 4)
+        assert route(sigma, pair.v) == route(sigma, pair.w) == {"int64"}
+        self.assert_parts_acted(pair, sigma)
 
-        def spy(sig, degrees):
-            calls.append((sig.dtype, sorted(degrees)))
-            return sym_powers(sig, degrees)
+    def test_gaussian_sigma_on_a_polynomial_and_a_tensor(self):
+        D = hurwitz_form_curve(rational_normal_curve(2))
+        x = TensorVector([("vector", 3), ("wedge2", 3)],
+                         {(0, (1, 2)): 1, (2, (0, 1)): QQi(1, 1)}, "exact")
+        sigma = [[QQi(1), QQi(0, 1), QQi(0)], [QQi(0), QQi(1), QQi(1, 1)],
+                 [QQi(2), QQi(0, 2), QQi(Fraction(1, 2))]]
+        assert route(sigma, D ** 2) == {"object"}
+        self.assert_parts_acted(Pair(D ** 2, x), sigma)
 
-        monkeypatch.setattr(poly, "_sym_powers", spy)
-        got = pair.conjugated(sigma)
-        assert calls == [(np.dtype(np.int64), [4, 8])]
-        for g, w in zip((got.v, got.w), want):
-            assert list(g.terms.items()) == list(w.terms.items())
-
-    def test_shared_degree_sets_the_int64_bound(self):
-        # column sums of 9: S^2 fits int64 alone (81), but the shared S^20
-        # (9^20 ~ 1.2e19) does not, so both parts take the QQi route, with
-        # the terms and component types of separate actions
+    def test_parts_take_their_own_routes(self):
+        # column sums of 9: S^2 fits int64 (81), S^20 (9^20 ~ 1.2e19) does not
         sigma = [[QQi(x) for x in row] for row in [[3, 3, 3], [3, 3, 3], [3, 3, 3]]]
         small = HomogeneousPolynomial(V3, 2, {(1, 1, 0): 1, (0, 0, 2): Fraction(1, 2)}, "exact")
         big = HomogeneousPolynomial(V3, 20, {(20, 0, 0): 1, (0, 10, 10): 1}, "exact")
-        conj = poly.Conjugator(sigma, {2, 20})
         assert route(sigma, small) == {"int64"}
-        assert route(conj, small) == route(conj, big) == {"object"}
-        for P in (small, big):
-            got, want = act(conj, P), act(sigma, P)
-            assert list(got.terms.items()) == list(want.terms.items())
-            assert [component_types(c) for c in got.terms.values()] == [
-                component_types(c) for c in want.terms.values()]
+        assert route(sigma, big) == {"object"}
+        self.assert_parts_acted(Pair(small, big), sigma)
 
-    def test_shared_powers_refused_above_cap_before_allocation(self, monkeypatch):
-        # the small part is acted first, but the shared S^12 on C^4 is over
-        # the cap: refused before any power is built
+    def test_part_refused_above_cap_before_allocation(self, monkeypatch):
+        # the small part is acted first; S^12 on C^4 (455^2 entries) is over
+        # the cap, so the big part is refused before any of its arrays exists
         monkeypatch.setattr(poly, "DENSE_ENTRY_CAP", 10_000)
         V4 = VariableShape.vector(4)
         sig = [[QQi(int(i == j)) for j in range(4)] for i in range(4)]
@@ -467,7 +467,7 @@ class TestConjugator:
         big = HomogeneousPolynomial(V4, 12, {(12, 0, 0, 0): 1}, "exact")
         tracemalloc.start()
         try:
-            with pytest.raises(PreconditionError, match="S\\^12 of a 4 x 4 matrix"):
+            with pytest.raises(PreconditionError, match="above the cap of 10000"):
                 Pair(small, big).conjugated(sig)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -713,8 +713,17 @@ def symbolic_forms(draw):
     return form(), form()
 
 
-# a cubic and a linear form: unequal degrees keep the Sylvester elimination
+# a cubic and a linear form: symbolic resultants of unequal degrees are refused
 UNEQUAL_DEGREES = ([X, ZERO1, Y, X + Y], [binary_form(0, [2]), binary_form(0, [QQi(0, -1)])])
+
+
+def padded_sylvester_rows(f, g):
+    """The Sylvester rows of two symbolic forms, each form's rows padded with
+    the zero of its own coefficient degree."""
+    p, q = len(f) - 1, len(g) - 1
+    fz, gz = (HomogeneousPolynomial.zero(V2, h[0].degree, "exact") for h in (f, g))
+    return ([[fz] * i + list(f) + [fz] * (q - 1 - i) for i in range(q)]
+            + [[gz] * i + list(g) + [gz] * (p - 1 - i) for i in range(p)])
 
 
 class TestSymbolicResultant:
@@ -722,12 +731,9 @@ class TestSymbolicResultant:
     @given(symbolic_forms())
     @example(([X, Y], [Y, X]))
     @example(([ZERO1, X, Y], [X, ZERO1, Y]))
-    @example(UNEQUAL_DEGREES)
     def test_matches_leibniz_sylvester_determinant(self, forms):
         f, g = forms
-        pads = (HomogeneousPolynomial.zero(V2, f[0].degree, "exact"),
-                HomogeneousPolynomial.zero(V2, g[0].degree, "exact"))
-        assert sylvester_resultant(f, g) == leibniz_det(_sylvester_rows(f, g, *pads))
+        assert sylvester_resultant(f, g) == leibniz_det(padded_sylvester_rows(f, g))
 
     def test_equal_degrees_eliminate_the_n_by_n_bezout_matrix(self, monkeypatch):
         sizes = []
@@ -739,8 +745,11 @@ class TestSymbolicResultant:
 
         monkeypatch.setattr(poly, "bareiss_poly_det", recording_det)
         sylvester_resultant([X, Y, X, ZERO1], [Y, ZERO1, X, X])
-        sylvester_resultant(*UNEQUAL_DEGREES)
-        assert sizes == [3, 4]
+        assert sizes == [3]
+
+    def test_unequal_degrees_are_refused(self):
+        with pytest.raises(PreconditionError, match="forms of one degree, got 3 and 1"):
+            sylvester_resultant(*UNEQUAL_DEGREES)
 
     def test_two_constants_have_resultant_one(self):
         sh = VariableShape.matrix(2, 2)
