@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 verification failure, 2 schema error,
 Every output embeds the run configuration: the --seed and --samples values,
 for whichever of the two the subcommand takes ({} for polytope and weight),
 so identical configurations and inputs produce byte-identical JSON.
-Human-readable rendering sits behind --pretty; the default stream is
-compact JSON only.
+Every result is strict JSON written by ``serialize.dump_json``: one
+compact line by default, indented under --pretty.  A NaN or infinity in a
+result exits 4 in both forms.
 """
 
 from __future__ import annotations
@@ -137,10 +138,23 @@ def _inline_json(text: str):
 
 
 def _sigma_arg(args, size: int):
+    """The --sigma group element, or the identity of the given size."""
     if getattr(args, "sigma", None) is None:
         return np.eye(size, dtype=np.complex128)
-    g = sigma_from_json(_load(args.sigma))
-    return g.to_numpy()
+    return sigma_from_json(_load(args.sigma))
+
+
+def _xpair_and_sigma(args):
+    """(X-pair of --xpair, --sigma or the identity)."""
+    xp = xpair_from_json(_load(args.xpair))
+    return xp, _sigma_arg(args, xp.N + 1)
+
+
+def _form_or_value(P, args) -> dict:
+    """A form, or its value at the --at matrix."""
+    if args.at:
+        return {"value": scalar_to_json(evaluate(P, _inline_json(args.at)))}
+    return poly_to_json(P)
 
 
 def _descent_opts(args) -> DescentOptions:
@@ -231,25 +245,15 @@ def cmd_arestov(args):
 
 
 def cmd_chow(args):
-    curve = curve_from_json(_load(args.curve))
-    R = chow_form_curve(curve)
-    if args.at:
-        return {"value": scalar_to_json(evaluate(R, _inline_json(args.at)))}
-    return poly_to_json(R)
+    return _form_or_value(chow_form_curve(curve_from_json(_load(args.curve))), args)
 
 
 def cmd_hurwitz(args):
-    D = hurwitz_form_curve(curve_from_json(_load(args.curve)))
-    if args.at:
-        return {"value": scalar_to_json(evaluate(D, _inline_json(args.at)))}
-    return poly_to_json(D)
+    return _form_or_value(hurwitz_form_curve(curve_from_json(_load(args.curve))), args)
 
 
 def cmd_chow_hyp(args):
-    R = chow_form_hypersurface(hypersurface_from_json(_load(args.hyp)))
-    if args.at:
-        return {"value": scalar_to_json(evaluate(R, _inline_json(args.at)))}
-    return poly_to_json(R)
+    return _form_or_value(chow_form_hypersurface(hypersurface_from_json(_load(args.hyp))), args)
 
 
 def cmd_xpair(args):
@@ -277,20 +281,17 @@ def cmd_distance(args):
 
 
 def cmd_kenergy(args):
-    xp = xpair_from_json(_load(args.xpair))
-    sig = _sigma_arg(args, xp.N + 1)
+    xp, sig = _xpair_and_sigma(args)
     return k_energy_algebraic(sig, xp, samples=args.samples, seed=args.seed)
 
 
 def cmd_aubin(args):
-    xp = xpair_from_json(_load(args.xpair))
-    sig = _sigma_arg(args, xp.N + 1)
+    xp, sig = _xpair_and_sigma(args)
     return aubin_f0_algebraic(sig, xp, samples=args.samples, seed=args.seed)
 
 
 def cmd_coercivity(args):
-    xp = xpair_from_json(_load(args.xpair))
-    sig = _sigma_arg(args, xp.N + 1)
+    xp, sig = _xpair_and_sigma(args)
     return coercivity_value(sig, xp, args.m, args.k, samples=args.samples, seed=args.seed)
 
 
@@ -307,8 +308,7 @@ def cmd_asymptotic(args):
 
 
 def cmd_verify(args):
-    result = run_suites(args.suites or None, seed=args.seed)
-    return result
+    return run_suites(args.suites or None, seed=args.seed)
 
 
 HANDLERS = {
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=200_000)
 
     def descent(p):
-        p.add_argument("--restarts", type=int, default=3)
-        p.add_argument("--max-iters", type=int, default=500)
+        p.add_argument("--restarts", type=int, default=DescentOptions.restarts)
+        p.add_argument("--max-iters", type=int, default=DescentOptions.max_iters)
 
     def command(name, helptext, *flags):
         p = sub.add_parser(name, help=helptext)
@@ -452,24 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _render_pretty(payload: dict, indent: int = 0) -> str:
-    lines = []
-    pad = "  " * indent
-    for key in sorted(payload):
-        val = payload[key]
-        if isinstance(val, dict):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_pretty(val, indent + 1))
-        elif isinstance(val, list) and val and isinstance(val[0], dict):
-            lines.append(f"{pad}{key}:")
-            for item in val:
-                lines.append(_render_pretty(item, indent + 1))
-                lines.append(pad + "  -")
-        else:
-            lines.append(f"{pad}{key}: {val}")
-    return "\n".join(lines)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -485,15 +467,12 @@ def main(argv=None) -> int:
         return 4
     config = {k: getattr(args, k) for k in ("seed", "samples") if hasattr(args, k)}
     payload = {"schema": "v1", "command": args.command, "config": config, "result": payload}
-    if args.pretty:
-        text = _render_pretty(payload)
-    else:
-        try:
-            text = dump_json(payload)
-        except ValueError as exc:
-            # strict JSON refuses the NaN or infinity a diverged estimate produced
-            print(f"non-convergence: non-finite value in result: {exc}", file=sys.stderr)
-            return 4
+    try:
+        text = dump_json(payload, indent=2 if args.pretty else None)
+    except ValueError as exc:
+        # strict JSON refuses the NaN or infinity a diverged estimate produced
+        print(f"non-convergence: non-finite value in result: {exc}", file=sys.stderr)
+        return 4
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")

@@ -43,7 +43,9 @@ import numpy as np
 from .errors import PreconditionError
 from .forms import XPair
 from .norms import MahlerSampleFunctional, log_ratio_sq
-from .pairs import DescentOptions, PairFunctional, StabilityCertificate, _sigma_np, descend
+from .pairs import DescentOptions, PairFunctional, StabilityCertificate, descend
+from .poly import _sigma_array
+from .scalars import FLOAT
 
 
 def _log_ratios(sig: np.ndarray, xp: XPair, p: float, samples: int, seed: int) -> tuple:
@@ -56,7 +58,7 @@ def log_tan_dist_p(sigma, xp: XPair, p: float = 0.0, samples: int = 200_000,
                    seed: int = 0) -> dict:
     """log tan^2 distance at sigma between the pair point and the R-point."""
     xp.require_delta()
-    dr, err_r, dd, err_d = _log_ratios(_sigma_np(sigma, xp.N + 1), xp, p, samples, seed)
+    dr, err_r, dd, err_d = _log_ratios(_sigma_array(sigma, FLOAT, xp.N + 1), xp, p, samples, seed)
     value = xp.deg_r * dd - xp.deg_delta * dr
     stderr = xp.deg_r * err_d + xp.deg_delta * err_r
     return {
@@ -87,7 +89,7 @@ def aubin_f0_algebraic(sigma, xp: XPair, samples: int = 200_000, seed: int = 0) 
     (the single-bar variant is off by exactly the module's declared
     log tan vs log tan^2 factor).
     """
-    sig = _sigma_np(sigma, xp.N + 1)
+    sig = _sigma_array(sigma, FLOAT, xp.N + 1)
     dr, err = log_ratio_sq(xp.resultant, sig, 0.0, samples=samples, seed=seed)
     return {
         "aubin_f0": -dr / xp.deg_r,
@@ -106,7 +108,7 @@ def coercivity_value(sigma, xp: XPair, m: int, k: int = 1,
     xp.require_delta()
     if m < 1 or k < 1:
         raise PreconditionError("need m >= 1 and k >= 1")
-    sig = _sigma_np(sigma, xp.N + 1)
+    sig = _sigma_array(sigma, FLOAT, xp.N + 1)
     dr, err_r, dd, err_d = _log_ratios(sig, xp, 0.0, samples, seed)
     q = xp.deg_r * xp.deg_delta
     hs2 = float(np.vdot(sig, sig).real)

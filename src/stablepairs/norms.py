@@ -36,7 +36,7 @@ import numpy as np
 
 from ._kernels import poly_log_abs, poly_values
 from .errors import PreconditionError
-from .poly import HomogeneousPolynomial
+from .poly import HomogeneousPolynomial, _scale_split
 
 MIN_SAMPLES = 1_000
 DRAW_ROWS = 4_096  # sample rows per draw and per log ||z||^2 block
@@ -152,9 +152,9 @@ class MahlerSampleFunctional:
         """log |P(z sigma)| per sample; None is the identity, with no transform."""
         if sigma is None:
             return poly_log_abs(self.expo, self.coeffs, self.Z)
-        s = float(np.max(np.abs(sigma)))
-        out = poly_log_abs(self.expo, self.coeffs, self.Z, sigma / s)
-        out += self.degree * math.log(s)
+        sig_hat, logs = _scale_split(sigma)
+        out = poly_log_abs(self.expo, self.coeffs, self.Z, sig_hat)
+        out += self.degree * logs
         return out
 
     def log_fs2(self, sigma: Optional[np.ndarray] = None) -> np.ndarray:
@@ -190,7 +190,7 @@ class MahlerSampleFunctional:
         return v_moved - v_base, e_moved + e_base
 
     def moment(self, sigma: np.ndarray) -> np.ndarray:
-        sig_hat = sigma / float(np.max(np.abs(sigma)))
+        sig_hat = _scale_split(sigma)[0]
         jet = poly_values(*self.jet, self.Z, sig_hat)
         vals = jet[0]
         S = self.Z.shape[0]

@@ -59,16 +59,16 @@ small, within a budget of grid points (`curve_geometry_oracle`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import List
 
 import numpy as np
 
-from .errors import NonConvergenceError, PreconditionError
+from .errors import NonConvergenceError
 from .forms import RationalCurve
-from .poly import binary_coeffs
-from .scalars import scalar_to_complex
+from .poly import _sigma_array, binary_coeffs
+from .scalars import FLOAT, scalar_to_complex
 
 
 @dataclass
@@ -83,14 +83,7 @@ class CurveGeometryReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "volume": self.volume,
-            "mu": self.mu,
-            "k_energy": self.k_energy,
-            "aubin_j": self.aubin_j,
-            "aubin_f0": self.aubin_f0,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def _chart_coeff_arrays(curve: RationalCurve) -> List[np.ndarray]:
@@ -266,9 +259,7 @@ def curve_geometry_oracle(sigma, curve: RationalCurve, grid: int = 24) -> CurveG
     entry (an overflowing sigma), raises NonConvergenceError at once with
     every grid run so far in its diagnostics.
     """
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    if sigma.shape != (curve.N + 1, curve.N + 1):
-        raise PreconditionError("sigma must be (N+1) x (N+1)")
+    sigma = _sigma_array(sigma, FLOAT, curve.N + 1)
     charts = _CurveCharts(curve)
     history: List[dict] = []
     spent = 0

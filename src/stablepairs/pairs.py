@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -47,12 +47,13 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError
 from .poly import (
-    GroupElement,
     HomogeneousPolynomial,
     OnePSG,
     _act_blocks,
     _bareiss,
     _dense_blocks,
+    _scale_split,
+    _sigma_array,
     _sym_basis,
     _sym_powers,
     _sym_step,
@@ -60,7 +61,7 @@ from .poly import (
     binary_coeffs,
     primitive_integer_vector,
 )
-from .scalars import EXACT, QQi
+from .scalars import EXACT, FLOAT, QQi
 from .weights import (
     SUPPORT_FLOAT_TOL,
     LatticePolytope,
@@ -153,13 +154,7 @@ class StabilityCertificate:
     seed: Optional[int] = None
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "inf_estimate": self.inf_estimate,
-            "diagnostics": self.diagnostics,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +388,6 @@ def randomized_torus_probe(pair, trials: int = 20, seed: int = 0) -> StabilityCe
 # (through exp(eps H) sigma) equal to 2 Re Tr(H m^T).  The gradient matrix is
 # then m^T + conj(m), projected to traceless Hermitian.
 
-def _scale_split(sigma: np.ndarray) -> Tuple[np.ndarray, float]:
-    s = float(np.max(np.abs(sigma)))
-    if s == 0.0:
-        raise PreconditionError("zero matrix")
-    return sigma / s, math.log(s)
-
-
 class PolyL2Functional:
     """log ||sigma . e||^2 of a polynomial e (L^2 norm of the unit-volume
     Fubini-Study measure) or a tensor vector e (Hermitian coordinate norm).
@@ -433,7 +421,6 @@ class PolyL2Functional:
     def _transformed(self, sigma: np.ndarray) -> Tuple[List[np.ndarray], float, float]:
         """(orthonormal blocks of sigma . e over their largest |entry|, their
         squared norm, log ||sigma . e||^2), kept for the last sigma for its moment."""
-        sigma = np.asarray(sigma, dtype=np.complex128)
         key = (sigma.shape, sigma.tobytes())
         if self._last is not None and self._last[0] == key:
             return self._last[1]
@@ -486,24 +473,22 @@ class HilbertSchmidtFunctional:
         return ss.T / float(np.trace(ss).real)
 
 
-def _norm_functional(e, n: int):
-    """The log-norm functional of a part: the L^2 or Hermitian norm of a vector,
-    the Hilbert-Schmidt norm of the identity factor (a polytope part)."""
-    return HilbertSchmidtFunctional(n) if isinstance(e, LatticePolytope) else PolyL2Functional(e)
-
-
 class PairFunctional:
     """value(sigma) = sum_k c_k log ||sigma . e_k||^2 over the parts (c_k, e_k).
 
-    ``norms`` holds one log-norm functional per part; by default
-    ``_norm_functional`` of each part.
+    ``norms`` holds one log-norm functional per part.  By default a vector
+    part gets its L^2 or Hermitian norm (``PolyL2Functional``) and the
+    identity factor, a polytope part, its Hilbert-Schmidt norm.  value and
+    gradient take sigma as a float (n, n) array; ``kempf_ness_value`` and
+    ``kempf_ness_gradient`` convert any other sigma first.
     """
 
     def __init__(self, parts: Sequence[Part], size: int, norms: Optional[Sequence] = None):
         self.parts = list(parts)
         self.size = size
         if norms is None:
-            norms = [_norm_functional(e, size) for _, e in self.parts]
+            norms = [HilbertSchmidtFunctional(size) if isinstance(e, LatticePolytope)
+                     else PolyL2Functional(e) for _, e in self.parts]
         self.norms = list(norms)
 
     @property
@@ -525,22 +510,12 @@ class PairFunctional:
 
 def kempf_ness_value(sigma, pair: Pair) -> float:
     """log ||sigma . w||^2 - log ||sigma . v||^2 in the pair's norm choice."""
-    return pair.functional().value(_sigma_np(sigma, pair.group_size))
+    return pair.functional().value(_sigma_array(sigma, FLOAT, pair.group_size))
 
 
 def kempf_ness_gradient(sigma, pair: Pair) -> np.ndarray:
     """Gradient over traceless Hermitian H of value(exp(H) sigma) at H = 0."""
-    return pair.functional().gradient(_sigma_np(sigma, pair.group_size))
-
-
-def _sigma_np(sigma, n: int) -> np.ndarray:
-    if isinstance(sigma, GroupElement):
-        arr = sigma.to_numpy()
-    else:
-        arr = np.asarray(sigma, dtype=np.complex128)
-    if arr.shape != (n, n):
-        raise DimensionError(f"expected {(n, n)} matrix, got {arr.shape}")
-    return arr
+    return pair.functional().gradient(_sigma_array(sigma, FLOAT, pair.group_size))
 
 
 # ---------------------------------------------------------------------------

@@ -264,14 +264,7 @@ class HomogeneousPolynomial:
         )
 
     def __sub__(self, other: "HomogeneousPolynomial"):
-        self._check_compat(other)
-        if self.degree != other.degree:
-            raise PreconditionError("cannot add polynomials of different degrees")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = -c if s is None else s - c
-        return HomogeneousPolynomial._trusted(self.shape, self.degree, _nonzero(out), self.mode)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, HomogeneousPolynomial):
@@ -430,12 +423,6 @@ class GroupElement:
                     f"float group element det {det} not within 1e-9 of 1"
                 )
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [[scalar_to_complex(x) for x in row] for row in self.entries],
-            dtype=np.complex128,
-        )
-
 
 class OnePSG:
     """Algebraic one-parameter subgroup of the diagonal torus: t -> diag(t^a_i).
@@ -545,15 +532,28 @@ def evaluate(P: HomogeneousPolynomial, point) -> object:
 def _sigma_array(sigma, mode: str, n: int) -> np.ndarray:
     """sigma, a GroupElement or a square matrix of scalars, as an n x n array:
     QQi objects in exact mode (a float entry raises ExactnessError), complex128
-    in float mode."""
+    in float mode.  The one converter of sigma for the action, the Kempf-Ness
+    value and gradient, the Mahler distances and the quadrature oracle; any
+    sigma with a scalar row (1-D), a ragged row or another size raises
+    DimensionError."""
     if isinstance(sigma, GroupElement):
         sigma = sigma.entries
     elif isinstance(sigma, np.ndarray):
         sigma = sigma.tolist()
-    if len(sigma) != n or any(len(r) != n for r in sigma):
-        raise DimensionError(f"group element size {len(sigma)} != column count {n}")
+    if len(sigma) != n or any(not hasattr(r, "__len__") or len(r) != n for r in sigma):
+        raise DimensionError(f"group element must be {n} x {n}")
     rows = [[coerce_scalar(x, mode) for x in row] for row in sigma]
     return np.array(rows, dtype=object if mode == EXACT else np.complex128)
+
+
+def _scale_split(sigma: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(sigma / s, log s) with s = max |sigma_ij|: the one rescaling of a
+    float sigma before its powers or a polynomial evaluation, so that the
+    degree-d work stays in range and log s re-enters as d log s."""
+    s = float(np.max(np.abs(sigma)))
+    if s == 0.0:
+        raise PreconditionError("zero matrix")
+    return sigma / s, math.log(s)
 
 
 # Cap on the entries of any dense array the action allocates, exact or float:
@@ -1040,10 +1040,7 @@ def binary_discriminant(f):
     fy = [coeffs[i + 1] * (i + 1) for i in range(d)]
     res = sylvester_resultant(fx, fy)
     divisor = d ** (d - 2)
-    if isinstance(res, HomogeneousPolynomial):
-        inv = QQi(Fraction(1, divisor), 0)
-        return res.map_coefficients(lambda c: c * inv)
-    if isinstance(res, QQi):
+    if isinstance(res, (HomogeneousPolynomial, QQi)):
         return res * QQi(Fraction(1, divisor), 0)
     return res / divisor
 

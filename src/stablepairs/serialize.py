@@ -21,9 +21,11 @@ from .weights import LatticePolytope, TensorVector
 SCHEMA = "v1"
 
 
-def dump_json(obj) -> str:
-    """Strict JSON: NaN and infinities raise ValueError instead of being written."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def dump_json(obj, indent=None) -> str:
+    """Strict JSON: NaN and infinities raise ValueError instead of being written.
+    The one writer of every CLI output: one compact line by default, ``indent``
+    spaces per level (``--pretty``) otherwise, sorted keys either way."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, indent=indent)
 
 
 def _need(d: dict, key: str, kind=None):

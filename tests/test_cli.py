@@ -201,8 +201,12 @@ class TestSubcommands:
         assert json.loads(out.stdout)["result"]["verdict"] == "torus-fail"
 
     def test_pretty_flag(self, files):
-        out = run_cli(["pair-check", "--pair", files["pair"], "--pretty"])
-        assert "verdict: torus-fail" in out.stdout
+        # --pretty indents the same strict JSON document the default prints
+        pretty = run_cli(["pair-check", "--pair", files["pair"], "--pretty"]).stdout
+        compact = run_cli(["pair-check", "--pair", files["pair"]]).stdout
+        assert json.loads(pretty)["result"]["verdict"] == "torus-fail"
+        assert json.loads(pretty) == json.loads(compact)
+        assert len(pretty.splitlines()) > 1 and len(compact.splitlines()) == 1
 
 
 class TestExitCodes:
@@ -313,6 +317,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("non-convergence:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_non_finite_result_exit_4_pretty(self, files, monkeypatch, capsys):
+        # --pretty goes through the same strict writer, so NaN still exits 4
+        monkeypatch.setitem(HANDLERS, "polytope", lambda args: {"inf_estimate": float("nan")})
+        assert main(["polytope", "--poly", files["mono"], "--pretty"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("non-convergence:")
 
     @pytest.mark.parametrize("argv", [
         ["mahler", "--poly", "{mono}", "--p", "nan"],

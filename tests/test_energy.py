@@ -165,6 +165,23 @@ class TestMahlerSampleFunctional:
             worst = max(worst, abs(fd - an) / max(abs(fd), 1e-9))
         assert worst < 1e-5
 
+    def test_gradient_vs_fd_at_p2(self, conic_xpair):
+        # at p > 0 the moment weights each sample by its softmax share of
+        # exp(p lv / 2); criterion 9's stencil and bound on one sample set
+        rng = np.random.default_rng(11)
+        func = xpair_functional(conic_xpair, p=2.0, samples=4000, seed=3)
+        sig = random_sl(rng, 3, spread=0.4)
+        G = func.gradient(sig)
+        worst = 0.0
+        for _ in range(4):
+            H = _traceless_hermitian(rng, 3)
+            eps = 1e-4
+            f = {k: func.value(_expm_hermitian(k * eps * H) @ sig) for k in (-2, -1, 1, 2)}
+            fd = (-f[2] + 8 * f[1] - 8 * f[-1] + f[-2]) / (12 * eps)
+            an = float(np.vdot(H, G).real)
+            worst = max(worst, abs(fd - an) / max(abs(fd), 1e-9))
+        assert worst < 1e-5
+
     def test_polynomial_missing_variables(self):
         # x0^2 on P^2: the partial derivatives in x1 and x2 have no terms
         P = HomogeneousPolynomial.monomial(VariableShape.vector(3), (2, 0, 0), 1, "exact")

@@ -120,6 +120,25 @@ def test_symmetric_power_action_only_in_poly():
     assert defined == {("poly.py", name) for name in names}
 
 
+def test_sigma_handling_only_in_poly():
+    # one converter and one rescaling of sigma for the action, the Kempf-Ness
+    # functional, the Mahler distances and the oracle; no module keeps its own
+    names = {"_sigma_array", "_scale_split"}
+    sources = {p.name: p.read_text() for p in (ROOT / "src" / "stablepairs").glob("*.py")}
+    defined = {
+        (name, node.name) for name, text in sources.items()
+        for node in ast.walk(ast.parse(text, name))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+    }
+    assert defined == {("poly.py", name) for name in names}
+    copies = {
+        (name, snippet) for name, text in sources.items() if name != "poly.py"
+        for snippet in ("np.max(np.abs(sigma))", "np.asarray(sigma, dtype=np.complex128)")
+        if snippet in text
+    }
+    assert copies == set()
+
+
 def test_exact_action_never_touches_floats(monkeypatch):
     # "exact paths never touch floats": on exact inputs, act and act_tensor
     # build S^d(sigma) and contract on int64 numerators or QQi objects only,

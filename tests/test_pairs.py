@@ -27,7 +27,9 @@ from stablepairs.pairs import (
     _random_exact_conjugator,
     _rational_roots_binary,
     _snap_to_signed_permutation,
+    _verify_destabilizer,
 )
+from stablepairs.errors import DimensionError
 from stablepairs.poly import HomogeneousPolynomial, OnePSG, VariableShape, act
 from stablepairs.scalars import QQi, parse_fraction, scalar_to_complex
 from stablepairs.weights import (
@@ -41,7 +43,7 @@ from stablepairs.weights import (
     support,
     weight_polytope,
 )
-from stablepairs import verify, weights
+from stablepairs import pairs, verify, weights
 from stablepairs.verify import (
     _traceless_hermitian,
     binary_form,
@@ -157,6 +159,14 @@ class TestRandomizedProbe:
 
 
 class TestKempfNess:
+    @pytest.mark.parametrize("sigma", [
+        np.ones(2), [[1, 0], [0]], np.eye(3), [1.0, 0.0], [[1, 0], [0, 1], [0, 0]],
+    ], ids=["1-D", "ragged", "3x3", "flat-list", "3x2"])
+    def test_sigma_not_square_of_group_size(self, sigma):
+        pair = Pair(binary_form(1, [1, 0]), binary_form(2, [1, 0, 0]))
+        with pytest.raises(DimensionError):
+            kempf_ness_value(sigma, pair)
+
     def test_value_identity_pair(self, rng):
         P = random_dense_poly(rng, 2, 2)
         assert kempf_ness_value(np.eye(2), Pair(P, P)) == pytest.approx(0.0, abs=1e-12)
@@ -249,6 +259,41 @@ class TestDescend:
         wx, wx2 = psg_weight(lam, act(sigma, x)), psg_weight(lam, act(sigma, x2))
         assert wit["weights"] == {"v": m * wx + tp.q * min(lam.exponents), "w": (m + 1) * wx2}
         assert wit["weights"]["w"] > wit["weights"]["v"]
+
+    def test_wrong_candidate_rejected_not_reported(self, monkeypatch):
+        # divergence-detected carries only a verified 1-PSG: when the
+        # direction read off the diverging (x, x^2) trajectory is the wrong
+        # one, the exact weight test refuses it, the candidate is recorded
+        # and the run ends without a witness
+        func = Pair(binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])).functional()
+        opts = DescentOptions(max_iters=2000, restarts=1, seed=0)
+        right = descend(func, opts).witness["lambda"]
+        rounded = pairs._round_primitive_direction
+        monkeypatch.setattr(pairs, "_round_primitive_direction",
+                            lambda logs: tuple(-a for a in rounded(logs)))
+        cert = descend(func, opts)
+        assert cert.verdict == "no-divergence-observed"
+        assert cert.witness is None
+        assert cert.diagnostics["rejected_candidates"] == [
+            {"lambda": [-a for a in right], "reason": "weight test failed"}]
+
+    def test_numeric_witness_needs_matching_slope(self):
+        # float parts take the numeric route.  v = x + 1e-7 y: the support
+        # threshold drops y, so lambda = (3, -3) passes the weight test with
+        # gap 3, but along diag(t^lambda) the y term dominates ||v|| and the
+        # measured slope is 9; without that term the slope is 3 and matches
+        x2 = HomogeneousPolynomial(V2, 2, {(2, 0): 1.0}, "float")
+        frame = np.eye(2, dtype=np.complex128)
+        lam = OnePSG([3, -3])
+        clean = Pair(HomogeneousPolynomial(V2, 1, {(1, 0): 1.0}, "float"), x2).functional()
+        wit = _verify_destabilizer(clean, lam, frame)
+        assert wit["verification"] == "numeric-support+slope"
+        assert wit["weights"] == {"v": 3, "w": 6}
+        assert wit["measured_slope"] == pytest.approx(3.0, abs=1e-6)
+        assert _verify_destabilizer(clean, OnePSG([-3, 3]), frame) is None
+        hidden = Pair(HomogeneousPolynomial(V2, 1, {(1, 0): 1.0, (0, 1): 1e-7}, "float"),
+                      x2).functional()
+        assert _verify_destabilizer(hidden, lam, frame) is None
 
     def test_snap_rounds_unit_phases(self):
         # the frame of the Mahler-parts (x, x^2) descent: a permutation times

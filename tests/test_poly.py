@@ -301,9 +301,12 @@ class TestExactAction:
     @settings(max_examples=60, deadline=None)
     @given(exact_tensor_actions(kinds=("integer", "rational")))
     def test_tensor_int64_and_qqi_routes_agree(self, case):
+        # scaled by 2^63 M, as in the polynomial case above: 2^63 alone
+        # leaves a coordinate 1/2 at 2^62, which fits when sigma = 0
         x, sigma = case
         K = poly.INT64_LIMIT
-        big = TensorVector(x.slots, {i: c * K for i, c in x.coords.items()}, "exact")
+        M = math.lcm(*(p.denominator for c in x.coords.values() for p in (c.re, c.im)))
+        big = TensorVector(x.slots, {i: c * (K * M) for i, c in x.coords.items()}, "exact")
         assert (route(sigma, x), route(sigma, big)) == ({"int64"}, {"object"})
         try:
             small = act_tensor(sigma, x)
@@ -312,7 +315,7 @@ class TestExactAction:
                 act_tensor(sigma, big)
             return
         got = list(act_tensor(sigma, big).coords.items())
-        want = [(i, c * K) for i, c in small.coords.items()]
+        want = [(i, c * K * M) for i, c in small.coords.items()]
         assert got == want
         assert [component_types(c) for _, c in got] == [component_types(c) for _, c in want]
         assert_python_rationals(small.coords.values())
