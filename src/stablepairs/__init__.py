@@ -3,8 +3,8 @@
 Subpackages by concern:
 
 - :mod:`stablepairs.poly` -- exact/float homogeneous polynomials, group
-  action by substitution, Sylvester resultants, binary discriminants,
-  maximal minors.
+  action by substitution; exact Sylvester resultants, binary discriminants
+  and signed maximal minors, over scalars or polynomials.
 - :mod:`stablepairs.weights` -- torus supports, weight polytopes, 1-PSG
   weights, exact containment with witnesses.
 - :mod:`stablepairs.pairs` -- (semi)stability of pairs: torus tests,

@@ -66,7 +66,7 @@ from .verify import run_suites
 from .weights import psg_weight, support, weight_polytope
 
 # Reachability map: every module operation is owned by exactly one
-# subcommand (exercised directly there); the CLI test walks this table.
+# subcommand, which calls it; the CLI test runs each subcommand and checks.
 OPERATION_COMMANDS = {
     "evaluate": "chow",
     "act": "pair-check",

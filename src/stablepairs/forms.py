@@ -40,8 +40,8 @@ from .poly import (
     VariableShape,
     binary_coeffs,
     binary_discriminant,
+    maximal_minors,
     sylvester_resultant,
-    symbolic_maximal_minors,
 )
 from .scalars import EXACT, QQi
 
@@ -76,15 +76,11 @@ def _polydiv(num: List[QQi], den: List[QQi]) -> List[QQi]:
 
 
 def _gcd_univariate(polys: Sequence[List[QQi]]) -> List[QQi]:
+    """A gcd by Euclid from the zero polynomial []; each input is trimmed
+    first, or a leading zero would count as a degree."""
     g: List[QQi] = []
     for p in polys:
-        p = _trim(list(p))
-        if not p:
-            continue
-        if not g:
-            g = p
-            continue
-        a, b = g, p
+        a, b = g, _trim(list(p))
         while b:
             a, b = b, _polydiv(a, b)
         g = a
@@ -211,8 +207,11 @@ def hurwitz_form_curve(curve: RationalCurve) -> HomogeneousPolynomial:
 
 def chow_form_hypersurface(h: HypersurfaceVariety) -> HomogeneousPolynomial:
     """F composed with signed maximal minors: degree d(n+1) on M_{(n+1) x (n+2)}."""
-    minors = symbolic_maximal_minors(h.n + 1)
-    shape = minors[0].shape
+    shape = VariableShape.matrix(h.n + 1, h.n + 2)
+    # the generic matrix of variables: its minors are polynomials in its entries
+    xs = [HomogeneousPolynomial.monomial(shape, [int(k == v) for k in range(shape.nvars)])
+          for v in range(shape.nvars)]
+    minors = maximal_minors([xs[i:i + shape.cols] for i in range(0, shape.nvars, shape.cols)])
     powers = {}
     terms = {}
     for exp, c in h.F.sorted_terms():

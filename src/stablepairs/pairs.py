@@ -60,6 +60,7 @@ from .poly import (
     act,
     binary_coeffs,
     primitive_integer_vector,
+    sum_zero_direction,
 )
 from .scalars import EXACT, FLOAT, QQi
 from .weights import (
@@ -565,13 +566,10 @@ def _round_primitive_direction(logeigs: np.ndarray, max_den: int = 16) -> Option
     profile = [Fraction(0)]
     for g in gaps:
         profile.append(profile[-1] - g)
-    n = len(profile)
-    mean = sum(profile, Fraction(0)) / n
-    profile = [p - mean for p in profile]
-    if all(p == 0 for p in profile):
+    ints = sum_zero_direction(profile)
+    if not any(ints):
         return None
-    ints = primitive_integer_vector(profile)
-    out = [0] * n
+    out = [0] * len(ints)
     for pos, idx in enumerate(order):
         out[idx] = ints[pos]
     return tuple(out)
@@ -602,6 +600,14 @@ def _snap_to_signed_permutation(u: np.ndarray, tol: float = 1e-6):
 WITNESS_SUPPORT_TOL = 1e-6
 
 
+def psg_slope(value, lam: OnePSG, frame: np.ndarray) -> float:
+    """The slope of value(diag(t^lambda) @ frame) in log t^2 between t = 1e-2
+    and 1e-3: for a log ||.||^2, the weight along lambda in the frame."""
+    vals = [value(np.diag([t ** a for a in lam.exponents]).astype(np.complex128) @ frame)
+            for t in (1e-2, 1e-3)]
+    return (vals[1] - vals[0]) / (math.log(1e-6) - math.log(1e-4))
+
+
 def _verify_destabilizer(func: PairFunctional, lam: OnePSG, frame: np.ndarray) -> Optional[dict]:
     """Check sum_k c_k w_lambda(frame . e_k) > 0 over the functional's parts.
 
@@ -628,12 +634,7 @@ def _verify_destabilizer(func: PairFunctional, lam: OnePSG, frame: np.ndarray) -
     wv, ww = _side_weights(lam, parts, WITNESS_SUPPORT_TOL)
     if ww <= wv:
         return None
-    # slope cross-check along diag(t^lambda) @ frame
-    vals = []
-    for t in (1e-2, 1e-3):
-        d = np.diag([t ** a for a in lam.exponents]).astype(np.complex128)
-        vals.append(func.value(d @ frame))
-    slope = (vals[1] - vals[0]) / (math.log(1e-6) - math.log(1e-4))
+    slope = psg_slope(func.value, lam, frame)
     expected = ww - wv
     if not abs(slope - expected) <= 0.1:
         return None

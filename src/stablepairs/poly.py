@@ -39,12 +39,12 @@ and a proven bound on its own total degree rules out overflow
 (``_int64_scaled``), and on QQi object arrays otherwise; it never touches a
 float.
 
-Elimination primitives: resultants of binary forms, the binary
-discriminant, and signed maximal minors of an (n+1) x (n+2) matrix.  A
-resultant with scalar coefficients is the Sylvester determinant.  One with
-polynomial coefficients needs two forms of one degree n, as for every Chow
-and Hurwitz form, and is found by fraction-free Bareiss elimination of their
-n x n Bezout matrix.
+Elimination primitives, exact only, over scalars or polynomials: resultants
+of binary forms, the binary discriminant, and signed maximal minors of an
+(n+1) x (n+2) matrix.  Each determinant is a fraction-free Bareiss
+elimination (``_bareiss``).  A resultant with polynomial coefficients needs
+two forms of one degree n, as for every Chow and Hurwitz form, and is the
+determinant of their n x n Bezout matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -388,6 +388,13 @@ def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:
     ints = [int(x * den) for x in values]
     g = math.gcd(*ints)
     return [x // g for x in ints] if g else ints
+
+
+def sum_zero_direction(values: Sequence[Fraction]) -> List[int]:
+    """The primitive integer vector of values - mean(values), the exponents of
+    a 1-PSG; all-equal values give zeros, and each caller decides what that means."""
+    mean = sum(values, Fraction(0)) / len(values)
+    return primitive_integer_vector([v - mean for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -814,10 +821,6 @@ def binary_coeffs(f: HomogeneousPolynomial) -> List[object]:
     return out
 
 
-def _is_poly_seq(coeffs) -> bool:
-    return any(isinstance(c, HomogeneousPolynomial) for c in coeffs)
-
-
 def _sylvester_rows(fc: List[object], gc: List[object], zero):
     """Sylvester matrix rows, padded with ``zero``."""
     p, q = len(fc) - 1, len(gc) - 1
@@ -831,41 +834,29 @@ def _sylvester_rows(fc: List[object], gc: List[object], zero):
 
 
 def _seq_is_zero(coeffs) -> bool:
-    for c in coeffs:
-        if isinstance(c, HomogeneousPolynomial):
-            if not c.is_zero:
-                return False
-        elif not scalar_is_zero(coerce_scalar(c, EXACT) if isinstance(c, (int, Fraction, QQi)) else complex(c)):
-            return False
-    return True
+    return all(c.is_zero if isinstance(c, HomogeneousPolynomial)
+               else scalar_is_zero(coerce_scalar(c, EXACT)) for c in coeffs)
 
 
 def sylvester_resultant(f, g):
     """Resultant of two nonzero binary forms: the Sylvester determinant.
 
-    ``f`` and ``g`` are HomogeneousPolynomials in two variables, or coefficient
-    sequences by descending power of the first variable.  Scalar coefficients
-    give a scalar.  Coefficients that are themselves polynomials in auxiliary
-    variables give a polynomial (exact mode only, both forms of one degree
-    n), by fraction-free Bareiss elimination of the n x n Bezout matrix,
-    which gives the Sylvester determinant's polynomial.  Vanishes iff f and
-    g share a projective root.
+    ``f`` and ``g`` are exact binary HomogeneousPolynomials, or coefficient
+    sequences by descending power of the first variable.  Scalar
+    coefficients give a QQi.  Coefficients that are polynomials in auxiliary
+    variables give a polynomial (both forms of one degree n), by Bareiss
+    elimination of the n x n Bezout matrix.  Vanishes iff f and g share a
+    projective root.  A float coefficient raises ExactnessError.
     """
     fc = binary_coeffs(f) if isinstance(f, HomogeneousPolynomial) else list(f)
     gc = binary_coeffs(g) if isinstance(g, HomogeneousPolynomial) else list(g)
     if _seq_is_zero(fc) or _seq_is_zero(gc):
         raise PreconditionError("zero form has no resultant")
-    if _is_poly_seq(fc) or _is_poly_seq(gc):
+    if any(isinstance(c, HomogeneousPolynomial) for c in fc + gc):
         return _symbolic_resultant(fc, gc)
-    mode = EXACT if all(isinstance(c, (QQi, int, Fraction)) for c in fc + gc) else FLOAT
-    fc = [coerce_scalar(c, mode) for c in fc]
-    gc = [coerce_scalar(c, mode) for c in gc]
-    zero = QQi(0, 0) if mode == EXACT else 0j
-    rows = _sylvester_rows(fc, gc, zero)
-    if not rows:
-        # both forms are constants: empty Sylvester matrix, resultant 1
-        return QQi(1, 0) if mode == EXACT else 1.0 + 0j
-    return mat_det(rows, mode)
+    fc, gc = ([coerce_scalar(c, EXACT) for c in h] for h in (fc, gc))
+    # two constants give the empty Sylvester matrix, whose determinant is 1
+    return mat_det(_sylvester_rows(fc, gc, QQi(0, 0)), EXACT)
 
 
 def _symbolic_resultant(fc, gc) -> HomogeneousPolynomial:
@@ -908,8 +899,8 @@ def _bezout_resultant(f, g) -> HomogeneousPolynomial:
     (p < q) enters the entries (p + r, q - 1 - r), r = 0 .. q - p - 1, with
     a minus sign; this is the Sylvester determinant's polynomial, sign
     included, from an elimination of half the size.  Two constants have
-    resultant 1.  Terms come back in ``sorted_terms`` order, so no consumer
-    that iterates them sees an order that depends on the elimination.
+    resultant 1.  Terms come back in ``sorted_terms`` order
+    (``bareiss_poly_det``).
     """
     n = len(f) - 1
     shape, mode = f[0].shape, f[0].mode
@@ -924,9 +915,7 @@ def _bezout_resultant(f, g) -> HomogeneousPolynomial:
             for r in range(q - p):
                 rows[p + r][q - 1 - r] = rows[p + r][q - 1 - r] - c
     det = bareiss_poly_det(rows)
-    if n * (n - 1) // 2 % 2:
-        det = -det
-    return HomogeneousPolynomial._trusted(shape, det.degree, dict(det.sorted_terms()), mode)
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 # The scalar of a mode from its (re, im) components: the loops of the product
@@ -1014,19 +1003,21 @@ def poly_divexact(num: HomogeneousPolynomial, den: HomogeneousPolynomial) -> Hom
 
 
 def bareiss_poly_det(rows: List[List[HomogeneousPolynomial]]) -> HomogeneousPolynomial:
-    """Determinant of a matrix of exact polynomials (``_bareiss``)."""
+    """Determinant of a matrix of exact polynomials (``_bareiss``), with its
+    terms in ``sorted_terms`` order, whatever the elimination did."""
     det = _bareiss(rows, lambda e: not e.is_zero, poly_divexact)
     if det is None:
         total_deg = sum(row[0].degree for row in rows)
         return HomogeneousPolynomial.zero(rows[0][0].shape, total_deg, rows[0][0].mode)
-    return det
+    return HomogeneousPolynomial._trusted(det.shape, det.degree, dict(det.sorted_terms()), det.mode)
 
 
 def binary_discriminant(f):
-    """Discriminant of a binary form of degree d >= 2.
+    """Discriminant of an exact binary form of degree d >= 2.
 
     Defined as Res(df/dx, df/dy) divided by d^(d-2); vanishes iff f has a
     repeated projective root, and has degree 2d-2 in the coefficients of f.
+    Coefficients are exact, as for ``sylvester_resultant``.
     """
     if isinstance(f, HomogeneousPolynomial):
         coeffs = binary_coeffs(f)
@@ -1038,59 +1029,32 @@ def binary_discriminant(f):
     # f = sum coeffs[i] x^(d-i) y^i; partials by descending x-power
     fx = [coeffs[i] * (d - i) for i in range(d)]
     fy = [coeffs[i + 1] * (i + 1) for i in range(d)]
-    res = sylvester_resultant(fx, fy)
-    divisor = d ** (d - 2)
-    if isinstance(res, (HomogeneousPolynomial, QQi)):
-        return res * QQi(Fraction(1, divisor), 0)
-    return res / divisor
+    return sylvester_resultant(fx, fy) * QQi(Fraction(1, d ** (d - 2)), 0)
 
 
 def maximal_minors(A) -> List[object]:
-    """Signed maximal minors of an (n+1) x (n+2) scalar matrix.
+    """Signed maximal minors of an (n+1) x (n+2) matrix of exact scalars, or
+    of exact polynomials of one shape (the generic matrix of variables gives
+    them as polynomials in its entries).  Mixing the two is refused, and a
+    float entry raises ExactnessError.
 
-    Minor j carries sign (-1)^j with column j deleted; for full-rank numeric A
-    the result spans ker(A), and A @ minors(A) = 0 identically.
+    Minor j is the Bareiss determinant with column j deleted, times (-1)^j;
+    for full-rank A the result spans ker(A), and A @ minors(A) = 0.
     """
     rows = [list(r) for r in (A.tolist() if isinstance(A, np.ndarray) else A)]
     n1 = len(rows)
     if any(len(r) != n1 + 1 for r in rows):
         raise DimensionError("maximal minors need rows = cols - 1")
-    mode = EXACT if all(
-        isinstance(x, (QQi, int, Fraction)) for r in rows for x in r
-    ) else FLOAT
-    rows = [[coerce_scalar(x, mode) for x in r] for r in rows]
+    polys = [x for r in rows for x in r if isinstance(x, HomogeneousPolynomial)]
+    if polys and len(polys) < n1 * (n1 + 1):
+        raise PreconditionError("maximal minors need all-scalar or all-polynomial entries")
+    if any(x.mode != EXACT for x in polys):
+        raise ExactnessError("maximal minors require exact entries")
+    if not polys:
+        rows = [[coerce_scalar(x, EXACT) for x in r] for r in rows]
+    det = bareiss_poly_det if polys else partial(mat_det, mode=EXACT)
     out = []
     for j in range(n1 + 1):
-        sub = [[r[c] for c in range(n1 + 1) if c != j] for r in rows]
-        d = mat_det(sub, mode)
+        d = det([r[:j] + r[j + 1:] for r in rows])
         out.append(d if j % 2 == 0 else -d)
     return out
-
-
-def symbolic_maximal_minors(n1: int, mode: str = EXACT) -> List[HomogeneousPolynomial]:
-    """Minors of the generic (n+1) x (n+2) matrix as polynomials in its entries."""
-    shape = VariableShape.matrix(n1, n1 + 1)
-    out = []
-    for j in range(n1 + 1):
-        cols = [c for c in range(n1 + 1) if c != j]
-        terms: Dict[Exponent, object] = {}
-        for perm, sgn in _permutations_signed(n1):
-            exp = [0] * shape.nvars
-            for r in range(n1):
-                exp[r * (n1 + 1) + cols[perm[r]]] += 1
-            key = tuple(exp)
-            val = sgn if j % 2 == 0 else -sgn
-            terms[key] = terms.get(key, 0) + val
-        out.append(HomogeneousPolynomial(shape, n1, terms, mode))
-    return out
-
-
-def _permutations_signed(n: int):
-    import itertools
-
-    base = list(range(n))
-    for perm in itertools.permutations(base):
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        yield perm, (1 if inv % 2 == 0 else -1)

@@ -31,6 +31,7 @@ from .pairs import (
     TensoredPair,
     _expm_hermitian,
     descend,
+    psg_slope,
     randomized_torus_probe,
     torus_semistable,
 )
@@ -240,12 +241,7 @@ def weight_slopes(*, count: int, nvars: Range, degrees: Range, seed: int) -> Che
         lam = _random_psg(rng, n, 3)
         if lam is None:
             continue
-        func = PolyL2Functional(P)
-        vals = [
-            func.log_norm2(np.diag([t ** a for a in lam.exponents]).astype(complex))
-            for t in (1e-2, 1e-3)
-        ]
-        slope = (vals[1] - vals[0]) / (math.log(1e-6) - math.log(1e-4))
+        slope = psg_slope(PolyL2Functional(P).log_norm2, lam, np.eye(n))
         w = psg_weight(lam, P)
         worst["deviation"] = max(worst["deviation"], abs(slope - w))
         out.append(_check(

@@ -23,7 +23,7 @@ from .poly import (
     OnePSG,
     _act_dense,
     _nonzero_entries,
-    primitive_integer_vector,
+    sum_zero_direction,
 )
 from .scalars import EXACT, FLOAT, coerce_scalar, scalar_is_zero, scalar_to_complex
 
@@ -311,10 +311,7 @@ def contains(inner: LatticePolytope, outer: LatticePolytope):
         ok, cert = hull_membership(outer_pts, list(p.projected))
         if ok:
             continue
-        mu = cert[: inner.ambient]
-        # -mu shifted to sum zero, as a primitive integer direction
-        mean = sum(mu, Fraction(0)) / len(mu)
-        lam_vec = primitive_integer_vector([mean - m for m in mu])
+        lam_vec = sum_zero_direction([-m for m in cert[: inner.ambient]])
         if not any(lam_vec):
             raise PreconditionError("zero separating functional")
         lam = OnePSG(lam_vec)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stablepairs.forms import build_x_pair
+from stablepairs.poly import HomogeneousPolynomial, VariableShape
 from stablepairs.verify import rational_normal_curve
 
 # one line per acceptance criterion, printed in the terminal summary
@@ -22,6 +23,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  ({detail})"
         terminalreporter.write_line(line)
+
+
+def generic_matrix(n1: int):
+    """The n1 x (n1 + 1) matrix whose entries are the variables of
+    VariableShape.matrix(n1, n1 + 1), row by row."""
+    shape = VariableShape.matrix(n1, n1 + 1)
+    return [[HomogeneousPolynomial.monomial(shape, [int(k == r * (n1 + 1) + c)
+                                                     for k in range(shape.nvars)])
+             for c in range(n1 + 1)] for r in range(n1)]
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from stablepairs import energy, forms, norms, oracle, pairs, poly, weights
 from stablepairs.cli import HANDLERS, OPERATION_COMMANDS, build_parser, main
 from stablepairs.forms import build_x_pair
 from stablepairs.poly import DENSE_ENTRY_CAP
@@ -109,6 +110,7 @@ def files(tmp_path):
         ("hyp", HYP),
         ("sigma", SIGMA_ID3),
         ("xpair", xpair_to_json(build_x_pair(curve_from_json(CONIC)))),
+        ("entries", {"entries": [{"k": 1, "curve": CONIC}]}),
     ):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(payload))
@@ -641,6 +643,65 @@ class TestCoverageTable:
         assert set(OPERATION_COMMANDS) == spec_ops
         for op, cmd in OPERATION_COMMANDS.items():
             assert cmd in commands, f"{op} maps to unknown subcommand {cmd}"
+
+    def test_every_operation_runs_under_its_subcommand(self, files, capsys):
+        # the table's names are not enough: each subcommand, with the flags
+        # that reach its operations and small budgets, must call every
+        # function the table maps to it
+        codes = {}
+        for op in OPERATION_COMMANDS:
+            for mod in (poly, weights, pairs, forms, norms, energy, oracle):
+                fn = vars(mod).get(op)
+                if fn is not None and fn.__module__ == mod.__name__:
+                    codes[fn.__code__] = op
+        assert sorted(codes.values()) == sorted(OPERATION_COMMANDS)
+        called = {}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                called.setdefault(codes[frame.f_code], set()).add(command)
+
+        small = ["--samples", "1000"]
+        descent = ["--restarts", "1", "--max-iters", "2"]
+        runs = [
+            ("chow", ["--curve", files["conic"], "--at", "[[1,0,0],[0,0,1]]"]),
+            ("hurwitz", ["--curve", files["conic"]]),
+            ("chow-hyp", ["--hyp", files["hyp"]]),
+            ("polytope", ["--poly", files["mono"]]),
+            ("weight", ["--poly", files["mono"], "--lambda", "[1,0,-1]"]),
+            ("pair-check", ["--pair", files["roots_pair"], "--trials", "2"]),
+            ("pair-check", ["--pair", files["pair"], "--descend", *descent]),
+            ("stable-check", ["--pair", files["pair"], "--m", "1"]),
+            ("stable-check", ["--pair", files["pair"], "--m", "1", "--trials", "2"]),
+            ("distance", ["--pair", files["pair"], "--gradient"]),
+            ("distance", ["--xpair", files["xpair"], *small]),
+            ("distance", ["--xpair", files["xpair"], "--infimum", *small, *descent]),
+            ("mahler", ["--poly", files["mono"], *small]),
+            ("mahler", ["--poly", files["mono"], "--theta", *small]),
+            ("supnorm", ["--poly", files["mono"], *small]),
+            ("supnorm", ["--poly", files["mono"], "--at", "[[1,0],[0,0],[0,0]]"]),
+            ("arestov", ["--poly", files["mono"], *small]),
+            ("arestov", ["--poly", files["mono"], "--jensen", *small]),
+            ("xpair", ["--curve", files["conic"]]),
+            ("kenergy", ["--xpair", files["xpair"], *small]),
+            ("aubin", ["--xpair", files["xpair"], *small]),
+            ("coercivity", ["--xpair", files["xpair"], "--m", "1", *small]),
+            ("oracle", ["--curve", files["conic"]]),
+            ("asymptotic", ["--entries", files["entries"], *small, *descent]),
+        ]
+        assert {cmd for cmd, _ in runs} == set(OPERATION_COMMANDS.values())
+        previous = sys.getprofile()
+        for command, argv in runs:
+            sys.setprofile(profile)
+            try:
+                code = main([command, *argv])
+            finally:
+                sys.setprofile(previous)
+            capsys.readouterr()
+            assert code == 0, command
+        unreached = {op: cmd for op, cmd in OPERATION_COMMANDS.items()
+                     if cmd not in called.get(op, set())}
+        assert unreached == {}
 
     def test_parser_has_all_subcommands(self):
         parser = build_parser()

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from conftest import generic_matrix
 from stablepairs.errors import DegenerateCurveError, PreconditionError
 from stablepairs.forms import (
     CURVE_DEGREE_CAP,
@@ -22,7 +25,6 @@ from stablepairs.poly import (
     act,
     evaluate,
     maximal_minors,
-    symbolic_maximal_minors,
 )
 from stablepairs.scalars import QQi
 from stablepairs.serialize import xpair_from_json, xpair_to_json
@@ -35,6 +37,38 @@ V4 = VariableShape.vector(4)
 
 def conic_F():
     return HomogeneousPolynomial(V3, 2, {(1, 0, 1): 1, (0, 2, 0): -1}, "exact")
+
+
+# projective roots (a:b) in a small box, [1:0] and [0:1] among them
+ROOTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+def linear_factor_product(roots, d):
+    """The product of the factors b x - a y over the roots (a:b), or the zero
+    form of degree d for None."""
+    if roots is None:
+        return binary_form(d, [0])
+    out = binary_form(0, [1])
+    for a, b in roots:
+        out = out * binary_form(1, [b, -a])
+    return out
+
+
+@st.composite
+def curve_components(draw):
+    """(d, roots per component): 2 to 4 components of degree d = 1 .. 3, any
+    of them zero (None) but not all, and with or without one root planted
+    in every nonzero component."""
+    d = draw(st.integers(1, 3))
+    count = draw(st.integers(2, 4))
+    roots = [draw(st.one_of(st.none(), st.lists(ROOTS, min_size=d, max_size=d)))
+             for _ in range(count)]
+    if all(r is None for r in roots):
+        roots[0] = draw(st.lists(ROOTS, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        planted = draw(ROOTS)
+        roots = [None if r is None else [planted] + r[1:] for r in roots]
+    return d, roots
 
 
 class TestRationalCurve:
@@ -51,6 +85,25 @@ class TestRationalCurve:
     def test_component_count(self):
         with pytest.raises(PreconditionError):
             RationalCurve(2, 2, [binary_form(2, [1, 0, 0])])
+
+    @given(curve_components())
+    @example((2, [[(0, 1), (0, 1)], [(1, 0), (1, 0)]]))  # x^2, y^2: no shared root
+    @example((2, [[(0, 1), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (1, 0)]]))  # the conic
+    @example((1, [[(1, 0)], None, [(1, 0)]]))  # -y, 0, -y: [1:0] is shared
+    @example((2, [[(1, 0), (2, 3)], [(3, 4), (2, 3)]]))  # (2:3) is shared
+    def test_common_root_rejected_iff_one_exists(self, case):
+        d, roots = case
+        gamma = [linear_factor_product(r, d) for r in roots]
+        # brute force: some root (a:b) of a nonzero component kills every nonzero one
+        nonzero = [gm for gm in gamma if not gm.is_zero]
+        shared = any(all(evaluate(gm, [a, b]) == QQi(0) for gm in nonzero)
+                     for r in roots if r for a, b in r)
+        try:
+            RationalCurve(len(gamma) - 1, d, gamma)
+        except DegenerateCurveError:
+            assert shared
+        else:
+            assert not shared
 
 
 class TestChowCurve:
@@ -206,7 +259,7 @@ class TestChowHypersurface:
         rng = np.random.default_rng(seed)
         exps = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
         F = HomogeneousPolynomial(V4, 3, {e: int(rng.integers(-3, 4)) for e in exps}, "exact")
-        minors = symbolic_maximal_minors(3)
+        minors = maximal_minors(generic_matrix(3))
         total = HomogeneousPolynomial.zero(minors[0].shape, 9, "exact")
         for exp, c in F.sorted_terms():
             term = HomogeneousPolynomial.constant(minors[0].shape, c, "exact")

@@ -1,9 +1,9 @@
 """Source hygiene: every imported name and every module constant in src/ and
 tests/ is read somewhere, every definition in src/ is read outside the tests,
-the Monte-Carlo sampling pipeline has one home, the exact action never
-passes a float array to S^d(sigma) or a contraction, the benchmark's tracer
-finds every name it wraps, and no source file, cold start or sup-norm
-command loads scipy."""
+the Monte-Carlo sampling pipeline has one home, every exact determinant is a
+Bareiss elimination, the exact action never passes a float array to
+S^d(sigma) or a contraction, the benchmark's tracer finds every name it
+wraps, and no source file, cold start or sup-norm command loads scipy."""
 
 import ast
 import importlib
@@ -118,6 +118,15 @@ def test_symmetric_power_action_only_in_poly():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
     }
     assert defined == {("poly.py", name) for name in names}
+
+
+def test_exact_determinants_only_by_bareiss():
+    # every exact determinant, of scalars or of polynomials, is one
+    # fraction-free elimination; no permutation expansion or second minors
+    # function may return
+    sources = {p.name: p.read_text() for p in (ROOT / "src" / "stablepairs").glob("*.py")}
+    assert {name for name, text in sources.items() if "permutations" in text} == set()
+    assert not any("symbolic_maximal_minors" in text for text in sources.values())
 
 
 def test_sigma_handling_only_in_poly():

@@ -11,9 +11,10 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import generic_matrix
 from stablepairs import poly
 from stablepairs._kernels import poly_log_abs
-from stablepairs.errors import DimensionError, PreconditionError
+from stablepairs.errors import DimensionError, ExactnessError, PreconditionError
 from stablepairs.forms import CURVE_DEGREE_CAP, chow_form_curve, hurwitz_form_curve
 from stablepairs.norms import MIN_SAMPLES, MahlerSampleFunctional, _terms_arrays
 from stablepairs.pairs import Pair
@@ -30,8 +31,8 @@ from stablepairs.poly import (
     maximal_minors,
     poly_divexact,
     primitive_integer_vector,
+    sum_zero_direction,
     sylvester_resultant,
-    symbolic_maximal_minors,
 )
 from stablepairs.scalars import QQi
 from stablepairs.serialize import scalar_to_json
@@ -698,6 +699,16 @@ class TestSylvester:
         g = HomogeneousPolynomial(V2, 1, {(0, 1): 1}, "exact")
         assert sylvester_resultant(f, g) != QQi(0)
 
+    @pytest.mark.parametrize("f, g", [
+        ([1.0, 0], [0, 1]),
+        ([1, 0], [0, 1j]),
+        ([0, 1], [0.5, 2]),
+        (binary_form(1, [1, 0], "float"), binary_form(1, [0, 1], "float")),
+    ])
+    def test_float_coefficients_refused(self, f, g):
+        with pytest.raises(ExactnessError):
+            sylvester_resultant(f, g)
+
 
 @st.composite
 def symbolic_forms(draw):
@@ -791,6 +802,11 @@ class TestDiscriminant:
         with pytest.raises(PreconditionError):
             binary_discriminant([1, 0])
 
+    @pytest.mark.parametrize("f", [[1.0, 0, 1], [1, 2, 1j], binary_form(2, [1, 0, 1], "float")])
+    def test_float_coefficients_refused(self, f):
+        with pytest.raises(ExactnessError):
+            binary_discriminant(f)
+
     def test_planted_repeated_factors(self, rng):
         sh = V2
         for _ in range(8):
@@ -840,7 +856,7 @@ class TestMaximalMinors:
     def test_symbolic_annihilation(self):
         # A . Lambda(A) = 0 as a polynomial identity
         for n1 in (2, 3):
-            minors = symbolic_maximal_minors(n1)
+            minors = maximal_minors(generic_matrix(n1))
             shape = minors[0].shape
             for r in range(n1):
                 total = HomogeneousPolynomial.zero(shape, n1 + 1, "exact")
@@ -851,6 +867,32 @@ class TestMaximalMinors:
     def test_wrong_shape(self):
         with pytest.raises(DimensionError):
             maximal_minors([[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize("n1", [2, 3, 4])
+    def test_generic_minors_are_signed_leibniz_determinants(self, n1):
+        # terms in the expansion's order too: on the generic matrix,
+        # lex-ascending permutations give lex-descending exponents
+        A = generic_matrix(n1)
+        for j, minor in enumerate(maximal_minors(A)):
+            det = leibniz_det([r[:j] + r[j + 1:] for r in A])
+            expected = det if j % 2 == 0 else -det
+            assert list(minor.terms.items()) == list(expected.terms.items())
+            assert minor == expected
+
+    def test_float_entries_refused(self):
+        with pytest.raises(ExactnessError):
+            maximal_minors([[1.0, 0, 0], [0, 1, 0]])
+        with pytest.raises(ExactnessError):
+            maximal_minors(np.eye(2, 3))
+        float_rows = [[x.to_float() for x in r] for r in generic_matrix(2)]
+        with pytest.raises(ExactnessError):
+            maximal_minors(float_rows)
+
+    def test_mixed_entries_refused(self):
+        A = generic_matrix(2)
+        A[1][2] = 0
+        with pytest.raises(PreconditionError, match="all-scalar or all-polynomial"):
+            maximal_minors(A)
 
 
 class TestExactDivision:
@@ -1046,18 +1088,31 @@ class TestContentNormalized:
         assert got.terms[max(got.terms)].im == 0 and got.terms[max(got.terms)].re > 0
 
 
+def assert_primitive_positive_multiple(ints, values):
+    assert all(type(x) is int for x in ints)
+    assert math.gcd(*ints) == 1
+    # one positive rational factor carries the input onto the output
+    i = next(k for k, x in enumerate(values) if x)
+    factor = Fraction(ints[i]) / values[i]
+    assert factor > 0
+    assert [factor * x for x in values] == ints
+
+
 class TestPrimitiveIntegerVector:
     @given(st.lists(st.fractions(min_value=-10**4, max_value=10**4, max_denominator=50),
                     min_size=1, max_size=6).filter(any))
+    @example([Fraction(3, 2)] * 3)
     def test_primitive_positive_multiple(self, values):
-        ints = primitive_integer_vector(values)
-        assert all(type(x) is int for x in ints)
-        assert math.gcd(*ints) == 1
-        # one positive rational factor carries the input onto the output
-        i = next(k for k, x in enumerate(values) if x)
-        factor = Fraction(ints[i]) / values[i]
-        assert factor > 0
-        assert [factor * x for x in values] == ints
+        assert_primitive_positive_multiple(primitive_integer_vector(values), values)
+        # the sum-zero 1-PSG direction: the same ray for values - mean
+        mean = sum(values, Fraction(0)) / len(values)
+        shifted = [v - mean for v in values]
+        direction = sum_zero_direction(values)
+        assert sum(direction) == 0
+        if any(shifted):
+            assert_primitive_positive_multiple(direction, shifted)
+        else:
+            assert direction == [0] * len(values)
 
     def test_zero_vector_stays_zero(self):
         assert primitive_integer_vector([Fraction(0), Fraction(0)]) == [0, 0]
