@@ -1,52 +1,48 @@
-"""Exact rational linear programming for convex-hull membership.
+"""Exact integer linear programming for convex-hull membership.
 
-Membership of a point x in the convex hull of a finite set is the
-feasibility of
+Callers pass homogenised integer columns (a weight point's key with the
+convexity entry n appended), so x is in the cone of the columns,
+sum_k lam_k p_k = x with lam_k >= 0, iff it is in the hull of the points.
+This is decided by a phase-1 simplex on a fraction-free integer tableau:
+rows are flipped so the right-hand side b is nonnegative, one artificial
+column per row (cost 1) starts the basis, and every entry, the reduced-cost
+row r included, is ``den`` times its rational value.  A pivot on ``lead``
+keeps the pivot row, sets every other row to (lead * row - f * pivot_row)
+// den, an exact division, and then den = lead; pivots are positive, so
+signs are read off the integers.  Bland's rule: the smallest column with
+r_j < 0 enters, and among the rows of least ratio b_i / a_i (compared
+cross-multiplied) the one with the smallest basic index leaves.
 
-    sum_k  lam_k * p_k = x,   sum_k lam_k = 1,   lam_k >= 0.
-
-This is decided by a phase-1 simplex on a Fraction tableau.  Rows are
-flipped so the right-hand side b is nonnegative, and one artificial column
-per row starts the basis; the phase-1 cost is 1 on each artificial column.
-Every pivot updates the tableau and its reduced-cost row r in place, with
-Bland's rule: the smallest column with r_j < 0 enters, and among the rows
-of least ratio the one with the smallest basic index leaves.
-
-x is in the hull iff the phase-1 optimum is 0.  Otherwise the prices
-y = c_B B^-1 of the final basis are a Farkas certificate, read off the
-artificial columns as y_i = 1 - r_(n+i) (and the row flips undone): then
-y . b > 0 and y . a_k <= 0 for every column, which separates x from the hull.
+x is in the cone iff the phase-1 optimum is 0.  Otherwise den times the
+prices y = c_B B^-1 of the final basis, read off the artificial columns as
+den - r_(n+i) with the row flips undone, is an integer Farkas certificate:
+y . b > 0 and y . a_k <= 0 for every column.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
-
-Vec = List[Fraction]
 
 
 def hull_membership(
-    points: Sequence[Sequence[Fraction]], x: Sequence[Fraction]
-) -> Tuple[bool, Optional[Vec]]:
-    """Decide x in conv(points) exactly.
+    points: Sequence[Sequence[int]], x: Sequence[int]
+) -> Tuple[bool, Optional[List[int]]]:
+    """Decide x in cone(points) exactly, for integer vectors.
 
-    Returns (True, None) when feasible, else (False, y) with a rational
-    separating functional y satisfying y.x > max_k y.p_k (strictly).
+    Returns (True, None) when feasible, else (False, y) with an integer
+    separating functional y satisfying y.x > 0 >= y.p_k for every k.
     """
-    one, zero = Fraction(1), Fraction(0)
-    cols = [list(p) + [one] for p in points]
-    b = list(x) + [one]
-    n, m = len(cols), len(b)
+    n, m = len(points), len(x)
     # row i: sign_i * (a_0[i] ... a_(n-1)[i] | e_i | b_i), flipped so b_i >= 0
-    signs = [-1 if v < 0 else 1 for v in b]
-    tab = [[s * c[i] for c in cols] + [one if k == i else zero for k in range(m)] + [s * b[i]]
+    signs = [-1 if v < 0 else 1 for v in x]
+    tab = [[s * p[i] for p in points] + [int(k == i) for k in range(m)] + [s * x[i]]
            for i, s in enumerate(signs)]
-    # reduced costs of the all-artificial basis; the last entry is -objective
+    # reduced costs of the all-artificial basis, 0 on its own columns; the
+    # last entry is -objective
     red = [-sum(col) for col in zip(*tab)]
-    for i in range(m):
-        red[n + i] += one
+    red[n:n + m] = [0] * m
     basis = list(range(n, n + m))
+    den = 1
 
     while True:
         enter = next((j for j in range(n + m) if red[j] < 0), None)
@@ -54,21 +50,21 @@ def hull_membership(
             break
         leave = None
         for i, row in enumerate(tab):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = row[enter]
+            if a > 0 and (leave is None
+                          or (row[-1] * best_a, basis[i]) < (best_b * a, basis[leave])):
+                best_b, best_a, leave = row[-1], a, i
         if leave is None:
             raise ArithmeticError("phase-1 LP unbounded; cannot happen")
         prow = tab[leave]
         lead = prow[enter]
-        prow[:] = [a / lead for a in prow]
         for row in tab + [red]:
-            f = row[enter]
-            if row is not prow and f != 0:
-                row[:] = [a - f * p for a, p in zip(row, prow)]
+            if row is not prow:
+                f = row[enter]
+                row[:] = [(lead * a - f * p) // den for a, p in zip(row, prow)]
+        den = lead
         basis[leave] = enter
 
     if red[-1] == 0:
         return True, None
-    return False, [s * (one - red[n + i]) for i, s in enumerate(signs)]
+    return False, [s * (den - red[n + i]) for i, s in enumerate(signs)]

@@ -390,11 +390,11 @@ def primitive_integer_vector(values: Sequence[Fraction]) -> List[int]:
     return [x // g for x in ints] if g else ints
 
 
-def sum_zero_direction(values: Sequence[Fraction]) -> List[int]:
+def sum_zero_direction(values: Sequence) -> List[int]:
     """The primitive integer vector of values - mean(values), the exponents of
     a 1-PSG; all-equal values give zeros, and each caller decides what that means."""
-    mean = sum(values, Fraction(0)) / len(values)
-    return primitive_integer_vector([v - mean for v in values])
+    n, s = len(values), sum(values)
+    return primitive_integer_vector([n * v - s for v in values])
 
 
 # ---------------------------------------------------------------------------

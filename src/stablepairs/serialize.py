@@ -38,8 +38,11 @@ def _need(d: dict, key: str, kind=None):
 
 
 def _int(x, what: str) -> int:
-    """``x`` as an integer; a value int() refuses is a schema error."""
+    """``x`` as an integer; a bool, a non-integral number or a value int()
+    refuses is a schema error."""
     try:
+        if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+            raise TypeError
         return int(x)
     except (TypeError, ValueError):
         raise SchemaError(f"{what} must be an integer, got {x!r}")
@@ -93,6 +96,8 @@ def _terms_from_json(d: dict, mode: str) -> dict:
     terms = {}
     for t in _need(d, "terms", list):
         exp = tuple(_int(x, "exponent") for x in _need(t, "exp", list))
+        if exp in terms:  # a dict would keep the last entry of a repeated key
+            raise SchemaError(f"repeated exponent {exp}")
         terms[exp] = _scalar_from_json(t, mode)
     return terms
 
@@ -140,6 +145,8 @@ def tensor_from_json(d: dict) -> TensorVector:
         if len(parts) != len(slots):
             raise SchemaError(f"index {parts!r} has {len(parts)} parts for {len(slots)} slots")
         idx = tuple(_index_part(kind, p) for (kind, _), p in zip(slots, parts))
+        if idx in coords:
+            raise SchemaError(f"repeated index {idx}")
         coords[idx] = _scalar_from_json(entry, mode)
     return TensorVector(slots, coords, mode)
 
@@ -185,7 +192,7 @@ def sigma_from_json(d: dict):
 
 
 def psg_from_json(arr) -> OnePSG:
-    if not isinstance(arr, list) or not all(isinstance(a, int) for a in arr):
+    if not isinstance(arr, list) or not all(type(a) is int for a in arr):
         raise SchemaError("1-PSG must be an integer array")
     if sum(arr) != 0:
         raise SchemaError("1-PSG exponents must sum to zero")
@@ -240,11 +247,16 @@ def hypersurface_from_json(d: dict) -> HypersurfaceVariety:
     return HypersurfaceVariety(_need_int(d, "n"), poly_from_json(_need(d, "F", dict)))
 
 
+def _projected(p) -> list:
+    """A weight point's projected representative key / n, as "p/q" strings."""
+    return [format_fraction(Fraction(k, len(p.key))) for k in p.key]
+
+
 def polytope_to_json(P: LatticePolytope) -> dict:
     return {
         "schema": SCHEMA,
-        "points": [[format_fraction(x) for x in p.projected] for p in P.points],
-        "vertices": [[format_fraction(x) for x in p.projected] for p in P.vertices],
+        "points": [_projected(p) for p in P.points],
+        "vertices": [_projected(p) for p in P.vertices],
         "projected": True,
     }
 

@@ -1,20 +1,20 @@
 """Torus supports, weight polytopes, 1-PSG weights, and polytope arithmetic.
 
 Characters live in the character lattice of the diagonal torus of GL(N+1)
-and are compared in the trace-projected representative (mean subtracted),
-i.e. in M_R = R^(N+1) / R.(1,...,1).  A monomial's character is its
+and are compared in the trace-projected representative a - mean(a), i.e. in
+M_R = R^(N+1) / R.(1,...,1), through its integer multiple n a - sum(a); only
+the JSON writer forms the rational point.  A monomial's character is its
 column-degree vector; a tensor coordinate's character is the sum of the
 basis characters of its slots (wedge slot e_i ^ e_j carries eps_i + eps_j).
 
 Containment of polytopes is decided exactly: every point of the inner
 support that is not itself an outer support point is tested for membership
-in the hull of the outer support by a rational LP, and a failed test yields
-a primitive integer separating functional summing to zero.
+in the hull of the outer support by an integer LP on homogenised keys, and a
+failed test yields a primitive integer separating functional summing to zero.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import DimensionError, PreconditionError
@@ -31,24 +31,20 @@ from .scalars import EXACT, FLOAT, coerce_scalar, scalar_is_zero, scalar_to_comp
 class WeightCharacter:
     """Integer torus character with its projected (sum-zero) representative.
 
-    ``key`` is the integer tuple n a - (sum a)(1, ..., 1), n times
-    ``projected``.  With n > 0 the two give the same equality and the same
-    lex order, so characters hash, compare and sort on ``key``; the
-    ``projected`` Fractions are built on demand, for the points that enter
-    an LP or an output.
+    ``key`` is the integer tuple n a - (sum a)(1, ..., 1), n times the
+    projected point a - mean(a).  With n > 0 the two give the same equality
+    and the same lex order, so characters hash, compare and sort on ``key``.
+    ``column`` is ``key`` with the convexity entry n appended: the
+    homogenised column the hull LP takes.
     """
 
-    __slots__ = ("raw", "key")
+    __slots__ = ("raw", "key", "column")
 
     def __init__(self, raw: Sequence[int]):
         self.raw = raw = tuple(map(int, raw))
         n, s = len(raw), sum(raw)
         self.key = tuple([n * a - s for a in raw])
-
-    @property
-    def projected(self) -> Tuple[Fraction, ...]:
-        n = len(self.key)
-        return tuple(Fraction(k, n) for k in self.key)
+        self.column = self.key + (n,)
 
     def pair(self, lam: OnePSG) -> int:
         if len(lam.exponents) != len(self.raw):
@@ -96,17 +92,10 @@ class LatticePolytope:
     @property
     def vertices(self) -> List[WeightCharacter]:
         if self._vertices is None:
-            verts = []
-            projected = [list(p.projected) for p in self.points]
-            for i, p in enumerate(self.points):
-                others = projected[:i] + projected[i + 1:]
-                if not others:
-                    verts.append(p)
-                    continue
-                inside, _ = hull_membership(others, projected[i])
-                if not inside:
-                    verts.append(p)
-            self._vertices = verts
+            # a point outside the hull of the others; a lone point is outside the empty hull
+            cols = [p.column for p in self.points]
+            self._vertices = [p for i, p in enumerate(self.points)
+                              if not hull_membership(cols[:i] + cols[i + 1:], p.column)[0]]
         return self._vertices
 
     def __eq__(self, other):
@@ -302,13 +291,11 @@ def contains(inner: LatticePolytope, outer: LatticePolytope):
         raise DimensionError("polytope dimension mismatch")
     # a point of the outer support is in its hull with lambda = e_k: no LP
     outer_set = {p.key for p in outer.points}
-    outer_pts = None
+    outer_cols = [q.column for q in outer.points]
     for p in inner.points:
         if p.key in outer_set:
             continue
-        if outer_pts is None:
-            outer_pts = [list(q.projected) for q in outer.points]
-        ok, cert = hull_membership(outer_pts, list(p.projected))
+        ok, cert = hull_membership(outer_cols, p.column)
         if ok:
             continue
         lam_vec = sum_zero_direction([-m for m in cert[: inner.ambient]])

@@ -376,10 +376,11 @@ class TestExitCodes:
         ["xpair"],
         ["distance"],
         ["weight", "--poly", "{mono}", "--lambda", "abc"],
+        ["weight", "--poly", "{mono}", "--lambda", "[true, 0, -1]"],
         ["supnorm", "--poly", "{mono}", "--at", "[[1"],
         ["chow", "--curve", "{conic}", "--at", "nope"],
     ], ids=["polytope-no-input", "weight-no-input", "xpair-no-input", "distance-no-input",
-            "weight-bad-lambda", "supnorm-bad-at", "chow-bad-at"])
+            "weight-bad-lambda", "weight-bool-lambda", "supnorm-bad-at", "chow-bad-at"])
     def test_malformed_invocation_exit_2(self, files, capsys, argv):
         # a missing input flag or unparsable inline JSON is a schema error
         assert main([a.format(**files) for a in argv]) == 2
@@ -418,14 +419,26 @@ class TestExitCodes:
         ("polytope", 5),
         ("polytope", {"schema": "v1", "mode": "exact", "slots": [{"kind": "vector", "dim": 2}],
                       "coords": [{"idx": [[0, 1]], "re": "1", "im": "0"}]}),
+        # each of these read as another form and exited 0 while int() truncated
+        # and the terms dict kept the last of a repeated key
+        ("polytope", dict(POLY_X2, terms=[{"exp": [1.9, 1.4], "re": "1", "im": "0"}])),
+        ("polytope", dict(POLY_X2, terms=[{"exp": [True, True], "re": "1", "im": "0"}])),
+        ("mahler", dict(POLY_X2, terms=[{"exp": [2, 0], "re": "1", "im": "0"},
+                                        {"exp": [2, 0], "re": "5", "im": "0"},
+                                        {"exp": [0, 2], "re": "1", "im": "0"}])),
+        ("polytope", {"schema": "v1", "mode": "exact", "slots": [{"kind": "vector", "dim": 2}],
+                      "coords": [{"idx": [1], "re": "1", "im": "0"},
+                                 {"idx": [1], "re": "2", "im": "0"}]}),
     ], ids=["entry-without-k", "entries-file-is-list", "entries-not-list", "k-not-int",
             "curve-re-not-number", "curve-exp-not-int", "poly-degree-not-int",
-            "poly-file-not-object", "tensor-pair-on-vector-slot"])
+            "poly-file-not-object", "tensor-pair-on-vector-slot", "poly-exp-not-integral",
+            "poly-exp-bool", "poly-repeated-exponent", "tensor-repeated-index"])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, payload):
         # a malformed value in an input file is a schema error, not a traceback
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        flag = {"asymptotic": "--entries", "chow": "--curve", "polytope": "--poly"}[command]
+        flag = {"asymptotic": "--entries", "chow": "--curve", "polytope": "--poly",
+                "mahler": "--poly"}[command]
         assert main([command, flag, str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""

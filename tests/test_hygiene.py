@@ -1,9 +1,10 @@
 """Source hygiene: every imported name and every module constant in src/ and
 tests/ is read somewhere, every definition in src/ is read outside the tests,
 the Monte-Carlo sampling pipeline has one home, every exact determinant is a
-Bareiss elimination, the exact action never passes a float array to
-S^d(sigma) or a contraction, the benchmark's tracer finds every name it
-wraps, and no source file, cold start or sup-norm command loads scipy."""
+Bareiss elimination, the hull LP takes integer weight points, the exact
+action never passes a float array to S^d(sigma) or a contraction, the
+benchmark's tracer finds every name it wraps, and no source file, cold start
+or sup-norm command loads scipy."""
 
 import ast
 import importlib
@@ -127,6 +128,24 @@ def test_exact_determinants_only_by_bareiss():
     sources = {p.name: p.read_text() for p in (ROOT / "src" / "stablepairs").glob("*.py")}
     assert {name for name, text in sources.items() if "permutations" in text} == set()
     assert not any("symbolic_maximal_minors" in text for text in sources.values())
+
+
+def test_hull_lp_runs_on_integer_weight_points():
+    # the hull LP and the weight points are integers from support to
+    # certificate; the rational form of a point lives in the JSON writer
+    src = ROOT / "src" / "stablepairs"
+    for name in ("linprog.py", "weights.py"):
+        tree = ast.parse((src / name).read_text(), name)
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names}
+        assert "fractions" not in modules, name
+    calls = [
+        (p.name, node) for p in src.glob("*.py") for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call) and "hull_membership" in referenced_names(node.func)
+    ]
+    assert {name for name, _ in calls} == {"weights.py"}
+    assert [name for name, node in calls if "projected" in referenced_names(node)] == []
 
 
 def test_sigma_handling_only_in_poly():

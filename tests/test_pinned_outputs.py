@@ -3,7 +3,8 @@
 The exact layer (forms, the action, the torus probes) is reworked for speed
 and size while its outputs must stay byte-identical.  Each case below builds
 its inputs here and runs the CLI in-process; the digests were recorded from
-the same cases at commit ca88fbb.
+the same cases at commit ca88fbb, and the ``polytope`` and ``weight`` ones at
+c41003b, while weight points still entered the hull LP as Fractions.
 
 A digest may change only together with a CHANGES.md entry that lists the
 changed keys, as every change to reported numbers must.
@@ -21,8 +22,9 @@ from stablepairs.cli import main
 from stablepairs.forms import chow_form_curve, hurwitz_form_curve
 from stablepairs.pairs import Pair
 from stablepairs.poly import HomogeneousPolynomial, VariableShape
-from stablepairs.serialize import curve_to_json, pair_to_json, poly_to_json
+from stablepairs.serialize import curve_to_json, pair_to_json, poly_to_json, tensor_to_json
 from stablepairs.verify import rational_normal_curve
+from stablepairs.weights import TensorVector
 
 V2 = VariableShape.vector(2)
 
@@ -45,6 +47,15 @@ def cubic_surface() -> HomogeneousPolynomial:
         terms[tuple(exp)] = (k * 5 + 2) % 7 - 3 or 1
     return HomogeneousPolynomial(VariableShape.vector(4), 3, terms, "exact")
 
+
+# a ternary quadric: its projected weight points a - (2/3)(1, 1, 1) have
+# thirds for coordinates, and (1, 0, 1), the midpoint of (2, 0, 0) and
+# (0, 0, 2), is no vertex
+TERNARY = HomogeneousPolynomial(VariableShape.vector(3), 2, {
+    (2, 0, 0): 1, (0, 1, 1): -2, (1, 1, 0): 5, (0, 0, 2): 3, (1, 0, 1): 1}, "exact")
+# a wedge (x) vector tensor on C^3 whose support has an interior point
+WEDGE = TensorVector([("wedge2", 3), ("vector", 3)], {
+    ((0, 1), 2): 1, ((0, 2), 0): -3, ((1, 2), 1): 2, ((0, 1), 0): 1, ((1, 2), 2): 1}, "exact")
 
 # e = d - 1 binary pairs (v, w) as linear factors; each probe at seed 7
 # passes the identity and ends in a torus-fail witness under its second sigma,
@@ -72,6 +83,8 @@ def write_inputs(directory) -> dict:
         payloads[name] = pair_to_json(Pair(linear_product(v), linear_product(w)))
     payloads["surface"] = {"schema": "v1", "n": 2, "F": poly_to_json(cubic_surface())}
     payloads["gaussian_sigma"] = GAUSSIAN_SIGMA
+    payloads["ternary"] = poly_to_json(TERNARY)
+    payloads["wedge"] = tensor_to_json(WEDGE)
     paths = {}
     for name, payload in payloads.items():
         path = directory / f"{name}.json"
@@ -94,6 +107,9 @@ def cases(f: dict) -> dict:
                                   f["gaussian_sigma"], "--trials", "5", "--seed", "7"]
     out["stable-check/binary_3"] = ["stable-check", "--pair", f["binary_3"], "--m", "1",
                                     "--trials", "5", "--seed", "7"]
+    for name, flag in (("ternary", "--poly"), ("wedge", "--tensor")):
+        out[f"polytope/{name}"] = ["polytope", flag, f[name]]
+        out[f"weight/{name}"] = ["weight", flag, f[name], "--lambda", "[2, -1, -1]"]
     return out
 
 
@@ -119,7 +135,11 @@ DIGESTS = {
     "pair-check/binary_4": "f4292422182913761f0d012c1575b9939e6fe9aa338ef23c3109725c92afe15b",
     "pair-check/conic_pair": "2f045fcb8939613001bdf3eee3b10135552a1089f26fcbac87d92941f74bb76a",
     "pair-check/gaussian": "863f1e89b93d9fd3fd8c28f0d7d9c56b7c24bf9333142c35e1f90cc0ef5a289a",
+    "polytope/ternary": "4a4b2699c035bae6d53f43920e94fecf6662e99b147d68bd53dbd31c418e4581",
+    "polytope/wedge": "135e25b16f977587382ce82b90a5678bdf36a18d219fdc78b7a2518a8b4cbe83",
     "stable-check/binary_3": "c67b9e70848feb8a618edcf30958d2953733fca1058b971907eeb959407e7b15",
+    "weight/ternary": "d7ba24567e51f7469d0fb6b5c9710708df2123bfca6a6b577af2ea8e4f9a16d4",
+    "weight/wedge": "f0a930323146353112b6cab7bfafd4e552cb2c3e68dc2a2a120943ca11134d40",
 }
 
 

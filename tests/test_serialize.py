@@ -28,6 +28,7 @@ from stablepairs.serialize import (
     pair_to_json,
     poly_from_json,
     poly_to_json,
+    psg_from_json,
     tensor_from_json,
     tensor_to_json,
     xpair_from_json,
@@ -153,6 +154,63 @@ def test_xpair_curve_must_match_forms(curve, message):
     doc["curve"] = curve_to_json(curve)
     with pytest.raises(SchemaError, match=re.escape(message)):
         xpair_from_json(json.loads(dump_json(doc)))
+
+
+POLY = {"schema": "v1", "shape": {"kind": "vector", "rows": 1, "cols": 2}, "degree": 2,
+        "mode": "exact"}
+TENSOR = {"schema": "v1", "mode": "exact", "slots": [{"kind": "wedge2", "dim": 3}]}
+
+
+def _terms(*exps) -> dict:
+    return dict(POLY, terms=[{"exp": e, "re": "1", "im": "0"} for e in exps])
+
+
+class TestIntegerFields:
+    """JSON integers are ints: a bool or a non-integral number is refused,
+    not truncated by int()."""
+
+    @pytest.mark.parametrize("doc", [
+        _terms([1.9, 1.4]), _terms([True, 1]), _terms([2, False]),
+        dict(_terms([2, 0]), degree=True), dict(_terms([2, 0]), degree=2.5),
+        _terms([float("inf"), 0]),
+    ], ids=["exp-fraction", "exp-true", "exp-false", "degree-bool", "degree-fraction", "exp-inf"])
+    def test_poly_refuses(self, doc):
+        with pytest.raises(SchemaError, match="must be an integer"):
+            poly_from_json(doc)
+
+    def test_integral_float_still_reads(self):
+        assert poly_from_json(_terms([2.0, 0])) == poly_from_json(_terms([2, 0]))
+
+    @pytest.mark.parametrize("idx", [[[0, True]], [[0.5, 2]]], ids=["bool", "fraction"])
+    def test_tensor_index_refuses(self, idx):
+        with pytest.raises(SchemaError, match="must be an integer"):
+            tensor_from_json(dict(TENSOR, coords=[{"idx": idx, "re": "1", "im": "0"}]))
+
+    @pytest.mark.parametrize("arr", [[True, -1], [1, False, -1], [1.0, -1.0]])
+    def test_psg_refuses(self, arr):
+        with pytest.raises(SchemaError, match="integer array"):
+            psg_from_json(arr)
+
+
+class TestRepeatedKeys:
+    """A repeated exponent or tensor index is refused by name; a dict would
+    keep only its last entry."""
+
+    def test_repeated_exponent(self):
+        with pytest.raises(SchemaError, match=re.escape("repeated exponent (2, 0)")):
+            poly_from_json(_terms([2, 0], [2, 0], [0, 2]))
+
+    def test_repeated_tensor_index(self):
+        coords = [{"idx": [[0, 1]], "re": "1", "im": "0"}, {"idx": [[1, 2]], "re": "2", "im": "0"},
+                  {"idx": [[0, 1]], "re": "3", "im": "0"}]
+        with pytest.raises(SchemaError, match=re.escape("repeated index ((0, 1),)")):
+            tensor_from_json(dict(TENSOR, coords=coords))
+
+    def test_repeated_curve_exponent(self):
+        doc = curve_to_json(rational_normal_curve(2))
+        doc["gamma"][0]["terms"] *= 2
+        with pytest.raises(SchemaError, match="repeated exponent"):
+            curve_from_json(doc)
 
 
 X, X2 = binary_form(1, [1, 0]), binary_form(2, [1, 0, 0])

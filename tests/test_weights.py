@@ -1,5 +1,6 @@
 """Weight lattice: supports, polytopes, 1-PSG weights, exact containment."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -166,20 +167,28 @@ RAW_CHARACTERS = st.integers(2, 4).flatmap(lambda n: st.lists(
     st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple), min_size=1, max_size=12))
 
 
+def projected(p: WeightCharacter) -> tuple:
+    """The trace-projected representative a - mean(a), as Fractions."""
+    mean = Fraction(sum(p.raw), len(p.raw))
+    return tuple(a - mean for a in p.raw)
+
+
 class TestIntegerKeys:
     """Characters hash, compare and sort on the integer key n a - sum(a),
-    which is n times ``projected``: the same equality and the same order."""
+    which is n times the projected point: the same equality and the same
+    order.  The LP column is the key with n appended."""
 
     @given(RAW_CHARACTERS)
     def test_key_equality_and_order_are_those_of_projected(self, raws):
         chars = [WeightCharacter(r) for r in raws]
         n = len(raws[0])
         for p in chars:
-            assert p.projected == tuple(Fraction(n * a - sum(p.raw), n) for a in p.raw)
-            assert p.key == tuple(n * x for x in p.projected)
+            assert p.key == tuple(n * x for x in projected(p))
+            assert p.column == p.key + (n,)
+            assert all(type(c) is int for c in p.column)
             for q in chars:
-                assert (p.key == q.key) == (p.projected == q.projected) == (p == q)
-                assert (p.key < q.key) == (p.projected < q.projected)
+                assert (p.key == q.key) == (projected(p) == projected(q)) == (p == q)
+                assert (p.key < q.key) == (projected(p) < projected(q))
                 if p == q:
                     assert hash(p) == hash(q)
 
@@ -189,7 +198,7 @@ class TestIntegerKeys:
         chars = [WeightCharacter(r) for r in raws]
         first = {}
         for p in chars:
-            first.setdefault(p.projected, p)
+            first.setdefault(projected(p), p)
         want = [first[k].raw for k in sorted(first)]
         assert [p.raw for p in LatticePolytope(chars).points] == want
 
@@ -289,11 +298,51 @@ class TestContains:
                 assert ok == weight_ok
 
 
+def fraction_hull_membership(points, x):
+    """The Fraction phase-1 tableau that ``hull_membership`` replaced, kept as
+    its reference: x in conv(points) for rational points, with the convexity
+    row 1 appended here.  Returns (True, None) or (False, y), y . (x, 1) > 0
+    >= y . (p, 1) for every point."""
+    one, zero = Fraction(1), Fraction(0)
+    cols = [[Fraction(c) for c in p] + [one] for p in points]
+    b = [Fraction(c) for c in x] + [one]
+    n, m = len(cols), len(b)
+    signs = [-1 if v < 0 else 1 for v in b]
+    tab = [[s * c[i] for c in cols] + [one if k == i else zero for k in range(m)] + [s * b[i]]
+           for i, s in enumerate(signs)]
+    red = [-sum(col) for col in zip(*tab)]
+    for i in range(m):
+        red[n + i] += one
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(n + m) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i, row in enumerate(tab):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        prow = tab[leave]
+        lead = prow[enter]
+        prow[:] = [a / lead for a in prow]
+        for row in tab + [red]:
+            f = row[enter]
+            if row is not prow and f != 0:
+                row[:] = [a - f * p for a, p in zip(row, prow)]
+        basis[leave] = enter
+    if red[-1] == 0:
+        return True, None
+    return False, [s * (one - red[n + i]) for i, s in enumerate(signs)]
+
+
 def contains_by_lp_on_every_point(inner, outer):
-    """contains() without the outer-point shortcut: one LP per inner point."""
-    outer_pts = [list(p.projected) for p in outer.points]
+    """contains() without the outer-point shortcut: one LP per inner point,
+    on the Fraction reference tableau over the projected points."""
+    outer_pts = [projected(p) for p in outer.points]
     for p in inner.points:
-        ok, cert = hull_membership(outer_pts, list(p.projected))
+        ok, cert = fraction_hull_membership(outer_pts, projected(p))
         if not ok:
             mu = cert[: inner.ambient]
             mean = sum(mu, Fraction(0)) / len(mu)
@@ -346,25 +395,63 @@ def hull_queries(draw):
     return draw(st.lists(coords, min_size=1, max_size=6)), draw(coords)
 
 
-def linprog_feasible(points, x):
-    """x in conv(points) by a floating-point LP: lambda >= 0, sum 1, sum lambda p = x."""
-    a_eq = np.vstack([np.array(points, dtype=float).T, np.ones(len(points))])
-    res = linprog(np.zeros(len(points)), A_eq=a_eq, b_eq=list(x) + [1.0], bounds=(0, None),
-                  method="highs")
+def linprog_feasible(columns, b):
+    """b in cone(columns) by a floating-point LP: lambda >= 0, sum lambda a = b."""
+    res = linprog(np.zeros(len(columns)), A_eq=np.array(columns, dtype=float).T, b_eq=b,
+                  bounds=(0, None), method="highs")
     assert res.status in (0, 2)
     return res.status == 0
 
 
+def homogenised(points, x):
+    """Rational points and x as integer columns over their lcm denominator n,
+    with the convexity entry n appended."""
+    n = math.lcm(*(Fraction(c).denominator for p in points + [x] for c in p))
+    return [[int(c * n) for c in p] + [n] for p in points], [int(c * n) for c in x] + [n]
+
+
 def exact_hull_membership(points, x):
-    return hull_membership([[Fraction(c) for c in p] for p in points], [Fraction(c) for c in x])
+    return hull_membership(*homogenised(points, x))
+
+
+def assert_positive_multiple(y, y_ref):
+    """y = c y_ref for one rational c > 0: the same zeros and the same ray."""
+    k = next(i for i, v in enumerate(y_ref) if v)
+    c = Fraction(y[k]) / y_ref[k]
+    assert c > 0 and list(y) == [c * v for v in y_ref]
+
+
+@st.composite
+def homogenised_lps(draw):
+    """Integer columns (p, n) and a query (x, n): the points p / n in dimension
+    1 to 3, rational for n > 1."""
+    points, x = draw(hull_queries())
+    n = draw(st.integers(1, 4))
+    return [p + [n] for p in points], x + [n]
 
 
 class TestHullMembership:
+    @given(homogenised_lps())
+    def test_same_answer_as_the_fraction_tableau(self, lp):
+        columns, b = lp
+        n = b[-1]
+        ok, y = hull_membership(columns, b)
+        ok_ref, y_ref = fraction_hull_membership(
+            [[Fraction(c, n) for c in p[:-1]] for p in columns], [Fraction(c, n) for c in b[:-1]])
+        assert ok == ok_ref == linprog_feasible(columns, b)
+        if ok:
+            assert y is None
+            return
+        assert all(type(c) is int for c in y)
+        assert_positive_multiple(y, y_ref)
+        dot = [sum(yi * c for yi, c in zip(y, col)) for col in columns + [b]]
+        assert dot[-1] > 0 >= max(dot[:-1])
+
     @given(hull_queries())
     def test_farkas_certificate_separates(self, query):
         points, x = query
         ok, y = exact_hull_membership(points, x)
-        assert ok == linprog_feasible(points, x)
+        assert ok == linprog_feasible(*homogenised(points, x))
         if not ok:
             # y[:dim] . x > max_k y[:dim] . p_k, exactly (zip stops at dim)
             score = [sum(yi * c for yi, c in zip(y, p)) for p in points + [x]]
@@ -376,10 +463,11 @@ class TestHullMembership:
         assert exact_hull_membership(points, points[k % len(points)]) == (True, None)
 
 
-# (points, x, y): hull_membership's exact certificate, None when x is in the
-# hull.  The values pin the pivot rule (Bland's, with ties in the ratio test
-# left to the smallest basic index): a different rule still separates, but
-# moves every torus-fail witness.
+# (points, x, y): the Fraction tableau's exact certificate, None when x is in
+# the hull; hull_membership on the lcm-scaled columns returns a positive
+# multiple of it.  The values pin the pivot rule (Bland's, with ties in the
+# ratio test left to the smallest basic index): a different rule still
+# separates, but moves every torus-fail witness.
 F = Fraction
 PINNED_LPS = {
     "dim1 outside": ([[0], [2]], [3], [1, -2]),
@@ -413,7 +501,14 @@ PINNED_LPS = {
 
 @pytest.mark.parametrize("points, x, y", PINNED_LPS.values(), ids=PINNED_LPS.keys())
 def test_pinned_certificates(points, x, y):
-    assert exact_hull_membership(points, x) == (y is None, y)
+    ok, cert = exact_hull_membership(points, x)
+    assert ok == (y is None)
+    if ok:
+        assert cert is None
+    else:
+        assert all(type(c) is int for c in cert)
+        assert_positive_multiple(cert, y)
+    assert fraction_hull_membership(points, x) == (ok, y)
 
 
 class TestMinkowski:
